@@ -107,16 +107,20 @@ def _write_json(path: str | None, doc) -> None:
         print(f"wrote {path}")
 
 
-def _workers(args) -> int | None:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
+def _workers(parser: _Parser, args) -> int | None:
+    """--workers, else $KERRCAT_WORKERS, else None; not a positive integer: exit 1."""
+    source, raw = "--workers", args.workers
+    if raw is None:
+        source, raw = f"${ENV_WORKERS}", os.environ.get(ENV_WORKERS)
+        if not raw:
             return None
-    return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        parser.error(f"{source} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _resolve_n(parser: _Parser, args) -> int:
@@ -324,7 +328,7 @@ def _cmd_fidelity_curve(parser, args) -> int:
     if args.x_step <= 0 or args.x_max < args.x_min:
         parser.error("bad grid bounds")
     grid = _grid(args.x_min, args.x_max, args.x_step)
-    pts = fidelity_curve(args.alpha, n, grid, workers=_workers(args))
+    pts = fidelity_curve(args.alpha, n, grid, workers=_workers(parser, args))
     _write_csv(args.output, ("x", "fidelity", "phi_max"),
                [(p.x, p.fidelity, p.phi_max) for p in pts])
     return 0
@@ -364,7 +368,7 @@ def _cmd_success_prob(parser, args) -> int:
     if not (0.0 < args.f_min < 1.0):
         parser.error("--f-min must lie strictly between 0 and 1")
     window = window_from_threshold(args.alpha, n, args.f_min,
-                                   scan_step=args.scan_step, workers=_workers(args))
+                                   scan_step=args.scan_step, workers=_workers(parser, args))
     prob = success_probability(args.alpha, n, window)
     print(f"success_probability={_fmt(prob)}")
     if args.output is not None:
@@ -380,7 +384,7 @@ def _cmd_window(parser, args) -> int:
     if not (0.0 < args.f_min < 1.0):
         parser.error("--f-min must lie strictly between 0 and 1")
     window = window_from_threshold(args.alpha, n, args.f_min,
-                                   scan_step=args.scan_step, workers=_workers(args))
+                                   scan_step=args.scan_step, workers=_workers(parser, args))
     for lo, hi in window.intervals:
         print(f"[{_fmt(lo)}, {_fmt(hi)}]")
     _write_csv(args.output, ("x_lo", "x_hi"),
@@ -421,7 +425,7 @@ def _cmd_noise_phase(parser, args) -> int:
 def _cmd_reproduce(parser, args) -> int:
     outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
     os.makedirs(outdir, exist_ok=True)
-    workers = _workers(args)
+    workers = _workers(parser, args)
     path = os.path.join(outdir, f"{args.what}.csv")
 
     if args.what == "fig2":

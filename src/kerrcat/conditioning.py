@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .states import (
     SQRT2,
     _LOG_DEGENERATE,
     _log_polar,
+    _log_squared_norm,
     _pair_sum_log,
     _x_amplitude_log_arrays,
     superposition,
@@ -62,13 +64,8 @@ class TwoModeProductSuperposition:
 
     def squared_norm(self) -> float:
         """Two-mode norm: component overlaps enter squared, <b_m|b_n>^2."""
-        lc, ac = _log_polar(self.coeffs)
-        res = _pair_sum_log(lc, ac, self.amps, overlap_power=2)
-        if res.log_magnitude == -math.inf:
-            return 0.0
-        if abs(res.phase) > 1e-12:
-            raise ArithmeticError("two-mode squared norm has imaginary residue")
-        return math.exp(res.log_magnitude)
+        # <b_m|b_n>^2 = <sqrt2 b_m|sqrt2 b_n>: the single-mode pair sum
+        return math.exp(_log_squared_norm(self.coeffs, SQRT2 * self.amps))
 
 
 def beamsplit_with_vacuum(psi: CoherentSuperposition) -> TwoModeProductSuperposition:
@@ -91,26 +88,57 @@ def _as_outcome(outcome) -> float:
     return x
 
 
-def _conditioned_log_terms(two_mode: TwoModeProductSuperposition, x: float):
-    """Log-polar coefficients c_n <X|b_n> of the collapsed (unnormalized) state."""
-    lc, ac = _log_polar(two_mode.coeffs)
-    wl, wp = _x_amplitude_log_arrays(x, two_mode.amps)
-    return lc + wl, ac + wp
+class _Collapse(NamedTuple):
+    """Unnormalized collapsed state sum_n q_n |b_n>, q_n = c_n <X|b_n>.
+
+    ``log_q``/``arg_q`` are the log-polar q_n and ``norm`` is the state's
+    squared norm sum_{m,n} conj(q_m) q_n <b_m|b_n>, the outcome density p(X).
+    """
+
+    x: float
+    log_q: np.ndarray
+    arg_q: np.ndarray
+    amps: np.ndarray
+    norm: LogComplex
+
+    def density(self) -> float:
+        """p(X); an imaginary residue above 1e-12 means the pair sum lost precision."""
+        if self.norm.log_magnitude == -math.inf:
+            return 0.0
+        if abs(self.norm.phase) > 1e-12:
+            raise ArithmeticError(
+                f"outcome density at X = {self.x:g} has imaginary residue "
+                f"(phase {self.norm.phase:.3e})")
+        return math.exp(min(self.norm.log_magnitude, 700.0))
+
+    def state(self) -> CoherentSuperposition:
+        """The renormalized state; raises DegenerateStateError below 1e-300."""
+        lg = self.norm.log_magnitude
+        if lg < _LOG_DEGENERATE:
+            raise DegenerateStateError(
+                f"conditioning on X = {self.x:g} annihilates the state "
+                f"(log density {lg:.1f})")
+        coeffs = np.exp(self.log_q - 0.5 * lg) * np.exp(1j * self.arg_q)
+        return superposition(coeffs, self.amps, normalized=True, merge=False)
 
 
-def _outcome_log_density(two_mode: TwoModeProductSuperposition, x: float) -> LogComplex:
-    lq, aq = _conditioned_log_terms(two_mode, x)
-    return _pair_sum_log(lq, aq, two_mode.amps)
+def _collapse(log_c, arg_c, amps, x: float, gram=None) -> _Collapse:
+    """Project the first arm of sum_n c_n |b_n> (x) |b_n> on outcome x.
+
+    ``log_c``/``arg_c`` are the log-polar coefficients; ``gram`` optionally
+    holds the precomputed (log-magnitude, phase) blocks of <b_m|b_n>.
+    """
+    wl, wp = _x_amplitude_log_arrays(x, amps)
+    lq, aq = log_c + wl, arg_c + wp
+    return _Collapse(x, lq, aq, amps, _pair_sum_log(lq, aq, amps, gram=gram))
 
 
 def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:
-    """Homodyne outcome density Tr[rho_1 |X><X|]; integrates to 1 over X."""
-    res = _outcome_log_density(two_mode, float(X))
-    if res.log_magnitude == -math.inf:
-        return 0.0
-    if abs(res.phase) > 1e-12:
-        raise ArithmeticError("outcome density has imaginary residue")
-    return math.exp(min(res.log_magnitude, 700.0))
+    """Homodyne outcome density Tr[rho_1 |X><X|]; integrates to 1 over X.
+
+    Raises ArithmeticError if the pair sum keeps an imaginary residue above 1e-12.
+    """
+    return _collapse(*_log_polar(two_mode.coeffs), two_mode.amps, float(X)).density()
 
 
 def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSuperposition:
@@ -125,12 +153,4 @@ def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSu
     DegenerateStateError
         If the pre-normalization squared norm falls below 1e-300.
     """
-    x = _as_outcome(outcome)
-    lq, aq = _conditioned_log_terms(two_mode, x)
-    res = _pair_sum_log(lq, aq, two_mode.amps)
-    if res.log_magnitude == -math.inf or res.log_magnitude < _LOG_DEGENERATE:
-        raise DegenerateStateError(
-            f"conditioning on X = {x:g} annihilates the state "
-            f"(log density {res.log_magnitude:.1f})")
-    coeffs = np.exp(lq - 0.5 * res.log_magnitude) * np.exp(1j * aq)
-    return superposition(coeffs, two_mode.amps, normalized=True, merge=False)
+    return _collapse(*_log_polar(two_mode.coeffs), two_mode.amps, _as_outcome(outcome)).state()

@@ -89,19 +89,14 @@ def _validate_n(n: int) -> int:
 def kerr_coefficients(n: int) -> np.ndarray:
     """Ring coefficients C_1..C_n of the pi/n decomposition.
 
-    Every |C_k| equals 1/sqrt(n).
+    Evaluated as the Gauss sum (S/n) (-1)^k e^{i pi k^2 / n} with the squares
+    reduced mod 2n in integers, so every phase is exact.  Every |C_k| equals
+    1/sqrt(n).
     """
     n = _validate_n(n)
-    idx = np.arange(1, n + 1)
-    out = np.zeros(n, dtype=np.complex128)
-    # direct double sum, chunked over k to bound memory for large n
-    for start in range(0, n, 512):
-        k = np.arange(start, min(start + 512, n))
-        sign = np.where(k % 2 == 0, 1.0, -1.0)
-        out += (sign[None, :]
-                * np.exp(-1j * np.pi * k[None, :] * (2 * idx[:, None] + k[None, :]) / n)
-                ).sum(axis=1)
-    return out / n
+    k = np.arange(n + 1, dtype=np.int64)
+    phases = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(1j * np.pi * ((k * k) % (2 * n)) / n)
+    return (np.sum(np.conj(phases[:n])) / n) * phases[1:]
 
 
 def ring_amplitudes(alpha_i: float, n: int) -> np.ndarray:

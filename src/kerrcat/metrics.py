@@ -29,30 +29,19 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .conditioning import beamsplit_with_vacuum
+from .conditioning import _collapse, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
     DegenerateStateError,
     SQRT2,
-    _LOG_DEGENERATE,
-    _LogAccumulator,
     _log_polar,
     _overlap_log_blocks,
-    _pair_sum_log,
     _x_amplitude_log_arrays,
     coherent_overlap,
-    coherent_state,
-    inner_product,
     p_marginal_density,
     superposition,
 )
-
-# phi scan grid shared by every maximization (step 2 pi / 4096)
-_N_PHI = 4096
-_PHI_GRID = np.linspace(0.0, 2.0 * np.pi, _N_PHI, endpoint=False)
-_EXP_MINUS_IPHI = np.exp(-1j * _PHI_GRID)
-_EXP_PLUS_IPHI = np.exp(1j * _PHI_GRID)
 
 
 def partner_for(beta: complex) -> complex:
@@ -149,28 +138,27 @@ def _phi_objective(A: complex, B: complex, cross: complex, phi):
 
 
 def _max_phi(A: complex, B: complex, cross: complex) -> tuple[float, float]:
-    """Maximize |A + e^{-i phi} B|^2 N(phi)^2 by coarse scan + parabolic refinement."""
-    num = (abs(A) ** 2 + abs(B) ** 2
-           + 2.0 * (np.conj(A) * B * _EXP_MINUS_IPHI).real)
-    den = 2.0 + 2.0 * (cross * _EXP_PLUS_IPHI).real
-    f = num / den
-    i = int(np.argmax(f))
-    phi = float(_PHI_GRID[i])
-    best = float(f[i])
-    h = 2.0 * np.pi / _N_PHI
-    for _ in range(3):
-        y0 = float(_phi_objective(A, B, cross, phi - h))
-        y1 = float(_phi_objective(A, B, cross, phi))
-        y2 = float(_phi_objective(A, B, cross, phi + h))
-        curv = y0 - 2.0 * y1 + y2
-        if curv >= 0.0:
-            break
-        cand = phi + 0.5 * h * (y0 - y2) / curv
-        if float(_phi_objective(A, B, cross, cand)) >= y1:
-            phi = cand
-        h /= 16.0
-    best = max(best, float(_phi_objective(A, B, cross, phi)))
-    return best, float(phi % (2.0 * np.pi))
+    """Maximize |A + e^{-i phi} B|^2 N(phi)^2 over phi in closed form.
+
+    With a = |A|^2 + |B|^2, conj(A) B = r e^{i t1} and cross = s e^{i t2} the
+    objective is (a + 2 r cos(t1 - phi)) / (2 + 2 s cos(t2 + phi)), and its
+    stationary points solve P sin(phi) + Q cos(phi) = -2 r s sin(t1 + t2),
+    where P + i Q = a cross - 2 r e^{-i t1}.  Both roots are evaluated and the
+    larger kept; phi = 0 when P = Q = 0 (the objective is then constant).
+    """
+    A, B, cross = complex(A), complex(B), complex(cross)
+    w = A.conjugate() * B
+    pq = (abs(A) ** 2 + abs(B) ** 2) * cross - 2.0 * w.conjugate()
+    rho = abs(pq)
+    if rho == 0.0:
+        phis = (0.0,)
+    else:
+        delta = math.atan2(pq.imag, pq.real)
+        root = math.asin(min(1.0, max(-1.0, -2.0 * (w * cross).imag / rho)))
+        phis = (root - delta, math.pi - root - delta)
+    vals = [float(_phi_objective(A, B, cross, phi)) for phi in phis]
+    i = int(np.argmax(vals))
+    return vals[i], float(phis[i] % (2.0 * np.pi))
 
 
 def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
@@ -183,9 +171,7 @@ def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
     cross = coherent_overlap(bt, pt)
     if abs(cross) > 1.0 - 1e-12:
         raise ValueError("target and partner branches coincide; not a cat")
-    A = np.conj(inner_product(psi, coherent_state(bt)))
-    B = np.conj(inner_product(psi, coherent_state(pt)))
-    fid, phi = _max_phi(complex(A), complex(B), complex(cross))
+    fid, phi = _max_phi(*_branch_terms(psi, bt, pt), complex(cross))
     return FidelityReport(fid, phi, bt)
 
 
@@ -194,10 +180,8 @@ def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
     """|<cat_{target_beta, phi}|psi>|^2 at a fixed relative phase phi."""
     bt = complex(target_beta)
     pt = partner_for(bt) if partner_beta is None else complex(partner_beta)
-    A = np.conj(inner_product(psi, coherent_state(bt)))
-    B = np.conj(inner_product(psi, coherent_state(pt)))
     cross = coherent_overlap(bt, pt)
-    return float(_phi_objective(complex(A), complex(B), complex(cross), phi))
+    return float(_phi_objective(*_branch_terms(psi, bt, pt), complex(cross), phi))
 
 
 def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
@@ -220,67 +204,47 @@ _GRAM_CACHE_LIMIT = 1024
 
 
 class _Pipeline:
-    """Per-(alpha_i, n) cache of the decompose -> split -> condition chain."""
+    """Per-(alpha_i, n) cache of the decompose -> split chain for conditioning.
+
+    Holds the decomposition, its split, the split coefficients' log-polar form
+    and, up to ``_GRAM_CACHE_LIMIT`` components, the ring Gram blocks
+    <b_m|b_n> (rotation invariant, so they also serve rotated rings).
+    """
 
     def __init__(self, alpha_i: float, n: int):
-        self.alpha_i = float(alpha_i)
-        self.n = int(n)
         self.decomp = kerr_decompose(alpha_i, n)
         self.two_mode = beamsplit_with_vacuum(self.decomp.state)
-        self.amps = self.two_mode.amps
         self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
-        if n <= _GRAM_CACHE_LIMIT:
-            self.gram_log, self.gram_phase = _overlap_log_blocks(self.amps, self.amps)
-        else:
-            self.gram_log = self.gram_phase = None
+        amps = self.two_mode.amps
+        self.gram = _overlap_log_blocks(amps, amps) if n <= _GRAM_CACHE_LIMIT else None
 
     def target(self, reference_x: float = 0.0) -> complex:
         return default_target_beta(self.decomp, reference_x)
 
-    def _conditioned_logs(self, x: float, rotation: float = 0.0):
-        amps = self.amps if rotation == 0.0 else self.amps * np.exp(1j * rotation)
-        wl, wp = _x_amplitude_log_arrays(x, amps)
-        return self.log_c + wl, self.arg_c + wp, amps
-
-    def _log_density_of(self, lq, aq, amps) -> float:
-        if self.gram_log is not None:
-            # the ring Gram matrix is rotation invariant
-            acc = _LogAccumulator()
-            acc.add(lq[:, None] + lq[None, :] + self.gram_log,
-                    -aq[:, None] + aq[None, :] + self.gram_phase)
-            res = acc.result()
-        else:
-            res = _pair_sum_log(lq, aq, amps)
-        return res.log_magnitude
-
-    def log_density(self, x: float, rotation: float = 0.0) -> float:
-        return self._log_density_of(*self._conditioned_logs(x, rotation))
-
     def density(self, x: float) -> float:
-        lg = self.log_density(x)
-        return 0.0 if lg == -math.inf else math.exp(min(lg, 700.0))
+        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.gram).density()
 
     def conditioned(self, x: float, rotation: float = 0.0) -> CoherentSuperposition:
-        lq, aq, amps = self._conditioned_logs(x, rotation)
-        lg = self._log_density_of(lq, aq, amps)
-        if lg == -math.inf or lg < _LOG_DEGENERATE:
-            raise DegenerateStateError(
-                f"conditioning on X = {x:g} annihilates the state")
-        coeffs = np.exp(lq - 0.5 * lg) * np.exp(1j * aq)
-        return superposition(coeffs, amps, normalized=True, merge=False)
+        amps = self.two_mode.amps
+        if rotation != 0.0:
+            amps = amps * np.exp(1j * rotation)
+        return _collapse(self.log_c, self.arg_c, amps, x, self.gram).state()
 
     def fidelity_terms(self, x: float, bt: complex, pt: complex,
                        rotation: float = 0.0):
         """(A, B) = (<bt|psi_x>, <pt|psi_x>) of the conditioned state."""
-        psi = self.conditioned(x, rotation)
-        row_t = _overlap_row(bt, psi.amps)
-        row_p = _overlap_row(pt, psi.amps)
-        return complex(np.sum(psi.coeffs * row_t)), complex(np.sum(psi.coeffs * row_p))
+        return _branch_terms(self.conditioned(x, rotation), bt, pt)
 
 
-def _overlap_row(beta: complex, amps: np.ndarray) -> np.ndarray:
-    cross = np.conj(complex(beta)) * amps
-    return np.exp(cross - 0.5 * (abs(beta) ** 2 + np.abs(amps) ** 2))
+def _branch_terms(psi: CoherentSuperposition, bt: complex, pt: complex):
+    """(A, B) = (<bt|psi>, <pt|psi>), the branch amplitudes of a cat fidelity."""
+
+    def amplitude(beta: complex) -> complex:
+        cross = np.conj(complex(beta)) * psi.amps
+        row = np.exp(cross - 0.5 * (abs(beta) ** 2 + np.abs(psi.amps) ** 2))
+        return complex(np.sum(psi.coeffs * row))
+
+    return amplitude(bt), amplitude(pt)
 
 
 @lru_cache(maxsize=16)

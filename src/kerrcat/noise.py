@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (
+    _branch_terms,
     _max_phi,
-    _overlap_row,
     _phi_objective,
     _pipeline,
     partner_for,
@@ -141,11 +141,8 @@ def lossy_fidelity(alpha_i: float, n: int, X: float, noise: NoiseParams) -> floa
     cross = coherent_overlap(bt, pt)
     A_p, B_p = pipe.fidelity_terms(float(X), bt, pt)
     f_plus, phi_max = _max_phi(A_p, B_p, cross)
-    A_m = complex(np.sum(final.branch_minus.coeffs
-                         * _overlap_row(bt, final.branch_minus.amps)))
-    B_m = complex(np.sum(final.branch_minus.coeffs
-                         * _overlap_row(pt, final.branch_minus.amps)))
-    f_minus = float(_phi_objective(A_m, B_m, cross, phi_max))
+    f_minus = float(_phi_objective(*_branch_terms(final.branch_minus, bt, pt),
+                                   cross, phi_max))
     return (1.0 - final.p_flip) * f_plus + final.p_flip * f_minus
 
 
@@ -168,12 +165,15 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma: float,
     Integrates |<cat(target, phi_max)|psi_dphi>|^2 against a zero-mean Gaussian
     of standard deviation sigma by Gauss-Hermite quadrature, doubling the node
     count from ``min_nodes`` until two successive rules agree to ``tol`` (or
-    ``max_nodes`` is reached; the overlap collapse at large amplitude is much
-    narrower than the fluctuation Gaussian, so nodes are placed on the
-    combined scale 1/sqrt(1/sigma^2 + alpha_i^2)).  ``magnitude_only`` averages
+    a rule of ``max_nodes`` nodes, where the doubling is capped, has been
+    evaluated; the overlap collapse at large amplitude is much narrower than
+    the fluctuation Gaussian, so nodes are placed on the combined scale
+    1/sqrt(1/sigma^2 + alpha_i^2)).  ``magnitude_only`` averages
     |<cat|psi>| instead of its square, for curve-shape comparisons.
 
-    phi_max is the fidelity-maximizing phase of the unperturbed state.
+    phi_max is the fidelity-maximizing phase of the unperturbed state.  Raises
+    ArithmeticError if a rule's weights are not finite (numpy's Gauss-Hermite
+    weights overflow from about 380 nodes).
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -197,16 +197,20 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma: float,
     scale = 1.0 / math.sqrt(1.0 / sigma ** 2 + alpha_i ** 2)
 
     def rule(nodes: int) -> float:
-        t, w = np.polynomial.hermite.hermgauss(nodes)
+        with np.errstate(all="ignore"):
+            t, w = np.polynomial.hermite.hermgauss(nodes)
+            weights = w * np.exp(t ** 2)
+        if not np.all(np.isfinite(weights)):
+            raise ArithmeticError(f"Gauss-Hermite weights overflow at {nodes} nodes")
         u = math.sqrt(2.0) * scale * t
         gauss = np.exp(-u ** 2 / (2.0 * sigma ** 2)) / (sigma * math.sqrt(2.0 * math.pi))
         h = np.array([integrand(ui) for ui in u])
-        return float(np.sum(w * np.exp(t ** 2) * gauss * h) * math.sqrt(2.0) * scale)
+        return float(np.sum(weights * gauss * h) * math.sqrt(2.0) * scale)
 
     nodes = int(min_nodes)
     prev = rule(nodes)
     while nodes < max_nodes:
-        nodes *= 2
+        nodes = min(2 * nodes, int(max_nodes))
         cur = rule(nodes)
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur

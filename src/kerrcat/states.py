@@ -282,36 +282,30 @@ class _LogAccumulator:
         return LogComplex(self.m + math.log(a), float(_wrap_phase(np.angle(self.s))))
 
 
-def _pair_sum_log(log_c, arg_c, amps, *, overlap_power: int = 1) -> LogComplex:
-    """sum_{m,n} conj(c_m) c_n <a_m|a_n>^overlap_power in log-complex form."""
+def _pair_sum_log(log_c, arg_c, amps, *, right=None, gram=None) -> LogComplex:
+    """sum_{m,n} conj(c_m) d_n <a_m|b_n> in log-complex form.
+
+    The right-hand terms (log d, arg d, b) default to the left ones, which
+    gives the squared norm.  ``gram`` holds precomputed (log-magnitude, phase)
+    blocks of <a_m|b_n>; they are summed as one block instead of chunking the
+    rows.
+    """
+    log_d, arg_d, amps_d = (log_c, arg_c, amps) if right is None else right
     n = len(amps)
+    chunk = n if gram is not None else _CHUNK
     acc = _LogAccumulator()
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, n))
-        ov_l, ov_p = _overlap_log_blocks(amps[rows], amps)
-        L = log_c[rows][:, None] + log_c[None, :] + overlap_power * ov_l
-        T = -arg_c[rows][:, None] + arg_c[None, :] + overlap_power * ov_p
+    for start in range(0, n, chunk):
+        rows = slice(start, min(start + chunk, n))
+        ov_l, ov_p = gram if gram is not None else _overlap_log_blocks(amps[rows], amps_d)
+        L = log_c[rows][:, None] + log_d[None, :] + ov_l
+        T = -arg_c[rows][:, None] + arg_d[None, :] + ov_p
         acc.add(L, T)
     return acc.result()
 
 
-def _cross_pair_sum_log(log_c1, arg_c1, amps1, log_c2, arg_c2, amps2) -> LogComplex:
-    """sum_{m,n} conj(c1_m) c2_n <a1_m|a2_n> in log-complex form."""
-    n = len(amps1)
-    acc = _LogAccumulator()
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, n))
-        ov_l, ov_p = _overlap_log_blocks(amps1[rows], amps2)
-        L = log_c1[rows][:, None] + log_c2[None, :] + ov_l
-        T = -arg_c1[rows][:, None] + arg_c2[None, :] + ov_p
-        acc.add(L, T)
-    return acc.result()
-
-
-def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray, *,
-                      overlap_power: int = 1) -> float:
+def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
     lc, ac = _log_polar(coeffs)
-    res = _pair_sum_log(lc, ac, amps, overlap_power=overlap_power)
+    res = _pair_sum_log(lc, ac, amps)
     if res.log_magnitude == -math.inf:
         return -math.inf
     if abs(res.phase) > 1e-12:
@@ -342,9 +336,9 @@ def squared_norm(psi: CoherentSuperposition) -> float:
 
 def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> complex:
     """<psi|chi>; conjugate-symmetric in its arguments."""
-    lc1, ac1 = _log_polar(psi.coeffs)
-    lc2, ac2 = _log_polar(chi.coeffs)
-    return _cross_pair_sum_log(lc1, ac1, psi.amps, lc2, ac2, chi.amps).to_complex()
+    lc, ac = _log_polar(psi.coeffs)
+    return _pair_sum_log(lc, ac, psi.amps,
+                         right=(*_log_polar(chi.coeffs), chi.amps)).to_complex()
 
 
 def _marginal_density(psi: CoherentSuperposition, value: float, log_arrays) -> float:

@@ -45,6 +45,27 @@ class TestArgumentValidation:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    CURVE = ["fidelity-curve", "--alpha", "2", "--n", "2", "--x-min", "0", "--x-max", "0.1"]
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_rejects_non_positive_workers(self, capsys, count):
+        code, out, err = run(self.CURVE + ["--workers", count], capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err and "--workers must be a positive integer" in err
+
+    @pytest.mark.parametrize("env", ["two", "1.5", "0", "-1"])
+    def test_rejects_bad_workers_env(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("KERRCAT_WORKERS", env)
+        code, out, err = run(self.CURVE, capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err and "$KERRCAT_WORKERS must be a positive integer" in err
+
+    def test_workers_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("KERRCAT_WORKERS", "two")
+        assert run(self.CURVE + ["--workers", "1"], capsys)[0] == 0
+
 
 class TestDecompose:
     def test_coefficient_csv(self, capsys, tmp_path):

@@ -14,9 +14,11 @@ from kerrcat import (
     beamsplit_with_vacuum,
     cat_fidelity,
     coherent_state,
+    condition_at,
     condition_on_x,
     inner_product,
     kerr_decompose,
+    outcome_density,
     superposition,
     vacuum_state,
     x_outcome_density,
@@ -190,3 +192,33 @@ class TestOutcomeDensity:
         tm = split(20.0, 20)
         for x in (0.5, 1.5, 2.5):
             assert abs(x_outcome_density(tm, x) - x_outcome_density(tm, -x)) < 5e-10
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestPipelineRoute:
+    """The cached pipeline and the public functions share one collapse."""
+
+    # reaches both Gaussian tails; at n = 200 the pair sum keeps an imaginary
+    # residue above 1e-12 at several of these points (X = -20, 24, and 24.85
+    # with 8.7e-9), where both density routes must raise
+    GRID = [float(x) for x in np.linspace(-25.0, 25.0, 51)] + [24.85, 48.0]
+
+    @pytest.mark.parametrize("n", [20, 60, 200])
+    def test_matches_public_route(self, n):
+        tm = split(20.0, n)
+        for x in self.GRID:
+            assert _value_or_error(outcome_density, 20.0, n, x) == \
+                _value_or_error(x_outcome_density, tm, x), x
+            got = _value_or_error(condition_at, 20.0, n, x)
+            want = _value_or_error(condition_on_x, tm, x)
+            if isinstance(want, type):
+                assert got is want, x
+            else:
+                assert np.array_equal(got.coeffs, want.coeffs), x
+                assert np.array_equal(got.amps, want.amps), x

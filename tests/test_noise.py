@@ -207,3 +207,22 @@ class TestPhaseNoiseAverage:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             phase_noise_avg_fidelity(20.0, 20, 0.0, -0.1)
+
+    def test_node_doubling_capped_at_max_nodes(self, monkeypatch):
+        # N=20, sigma=0.3 misses the 1e-8 tolerance, so every rule up to the cap runs
+        nodes = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def recording(deg):
+            nodes.append(deg)
+            return hermgauss(deg)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
+        f = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.3, max_nodes=300)
+        assert nodes == [64, 128, 256, 300]
+        assert math.isfinite(f)
+
+    def test_overflowing_rule_raises(self):
+        # numpy's Gauss-Hermite weights are not finite at 512 nodes
+        with pytest.raises(ArithmeticError, match="512 nodes"):
+            phase_noise_avg_fidelity(20.0, 20, 0.0, 0.3, max_nodes=512)
