@@ -48,7 +48,6 @@ from .states import (
 )
 
 ENV_OUTDIR = "KERRCAT_OUTDIR"
-ENV_WORKERS = "KERRCAT_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,22 +106,6 @@ def _write_json(path: str | None, doc) -> None:
         print(f"wrote {path}")
 
 
-def _workers(parser: _Parser, args) -> int | None:
-    """--workers, else $KERRCAT_WORKERS, else None; not a positive integer: exit 1."""
-    source, raw = "--workers", args.workers
-    if raw is None:
-        source, raw = f"${ENV_WORKERS}", os.environ.get(ENV_WORKERS)
-        if not raw:
-            return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        parser.error(f"{source} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _resolve_n(parser: _Parser, args) -> int:
     """Components count from --n or --lambda-tau (which must equal pi/N)."""
     if args.lambda_tau is not None:
@@ -146,7 +129,7 @@ def _check_alpha(parser: _Parser, alpha: float) -> float:
     return alpha
 
 
-def _add_common(sub, *, with_x=False, with_workers=False):
+def _add_common(sub, *, with_x=False):
     sub.add_argument("--alpha", type=float, default=20.0,
                      help="initial coherent amplitude (real, default 20)")
     sub.add_argument("--n", type=int, default=None,
@@ -159,9 +142,6 @@ def _add_common(sub, *, with_x=False, with_workers=False):
     sub.add_argument("--output", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
                      help="output format")
-    if with_workers:
-        sub.add_argument("--workers", type=int, default=None,
-                         help=f"parallel grid workers (default ${ENV_WORKERS} or 1)")
 
 
 def build_parser() -> _Parser:
@@ -194,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target-im", type=float, default=None)
 
     p = sub.add_parser("fidelity-curve", help="fidelity against the measurement outcome")
-    _add_common(p, with_workers=True)
+    _add_common(p)
     p.add_argument("--x-min", type=float, default=-3.0)
     p.add_argument("--x-max", type=float, default=3.0)
     p.add_argument("--x-step", type=float, default=0.01)
@@ -213,12 +193,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("success-prob",
                        help="probability of outcomes whose fidelity clears a threshold")
-    _add_common(p, with_workers=True)
+    _add_common(p)
     p.add_argument("--f-min", type=float, required=True)
     p.add_argument("--scan-step", type=float, default=0.01)
 
     p = sub.add_parser("window", help="acceptance window {X : F(X) >= f_min}")
-    _add_common(p, with_workers=True)
+    _add_common(p)
     p.add_argument("--f-min", type=float, required=True)
     p.add_argument("--scan-step", type=float, default=0.01)
 
@@ -239,7 +219,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="emit the canonical figure/table data series")
     p.add_argument("what", choices=("fig2", "fig3", "fig4", "fig5", "table1"))
     p.add_argument("--outdir", default=None, help="directory for the CSV files")
-    p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("verify", help="run the exactness and oracle cross-checks")
     p.add_argument("--fast", action="store_true", help="smaller verification grid")
@@ -328,7 +307,7 @@ def _cmd_fidelity_curve(parser, args) -> int:
     if args.x_step <= 0 or args.x_max < args.x_min:
         parser.error("bad grid bounds")
     grid = _grid(args.x_min, args.x_max, args.x_step)
-    pts = fidelity_curve(args.alpha, n, grid, workers=_workers(parser, args))
+    pts = fidelity_curve(args.alpha, n, grid)
     _write_csv(args.output, ("x", "fidelity", "phi_max"),
                [(p.x, p.fidelity, p.phi_max) for p in pts])
     return 0
@@ -367,8 +346,7 @@ def _cmd_success_prob(parser, args) -> int:
     n = _resolve_n(parser, args)
     if not (0.0 < args.f_min < 1.0):
         parser.error("--f-min must lie strictly between 0 and 1")
-    window = window_from_threshold(args.alpha, n, args.f_min,
-                                   scan_step=args.scan_step, workers=_workers(parser, args))
+    window = window_from_threshold(args.alpha, n, args.f_min, scan_step=args.scan_step)
     prob = success_probability(args.alpha, n, window)
     print(f"success_probability={_fmt(prob)}")
     if args.output is not None:
@@ -383,8 +361,7 @@ def _cmd_window(parser, args) -> int:
     n = _resolve_n(parser, args)
     if not (0.0 < args.f_min < 1.0):
         parser.error("--f-min must lie strictly between 0 and 1")
-    window = window_from_threshold(args.alpha, n, args.f_min,
-                                   scan_step=args.scan_step, workers=_workers(parser, args))
+    window = window_from_threshold(args.alpha, n, args.f_min, scan_step=args.scan_step)
     for lo, hi in window.intervals:
         print(f"[{_fmt(lo)}, {_fmt(hi)}]")
     _write_csv(args.output, ("x_lo", "x_hi"),
@@ -425,7 +402,6 @@ def _cmd_noise_phase(parser, args) -> int:
 def _cmd_reproduce(parser, args) -> int:
     outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
     os.makedirs(outdir, exist_ok=True)
-    workers = _workers(parser, args)
     path = os.path.join(outdir, f"{args.what}.csv")
 
     if args.what == "fig2":
@@ -436,7 +412,7 @@ def _cmd_reproduce(parser, args) -> int:
         header = ("p", "density_before_split", "density_conditioned_x0")
     elif args.what == "fig3":
         grid = _grid(-3.0, 3.0, 0.01)
-        series = {n: fidelity_curve(20.0, n, grid, workers=workers) for n in (20, 40, 60)}
+        series = {n: fidelity_curve(20.0, n, grid) for n in (20, 40, 60)}
         header = ("x",
                   "fidelity_n20", "phi_max_n20",
                   "fidelity_n40", "phi_max_n40",
@@ -458,15 +434,15 @@ def _cmd_reproduce(parser, args) -> int:
                 for i, s in enumerate(sigmas)]
     else:  # table1
         rows = []
-        w20 = window_from_threshold(20.0, 20, 0.99999, workers=workers)
+        w20 = window_from_threshold(20.0, 20, 0.99999)
         rows.append(("success_prob_n20_fmin0.99999", success_probability(20.0, 20, w20)))
-        w40 = window_from_threshold(20.0, 40, 0.99, workers=workers)
+        w40 = window_from_threshold(20.0, 40, 0.99)
         rows.append(("success_prob_n40_fmin0.99", success_probability(20.0, 40, w40)))
-        w60 = window_from_threshold(20.0, 60, 0.9, workers=workers)
+        w60 = window_from_threshold(20.0, 60, 0.9)
         rows.append(("success_prob_n60_fmin0.9", success_probability(20.0, 60, w60)))
         grid = _grid(-3.0, 3.0, 0.01)
         rows.append(("max_fidelity_n60",
-                     max(p.fidelity for p in fidelity_curve(20.0, 60, grid, workers=workers))))
+                     max(p.fidelity for p in fidelity_curve(20.0, 60, grid))))
         pk = cat_fidelity(condition_at(20.0, 20, 0.0),
                           default_target_beta(kerr_decompose(20.0, 20), 0.0))
         rows.append(("peak_fidelity_n20_x0", pk.fidelity))

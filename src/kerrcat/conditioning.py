@@ -25,7 +25,6 @@ import numpy as np
 from .states import (
     CoherentSuperposition,
     DegenerateStateError,
-    LogComplex,
     SQRT2,
     _LOG_DEGENERATE,
     _log_polar,
@@ -89,48 +88,72 @@ def _as_outcome(outcome) -> float:
 
 
 class _Collapse(NamedTuple):
-    """Unnormalized collapsed state sum_n q_n |b_n>, q_n = c_n <X|b_n>.
+    """Unnormalized collapsed states sum_n q_gn |b_gn>, q_gn = c_n <X_g|b_gn>.
 
-    ``log_q``/``arg_q`` are the log-polar q_n and ``norm`` is the state's
-    squared norm sum_{m,n} conj(q_m) q_n <b_m|b_n>, the outcome density p(X).
+    One row g per outcome: ``log_q``/``arg_q`` hold the log-polar q_gn and
+    ``amps`` the amplitudes b_n, or one row of them per outcome when the ring
+    is rotated.  ``log_norm``/``phase`` are the log-polar squared norms
+    sum_{m,n} conj(q_gm) q_gn <b_gm|b_gn>, the outcome densities p(X_g).
     """
 
-    x: float
+    x: np.ndarray
     log_q: np.ndarray
     arg_q: np.ndarray
     amps: np.ndarray
-    norm: LogComplex
+    log_norm: np.ndarray
+    phase: np.ndarray
 
-    def density(self) -> float:
-        """p(X); an imaginary residue above 1e-12 means the pair sum lost precision."""
-        if self.norm.log_magnitude == -math.inf:
+    def degenerate(self) -> np.ndarray:
+        """Rows whose squared norm is below 1e-300."""
+        return self.log_norm < _LOG_DEGENERATE
+
+    def coeffs(self, rows) -> np.ndarray:
+        """Renormalized coefficients of non-degenerate ``rows``."""
+        lg = self.log_norm[rows, None]
+        return np.exp(self.log_q[rows] - 0.5 * lg) * np.exp(1j * self.arg_q[rows])
+
+    def density(self, g: int = 0) -> float:
+        """p(X_g); an imaginary residue above 1e-12 means the pair sum lost precision."""
+        lg, phase = self.log_norm[g], self.phase[g]
+        if lg == -math.inf:
             return 0.0
-        if abs(self.norm.phase) > 1e-12:
+        if abs(phase) > 1e-12:
             raise ArithmeticError(
-                f"outcome density at X = {self.x:g} has imaginary residue "
-                f"(phase {self.norm.phase:.3e})")
-        return math.exp(min(self.norm.log_magnitude, 700.0))
+                f"outcome density at X = {self.x[g]:g} has imaginary residue "
+                f"(phase {phase:.3e})")
+        return math.exp(min(lg, 700.0))
 
-    def state(self) -> CoherentSuperposition:
-        """The renormalized state; raises DegenerateStateError below 1e-300."""
-        lg = self.norm.log_magnitude
+    def state(self, g: int = 0) -> CoherentSuperposition:
+        """Row g renormalized; raises DegenerateStateError below 1e-300."""
+        lg = self.log_norm[g]
         if lg < _LOG_DEGENERATE:
             raise DegenerateStateError(
-                f"conditioning on X = {self.x:g} annihilates the state "
+                f"conditioning on X = {self.x[g]:g} annihilates the state "
                 f"(log density {lg:.1f})")
-        coeffs = np.exp(self.log_q - 0.5 * lg) * np.exp(1j * self.arg_q)
-        return superposition(coeffs, self.amps, normalized=True, merge=False)
+        amps = self.amps if self.amps.ndim == 1 else self.amps[g]
+        return superposition(self.coeffs(g), amps, normalized=True, merge=False)
 
 
-def _collapse(log_c, arg_c, amps, x: float, gram=None) -> _Collapse:
-    """Project the first arm of sum_n c_n |b_n> (x) |b_n> on outcome x.
+def _collapse(log_c, arg_c, amps, x, gram=None, rotation=None) -> _Collapse:
+    """Project the first arm of sum_n c_n |b_n> (x) |b_n> on each outcome in ``x``.
 
     ``log_c``/``arg_c`` are the log-polar coefficients; ``gram`` optionally
-    holds the precomputed (log-magnitude, phase) blocks of <b_m|b_n>.
+    holds the precomputed (log-magnitude, phase) blocks of <b_m|b_n>.  Given
+    ``rotation``, row g rotates the ring first, b_n -> b_n e^{i u_g}; ``x``
+    and ``rotation`` broadcast to one row per outcome.  Each row's density
+    is its own pair sum.
     """
-    wl, wp = _x_amplitude_log_arrays(x, amps)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if rotation is not None:
+        x, u = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
+        amps = amps * np.exp(1j * u)[:, None]
+    wl, wp = _x_amplitude_log_arrays(x[:, None], amps)
     lq, aq = log_c + wl, arg_c + wp
-    return _Collapse(x, lq, aq, amps, _pair_sum_log(lq, aq, amps, gram=gram))
+    norms = [_pair_sum_log(lq[g], aq[g], amps if amps.ndim == 1 else amps[g], gram=gram)
+             for g in range(len(x))]
+    return _Collapse(x, lq, aq, amps,
+                     np.array([r.log_magnitude for r in norms]),
+                     np.array([r.phase for r in norms]))
 
 
 def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:

@@ -33,7 +33,6 @@ from .conditioning import _collapse, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
-    DegenerateStateError,
     SQRT2,
     _log_polar,
     _overlap_log_blocks,
@@ -137,28 +136,27 @@ def _phi_objective(A: complex, B: complex, cross: complex, phi):
     return num / den
 
 
-def _max_phi(A: complex, B: complex, cross: complex) -> tuple[float, float]:
-    """Maximize |A + e^{-i phi} B|^2 N(phi)^2 over phi in closed form.
+def _max_phi(A, B, cross: complex):
+    """Maximize |A + e^{-i phi} B|^2 N(phi)^2 over phi in closed form, elementwise.
 
     With a = |A|^2 + |B|^2, conj(A) B = r e^{i t1} and cross = s e^{i t2} the
     objective is (a + 2 r cos(t1 - phi)) / (2 + 2 s cos(t2 + phi)), and its
     stationary points solve P sin(phi) + Q cos(phi) = -2 r s sin(t1 + t2),
     where P + i Q = a cross - 2 r e^{-i t1}.  Both roots are evaluated and the
-    larger kept; phi = 0 when P = Q = 0 (the objective is then constant).
+    larger kept (the first on a tie); phi = 0 when P = Q = 0 (the objective
+    is then constant).  Returns (max, phi_max) arrays shaped like A and B.
     """
-    A, B, cross = complex(A), complex(B), complex(cross)
-    w = A.conjugate() * B
-    pq = (abs(A) ** 2 + abs(B) ** 2) * cross - 2.0 * w.conjugate()
-    rho = abs(pq)
-    if rho == 0.0:
-        phis = (0.0,)
-    else:
-        delta = math.atan2(pq.imag, pq.real)
-        root = math.asin(min(1.0, max(-1.0, -2.0 * (w * cross).imag / rho)))
-        phis = (root - delta, math.pi - root - delta)
-    vals = [float(_phi_objective(A, B, cross, phi)) for phi in phis]
-    i = int(np.argmax(vals))
-    return vals[i], float(phis[i] % (2.0 * np.pi))
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    w = np.conj(A) * B
+    pq = (np.abs(A) ** 2 + np.abs(B) ** 2) * cross - 2.0 * np.conj(w)
+    rho = np.abs(pq)
+    flat = rho == 0.0
+    delta = np.arctan2(pq.imag, pq.real)
+    root = np.arcsin(np.clip(-2.0 * (w * cross).imag / np.where(flat, 1.0, rho), -1.0, 1.0))
+    phis = np.where(flat, 0.0, np.stack((root - delta, np.pi - root - delta)))
+    vals = _phi_objective(A, B, cross, phis)
+    second = vals[1] > vals[0]
+    return np.where(second, vals[1], vals[0]), np.where(second, phis[1], phis[0]) % (2.0 * np.pi)
 
 
 def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
@@ -171,8 +169,8 @@ def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
     cross = coherent_overlap(bt, pt)
     if abs(cross) > 1.0 - 1e-12:
         raise ValueError("target and partner branches coincide; not a cat")
-    fid, phi = _max_phi(*_branch_terms(psi, bt, pt), complex(cross))
-    return FidelityReport(fid, phi, bt)
+    fid, phi = _max_phi(*_branch_terms(psi.coeffs, psi.amps, bt, pt), complex(cross))
+    return FidelityReport(float(fid), float(phi), bt)
 
 
 def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
@@ -181,7 +179,8 @@ def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
     bt = complex(target_beta)
     pt = partner_for(bt) if partner_beta is None else complex(partner_beta)
     cross = coherent_overlap(bt, pt)
-    return float(_phi_objective(*_branch_terms(psi, bt, pt), complex(cross), phi))
+    A, B = _branch_terms(psi.coeffs, psi.amps, bt, pt)
+    return float(_phi_objective(A, B, complex(cross), phi))
 
 
 def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
@@ -202,11 +201,15 @@ def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
 
 _GRAM_CACHE_LIMIT = 1024
 
+#: Outcome rows collapsed and scored together; bounds the (rows, N) work arrays.
+_BLOCK = 256
+
 
 class _Pipeline:
     """Per-(alpha_i, n) cache of the decompose -> split chain for conditioning.
 
-    Holds the decomposition, its split, the split coefficients' log-polar form
+    Holds the decomposition, its split, the split coefficients' log-polar form,
+    the target cat (dominant branch at X = 0, its partner and their overlap)
     and, up to ``_GRAM_CACHE_LIMIT`` components, the ring Gram blocks
     <b_m|b_n> (rotation invariant, so they also serve rotated rings).
     """
@@ -217,32 +220,56 @@ class _Pipeline:
         self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
         amps = self.two_mode.amps
         self.gram = _overlap_log_blocks(amps, amps) if n <= _GRAM_CACHE_LIMIT else None
+        self.bt = default_target_beta(self.decomp, 0.0)
+        self.pt = partner_for(self.bt)
+        self.cross = coherent_overlap(self.bt, self.pt)
 
-    def target(self, reference_x: float = 0.0) -> complex:
-        return default_target_beta(self.decomp, reference_x)
+    def collapse(self, x, rotation=None):
+        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.gram, rotation)
 
     def density(self, x: float) -> float:
-        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.gram).density()
+        return self.collapse(x).density()
 
-    def conditioned(self, x: float, rotation: float = 0.0) -> CoherentSuperposition:
-        amps = self.two_mode.amps
-        if rotation != 0.0:
-            amps = amps * np.exp(1j * rotation)
-        return _collapse(self.log_c, self.arg_c, amps, x, self.gram).state()
+    def conditioned(self, x: float, rotation: float | None = None) -> CoherentSuperposition:
+        return self.collapse(x, rotation).state()
 
-    def fidelity_terms(self, x: float, bt: complex, pt: complex,
-                       rotation: float = 0.0):
-        """(A, B) = (<bt|psi_x>, <pt|psi_x>) of the conditioned state."""
-        return _branch_terms(self.conditioned(x, rotation), bt, pt)
+    def fidelity_terms(self, x, rotation=None):
+        """(A, B, degenerate): the target branch amplitudes (<bt|psi_g>, <pt|psi_g>)
+        of each conditioned state, A = B = 0 on degenerate rows.
+
+        ``x`` and ``rotation`` broadcast as in ``_collapse``; rows are
+        collapsed ``_BLOCK`` at a time.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if rotation is not None:
+            x, rotation = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
+        A, B = np.zeros(len(x), dtype=complex), np.zeros(len(x), dtype=complex)
+        degenerate = np.zeros(len(x), dtype=bool)
+        for start in range(0, len(x), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            rows_c = self.collapse(x[rows], None if rotation is None else rotation[rows])
+            degenerate[rows] = rows_c.degenerate()
+            ok = np.flatnonzero(~degenerate[rows])
+            amps = rows_c.amps if rows_c.amps.ndim == 1 else rows_c.amps[ok]
+            A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), amps,
+                                                         self.bt, self.pt)
+        return A, B, degenerate
+
+    def fidelity(self, x):
+        """(F, phi_max, degenerate) at each outcome; F = phi_max = 0 where degenerate."""
+        A, B, degenerate = self.fidelity_terms(x)
+        fid, phi = _max_phi(A, B, self.cross)
+        return np.where(degenerate, 0.0, fid), np.where(degenerate, 0.0, phi), degenerate
 
 
-def _branch_terms(psi: CoherentSuperposition, bt: complex, pt: complex):
-    """(A, B) = (<bt|psi>, <pt|psi>), the branch amplitudes of a cat fidelity."""
+def _branch_terms(coeffs, amps, bt: complex, pt: complex):
+    """(A, B) = (<bt|psi>, <pt|psi>), the branch amplitudes of a cat fidelity,
+    for each row of ``coeffs`` (``amps`` one row shared by all, or one per row)."""
 
-    def amplitude(beta: complex) -> complex:
-        cross = np.conj(complex(beta)) * psi.amps
-        row = np.exp(cross - 0.5 * (abs(beta) ** 2 + np.abs(psi.amps) ** 2))
-        return complex(np.sum(psi.coeffs * row))
+    def amplitude(beta: complex):
+        cross = np.conj(complex(beta)) * amps
+        row = np.exp(cross - 0.5 * (abs(beta) ** 2 + np.abs(amps) ** 2))
+        return np.sum(coeffs * row, axis=-1)
 
     return amplitude(bt), amplitude(pt)
 
@@ -252,104 +279,55 @@ def _pipeline(alpha_i: float, n: int) -> _Pipeline:
     return _Pipeline(alpha_i, n)
 
 
-def _fidelity_point(pipe: _Pipeline, x: float, bt: complex, pt: complex,
-                    cross: complex) -> FidelityCurvePoint:
-    try:
-        A, B = pipe.fidelity_terms(x, bt, pt)
-    except DegenerateStateError:
-        return FidelityCurvePoint(x, 0.0, 0.0, True)
-    fid, phi = _max_phi(A, B, cross)
-    return FidelityCurvePoint(x, fid, phi, False)
-
-
 # --------------------------------------------------------------------------
 # curves, windows, probabilities
 # --------------------------------------------------------------------------
 
-def fidelity_curve(alpha_i: float, n: int, x_grid,
-                   reference_x: float = 0.0,
-                   workers: int | None = None) -> list[FidelityCurvePoint]:
+def fidelity_curve(alpha_i: float, n: int, x_grid) -> list[FidelityCurvePoint]:
     """Conditioned-state fidelity at each outcome in ``x_grid``.
 
-    The target cat is fixed at the reference outcome (default X = 0):
-    branch = the dominant ring component there.  Degenerate outcomes are
-    flagged and scored 0.
+    The target cat is fixed at X = 0: branch = the dominant ring component
+    there.  Degenerate outcomes are flagged and scored 0.
     """
-    xs = [float(x) for x in np.atleast_1d(np.asarray(x_grid, dtype=float))]
-    if workers is not None and workers > 1 and len(xs) > 4 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, len(xs), 4 * workers + 1, dtype=int)
-        chunks = [(alpha_i, n, tuple(xs[a:b]), reference_x)
-                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        out: list[FidelityCurvePoint] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_curve_chunk, chunks):
-                out.extend(FidelityCurvePoint(*p) for p in part)
-        return out
-    return [FidelityCurvePoint(*p) for p in _curve_chunk((alpha_i, n, tuple(xs), reference_x))]
-
-
-def _curve_chunk(args):
-    alpha_i, n, xs, reference_x = args
-    pipe = _pipeline(alpha_i, n)
-    bt = pipe.target(reference_x)
-    pt = partner_for(bt)
-    cross = coherent_overlap(bt, pt)
-    out = []
-    for x in xs:
-        p = _fidelity_point(pipe, x, bt, pt, cross)
-        out.append((p.x, p.fidelity, p.phi_max, p.degenerate))
-    return out
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    fid, phi, degenerate = _pipeline(alpha_i, n).fidelity(xs)
+    return [FidelityCurvePoint(float(x), float(f), float(p), bool(d))
+            for x, f, p, d in zip(xs, fid, phi, degenerate)]
 
 
 def window_from_threshold(alpha_i: float, n: int, f_min: float,
-                          scan_step: float = 0.01,
-                          workers: int | None = None) -> AcceptanceWindow:
+                          scan_step: float = 0.01) -> AcceptanceWindow:
     """Outcome region {X : F(X) >= f_min}, scanned over [-(alpha_i+5), alpha_i+5].
 
-    Threshold crossings are refined by bisection to 1e-6.  May be empty.
+    Threshold crossings are refined by bisection to 1e-6, all crossings
+    together.  May be empty.
     """
     if not (0.0 < f_min < 1.0):
         raise ValueError("f_min must lie strictly between 0 and 1")
     lo, hi = -(alpha_i + 5.0), alpha_i + 5.0
     xs = np.arange(lo, hi + 0.5 * scan_step, scan_step)
-    pts = fidelity_curve(alpha_i, n, xs, workers=workers)
-    above = np.array([p.fidelity >= f_min for p in pts])
+    above = np.array([p.fidelity >= f_min for p in fidelity_curve(alpha_i, n, xs)])
+    runs = np.diff(np.concatenate(([0], above.astype(int), [0])))
+    first, last = np.flatnonzero(runs == 1), np.flatnonzero(runs == -1) - 1
+    rise, fall = first[first > 0], last[last < len(xs) - 1]
 
+    # invariant: exactly one end of each bracket (a, b) is above threshold
+    a = np.concatenate((xs[rise - 1], xs[fall]))
+    b = np.concatenate((xs[rise], xs[fall + 1]))
+    high_at_b = np.arange(len(a)) < len(rise)
     pipe = _pipeline(alpha_i, n)
-    bt = pipe.target(0.0)
-    pt = partner_for(bt)
-    cross = coherent_overlap(bt, pt)
+    while (live := np.flatnonzero(b - a > 1e-6)).size:
+        m = 0.5 * (a[live] + b[live])
+        to_b = (pipe.fidelity(m)[0] >= f_min) == high_at_b[live]
+        b[live[to_b]] = m[to_b]
+        a[live[~to_b]] = m[~to_b]
+    edges = 0.5 * (a + b)
 
-    def fid(x: float) -> float:
-        return _fidelity_point(pipe, x, bt, pt, cross).fidelity
-
-    def bisect(a: float, b: float, want_high_at_b: bool) -> float:
-        # invariant: exactly one of (a, b) is above threshold
-        while b - a > 1e-6:
-            m = 0.5 * (a + b)
-            if (fid(m) >= f_min) == want_high_at_b:
-                b = m
-            else:
-                a = m
-        return 0.5 * (a + b)
-
-    intervals = []
-    i = 0
-    while i < len(xs):
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(xs) and above[j + 1]:
-            j += 1
-        left = xs[i] if i == 0 else bisect(xs[i - 1], xs[i], True)
-        right = xs[j] if j == len(xs) - 1 else bisect(xs[j], xs[j + 1], False)
-        if left < right:
-            intervals.append((float(left), float(right)))
-        i = j + 1
-    return AcceptanceWindow(tuple(intervals))
+    left, right = xs[first], xs[last]
+    left[first > 0] = edges[:len(rise)]
+    right[last < len(xs) - 1] = edges[len(rise):]
+    return AcceptanceWindow(tuple((float(x0), float(x1)) for x0, x1 in zip(left, right)
+                                  if x0 < x1))
 
 
 def success_probability(alpha_i: float, n: int, window: AcceptanceWindow) -> float:

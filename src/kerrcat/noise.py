@@ -20,17 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .metrics import (
-    _branch_terms,
-    _max_phi,
-    _phi_objective,
-    _pipeline,
-    partner_for,
-)
-from .states import CoherentSuperposition, DegenerateStateError, coherent_overlap
+from .metrics import _branch_terms, _max_phi, _phi_objective, _pipeline
+from .states import CoherentSuperposition
 
 
 @dataclass(frozen=True)
@@ -116,14 +111,18 @@ def _flip_partner_branch(psi: CoherentSuperposition, target_beta: complex) -> Co
     return CoherentSuperposition(flipped, psi.amps, psi.is_normalized)
 
 
+def _target_terms(pipe, psi: CoherentSuperposition):
+    """(A, B) of ``psi`` against the pipeline's target cat branches."""
+    return _branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt)
+
+
 def lossy_final_state(alpha_i: float, n: int, X: float,
                       noise: NoiseParams) -> LossyFinalState:
     """Run the pipeline at the decayed amplitude and build both mixture branches."""
     a_dec = noise.decayed_alpha(alpha_i)
     pipe = _pipeline(a_dec, n)
     plus = pipe.conditioned(float(X))
-    bt = pipe.target(0.0)
-    minus = _flip_partner_branch(plus, bt)
+    minus = _flip_partner_branch(plus, pipe.bt)
     return LossyFinalState(noise.flip_probability(alpha_i), plus, minus, a_dec)
 
 
@@ -136,13 +135,8 @@ def lossy_fidelity(alpha_i: float, n: int, X: float, noise: NoiseParams) -> floa
     """
     final = lossy_final_state(alpha_i, n, X, noise)
     pipe = _pipeline(final.decayed_alpha, n)
-    bt = pipe.target(0.0)
-    pt = partner_for(bt)
-    cross = coherent_overlap(bt, pt)
-    A_p, B_p = pipe.fidelity_terms(float(X), bt, pt)
-    f_plus, phi_max = _max_phi(A_p, B_p, cross)
-    f_minus = float(_phi_objective(*_branch_terms(final.branch_minus, bt, pt),
-                                   cross, phi_max))
+    f_plus, phi_max = map(float, _max_phi(*_target_terms(pipe, final.branch_plus), pipe.cross))
+    f_minus = float(_phi_objective(*_target_terms(pipe, final.branch_minus), pipe.cross, phi_max))
     return (1.0 - final.p_flip) * f_plus + final.p_flip * f_minus
 
 
@@ -154,6 +148,22 @@ def phase_noise_state(alpha_i: float, n: int, X: float,
     coefficients C_k <X|rotated amplitude>, renormalized.
     """
     return _pipeline(float(alpha_i), int(n)).conditioned(float(X), rotation=float(delta_phi))
+
+
+@lru_cache(maxsize=16)
+def _hermite_rule(nodes: int):
+    """Gauss-Hermite nodes t and weights times e^{t^2}, cached by node count.
+
+    Raises ArithmeticError if the weights are not finite.
+    """
+    with np.errstate(all="ignore"):
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+        weights = w * np.exp(t ** 2)
+    if not np.all(np.isfinite(weights)):
+        raise ArithmeticError(f"Gauss-Hermite weights overflow at {nodes} nodes")
+    t.setflags(write=False)
+    weights.setflags(write=False)
+    return t, weights
 
 
 def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma: float,
@@ -178,33 +188,21 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma: float,
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     pipe = _pipeline(float(alpha_i), int(n))
-    bt = pipe.target(0.0)
-    pt = partner_for(bt)
-    cross = coherent_overlap(bt, pt)
-    A0, B0 = pipe.fidelity_terms(float(X), bt, pt)
-    f0, phi_max = _max_phi(A0, B0, cross)
+    f0, phi_max = map(float, _max_phi(*_target_terms(pipe, pipe.conditioned(float(X))),
+                                      pipe.cross))
     if sigma == 0.0:
         return math.sqrt(f0) if magnitude_only else f0
-
-    def integrand(u: float) -> float:
-        try:
-            A, B = pipe.fidelity_terms(float(X), bt, pt, rotation=u)
-        except DegenerateStateError:
-            return 0.0
-        val = float(_phi_objective(A, B, cross, phi_max))
-        return math.sqrt(max(val, 0.0)) if magnitude_only else val
 
     scale = 1.0 / math.sqrt(1.0 / sigma ** 2 + alpha_i ** 2)
 
     def rule(nodes: int) -> float:
-        with np.errstate(all="ignore"):
-            t, w = np.polynomial.hermite.hermgauss(nodes)
-            weights = w * np.exp(t ** 2)
-        if not np.all(np.isfinite(weights)):
-            raise ArithmeticError(f"Gauss-Hermite weights overflow at {nodes} nodes")
+        t, weights = _hermite_rule(nodes)
         u = math.sqrt(2.0) * scale * t
         gauss = np.exp(-u ** 2 / (2.0 * sigma ** 2)) / (sigma * math.sqrt(2.0 * math.pi))
-        h = np.array([integrand(ui) for ui in u])
+        A, B, degenerate = pipe.fidelity_terms(float(X), rotation=u)
+        h = np.where(degenerate, 0.0, _phi_objective(A, B, pipe.cross, phi_max))
+        if magnitude_only:
+            h = np.sqrt(np.maximum(h, 0.0))
         return float(np.sum(weights * gauss * h) * math.sqrt(2.0) * scale)
 
     nodes = int(min_nodes)

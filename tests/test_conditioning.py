@@ -16,13 +16,16 @@ from kerrcat import (
     coherent_state,
     condition_at,
     condition_on_x,
+    fidelity_curve,
     inner_product,
     kerr_decompose,
     outcome_density,
+    phase_noise_state,
     superposition,
     vacuum_state,
     x_outcome_density,
 )
+from kerrcat.metrics import _BLOCK, _pipeline
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,3 +225,33 @@ class TestPipelineRoute:
             else:
                 assert np.array_equal(got.coeffs, want.coeffs), x
                 assert np.array_equal(got.amps, want.amps), x
+
+
+class TestBatchedRows:
+    """Rows collapsed in one batch equal one-row calls bit for bit."""
+
+    # longer than one block; X = 48 is degenerate
+    GRID = np.append(np.linspace(-3.0, 3.0, _BLOCK + 45), 48.0)
+    ROTATIONS = np.linspace(-0.3, 0.3, _BLOCK + 45)
+
+    @pytest.mark.parametrize("n", [20, 60, 200])
+    def test_curve_rows(self, n):
+        batch = fidelity_curve(20.0, n, self.GRID)
+        for x, point in zip(self.GRID, batch):
+            assert point == fidelity_curve(20.0, n, [x])[0], x
+        assert batch[-1].degenerate
+        assert batch[-1].fidelity == 0.0 and batch[-1].phi_max == 0.0
+        assert not any(p.degenerate for p in batch[:-1])
+
+    @pytest.mark.parametrize("n", [20, 60, 200])
+    def test_rotated_rows(self, n):
+        pipe = _pipeline(20.0, n)
+        batch = pipe.collapse(0.5, rotation=self.ROTATIONS)
+        A, B, degenerate = pipe.fidelity_terms(0.5, rotation=self.ROTATIONS)
+        assert not degenerate.any()
+        for g, u in enumerate(self.ROTATIONS):
+            one = phase_noise_state(20.0, n, 0.5, u)
+            assert np.array_equal(batch.coeffs(g), one.coeffs), u
+            assert np.array_equal(batch.amps[g], one.amps), u
+            a, b, _ = pipe.fidelity_terms(0.5, rotation=u)
+            assert (A[g], B[g]) == (a[0], b[0]), u

@@ -172,13 +172,6 @@ class TestFidelityCurve:
         assert not pts[0].degenerate
         assert pts[1].degenerate and pts[1].fidelity == 0.0
 
-    def test_parallel_matches_serial(self):
-        grid = np.arange(-1.0, 1.0001, 0.05)
-        serial = fidelity_curve(20.0, 20, grid)
-        parallel = fidelity_curve(20.0, 20, grid, workers=2)
-        assert [(p.x, p.fidelity, p.phi_max) for p in serial] == \
-               [(p.x, p.fidelity, p.phi_max) for p in parallel]
-
 
 class TestWindowsAndSuccess:
     def test_flagship_window_edges(self):

@@ -21,6 +21,7 @@ from kerrcat import (
     phase_noise_state,
     squared_norm,
 )
+from kerrcat.noise import _hermite_rule
 
 
 class TestOddLossProbability:
@@ -218,6 +219,7 @@ class TestPhaseNoiseAverage:
             return hermgauss(deg)
 
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
+        _hermite_rule.cache_clear()
         f = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.3, max_nodes=300)
         assert nodes == [64, 128, 256, 300]
         assert math.isfinite(f)
