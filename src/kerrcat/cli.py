@@ -392,10 +392,9 @@ def _cmd_noise_phase(parser, args) -> int:
     if args.sigma_step <= 0 or args.sigma_max < 0:
         parser.error("bad sigma grid")
     sigmas = _grid(0.0, args.sigma_max, args.sigma_step)
-    rows = [(float(s), phase_noise_avg_fidelity(args.alpha, n, args.x, float(s),
-                                                magnitude_only=args.magnitude_only))
-            for s in sigmas]
-    _write_csv(args.output, ("sigma", "avg_fidelity"), rows)
+    avg = phase_noise_avg_fidelity(args.alpha, n, args.x, sigmas,
+                                   magnitude_only=args.magnitude_only)
+    _write_csv(args.output, ("sigma", "avg_fidelity"), zip(sigmas, avg))
     return 0
 
 
@@ -427,11 +426,9 @@ def _cmd_reproduce(parser, args) -> int:
         header = ("p", "density")
     elif args.what == "fig5":
         sigmas = _grid(0.0, 0.3, 0.01)
-        cols = {n: [phase_noise_avg_fidelity(20.0, n, 0.0, float(s)) for s in sigmas]
-                for n in (20, 40, 60)}
+        avg = [phase_noise_avg_fidelity(20.0, n, 0.0, sigmas) for n in (20, 40, 60)]
+        rows = zip(sigmas, *avg)
         header = ("sigma", "avg_fidelity_n20", "avg_fidelity_n40", "avg_fidelity_n60")
-        rows = [(float(s), cols[20][i], cols[40][i], cols[60][i])
-                for i, s in enumerate(sigmas)]
     else:  # table1
         rows = []
         w20 = window_from_threshold(20.0, 20, 0.99999)

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .states import (
     CoherentSuperposition,
@@ -76,6 +75,7 @@ class KerrDecomposition:
 
 
 MAX_COMPONENTS = 4096
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _validate_n(n: int) -> int:
@@ -152,7 +152,7 @@ def kerr_fock_evolve(params: KerrParams, cutoff: int) -> FockState:
         amps[0] = 1.0
     else:
         logmag = (-0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha))
-                  - 0.5 * gammaln(n + 1.0))
+                  - 0.5 * _lgamma(n + 1.0))
         phase = n * np.angle(alpha) + kerr_phase
         amps = np.exp(logmag) * np.exp(1j * phase)
     state = FockState(amps, cutoff)
@@ -166,7 +166,7 @@ def kerr_fock_evolve(params: KerrParams, cutoff: int) -> FockState:
 def fock_expand(psi: CoherentSuperposition, cutoff: int) -> FockState:
     """Expand a coherent superposition onto the number basis |0..cutoff>."""
     n = np.arange(cutoff + 1)
-    lg_fact = 0.5 * gammaln(n + 1.0)
+    lg_fact = 0.5 * _lgamma(n + 1.0)
     out = np.zeros(cutoff + 1, dtype=np.complex128)
     for c, a in zip(psi.coeffs, psi.amps):
         a = complex(a)

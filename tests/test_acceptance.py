@@ -198,7 +198,7 @@ def test_criterion_09_phase_noise_shape(n):
     at_zero = phase_noise_avg_fidelity(20.0, n, 0.0, 0.0)
     zero_ok = abs(at_zero - noiseless) <= 1e-9
     sigmas = np.arange(0, 31) * 0.01
-    vals = [phase_noise_avg_fidelity(20.0, n, 0.0, float(s)) for s in sigmas]
+    vals = phase_noise_avg_fidelity(20.0, n, 0.0, sigmas)
     worst_rise = max(b - a for a, b in zip(vals, vals[1:]))
     mono_ok = worst_rise <= 1e-9
     ok = zero_ok and mono_ok

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from kerrcat import metrics
 from kerrcat import (
     AcceptanceWindow,
     CatState,
@@ -201,6 +202,25 @@ class TestWindowsAndSuccess:
         halves = AcceptanceWindow(((-1.0, 0.25), (0.25, 1.0)))
         assert success_probability(20.0, 20, whole) == pytest.approx(
             success_probability(20.0, 20, halves), abs=1e-9)
+
+    @pytest.mark.parametrize("n,f_min", [(20, 0.99999), (40, 0.99), (60, 0.9), (20, None),
+                                         (60, None)])
+    def test_matches_adaptive_quadrature(self, n, f_min):
+        # table1's windows and the whole line against scipy's adaptive quad
+        from scipy.integrate import quad
+
+        win = (AcceptanceWindow(((-30.0, 30.0),)) if f_min is None
+               else window_from_threshold(20.0, n, f_min))
+        want = sum(quad(lambda x: outcome_density(20.0, n, x), lo, hi,
+                        epsabs=1e-15, epsrel=1e-13, limit=2000)[0]
+                   for lo, hi in win.intervals)
+        assert success_probability(20.0, n, win) == pytest.approx(want, rel=1e-12)
+
+    def test_unconverged_probability_raises(self, monkeypatch):
+        # one node per panel cannot resolve the outcome density
+        monkeypatch.setattr(metrics, "_LEGENDRE_NODES", (1, 2))
+        with pytest.raises(ArithmeticError, match="not converged"):
+            success_probability(20.0, 20, AcceptanceWindow(((-3.0, 3.0),)))
 
     def test_riemann_total_mass(self):
         xs = np.arange(-30.0, 30.0, 0.02)

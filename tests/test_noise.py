@@ -9,6 +9,7 @@ import oracles
 from kerrcat import (
     NoiseParams,
     cat_fidelity,
+    cat_overlap,
     coherent_overlap,
     condition_at,
     default_target_beta,
@@ -21,7 +22,8 @@ from kerrcat import (
     phase_noise_state,
     squared_norm,
 )
-from kerrcat.noise import _hermite_rule
+from kerrcat import noise
+from kerrcat.cli import main
 
 
 class TestOddLossProbability:
@@ -161,10 +163,31 @@ class TestPhaseNoiseAverage:
             noiseless.fidelity, abs=1e-9)
 
     def test_quadrature_converges_smooth_regime(self):
-        for sigma in (0.2, 0.4):
-            f64 = phase_noise_avg_fidelity(2.0, 4, 0.0, sigma, min_nodes=64, max_nodes=64)
-            f128 = phase_noise_avg_fidelity(2.0, 4, 0.0, sigma, min_nodes=128, max_nodes=128)
-            assert abs(f64 - f128) < 1e-8
+        # against adaptive quadrature of h(u) N(u; 0, sigma^2) over the real
+        # line, h rebuilt through the public one-state route
+        from scipy.integrate import quad
+
+        for alpha, n, sigmas in ((2.0, 4, (0.2, 0.4)), (20.0, 20, (0.22,))):
+            beta = default_target_beta(kerr_decompose(alpha, n), 0.0)
+            phi = cat_fidelity(condition_at(alpha, n, 0.0), beta).phi_max
+
+            def weighted(u, sigma):
+                h = cat_overlap(phase_noise_state(alpha, n, 0.0, u), beta, phi)
+                return h * math.exp(-0.5 * (u / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+
+            got = phase_noise_avg_fidelity(alpha, n, 0.0, np.array(sigmas))
+            for sigma, value in zip(sigmas, got):
+                want, _ = quad(weighted, -9.0 * sigma, 9.0 * sigma, args=(sigma,),
+                               points=[0.0], epsabs=1e-12, epsrel=1e-12, limit=500)
+                assert abs(value - want) < 1e-8, (n, sigma)
+
+    def test_sigma_array_matches_scalar_calls(self):
+        sigmas = np.array([0.0, 0.05, 0.3])
+        got = phase_noise_avg_fidelity(20.0, 20, 0.0, sigmas)
+        assert got.shape == sigmas.shape
+        for sigma, value in zip(sigmas, got):
+            assert phase_noise_avg_fidelity(20.0, 20, 0.0, float(sigma)) == \
+                pytest.approx(value, abs=1e-8)
 
     def test_magnitude_flag_orders(self):
         sq = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.05)
@@ -209,22 +232,10 @@ class TestPhaseNoiseAverage:
         with pytest.raises(ValueError):
             phase_noise_avg_fidelity(20.0, 20, 0.0, -0.1)
 
-    def test_node_doubling_capped_at_max_nodes(self, monkeypatch):
-        # N=20, sigma=0.3 misses the 1e-8 tolerance, so every rule up to the cap runs
-        nodes = []
-        hermgauss = np.polynomial.hermite.hermgauss
-
-        def recording(deg):
-            nodes.append(deg)
-            return hermgauss(deg)
-
-        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
-        _hermite_rule.cache_clear()
-        f = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.3, max_nodes=300)
-        assert nodes == [64, 128, 256, 300]
-        assert math.isfinite(f)
-
-    def test_overflowing_rule_raises(self):
-        # numpy's Gauss-Hermite weights are not finite at 512 nodes
-        with pytest.raises(ArithmeticError, match="512 nodes"):
-            phase_noise_avg_fidelity(20.0, 20, 0.0, 0.3, max_nodes=512)
+    def test_unconverged_average_raises(self, monkeypatch, capsys):
+        # N=20 needs 2048 rotation nodes to reach 1e-8
+        monkeypatch.setattr(noise, "_MAX_NODES", 1024)
+        with pytest.raises(ArithmeticError, match="not converged"):
+            phase_noise_avg_fidelity(20.0, 20, 0.0, 0.1)
+        assert main(["noise-phase", "--n", "20", "--sigma-max", "0.1"]) == 2
+        assert "not converged" in capsys.readouterr().err

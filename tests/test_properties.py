@@ -82,3 +82,15 @@ def test_max_phi_not_below_dense_scan(A, B, cross):
     assert fid == pytest.approx(float(_phi_objective(A, B, cross, phi)), rel=1e-14)
     scan = _scan_max(A, B, cross)
     assert fid >= scan - 1e-13 * scan
+
+
+@pytest.mark.parametrize("delta", [0j, 1e-9 * (1 + 1j)])
+def test_phi_objective_near_cancellation(delta):
+    # A + e^{-i phi} B = -delta: the objective is |delta|^2 / den, never
+    # rounding noise of either sign
+    A, phi, cross = 0.3 + 0.7j, 1.1, 0.2 - 0.1j
+    B = -(A + delta) * np.exp(1j * phi)
+    den = 2.0 + 2.0 * (cross * np.exp(1j * phi)).real
+    got = float(_phi_objective(A, B, cross, phi))
+    assert got >= 0.0
+    assert got == pytest.approx(abs(delta) ** 2 / den, rel=1e-6, abs=1e-30)
