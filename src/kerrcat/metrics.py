@@ -28,13 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conditioning import _collapse, beamsplit_with_vacuum
+from .conditioning import _collapse, _ring_gram, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
     SQRT2,
     _log_polar,
-    _overlap_log_blocks,
     _x_amplitude_log_arrays,
     coherent_overlap,
     p_marginal_density,
@@ -198,8 +197,6 @@ def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
 # cached conditioning pipeline
 # --------------------------------------------------------------------------
 
-_GRAM_CACHE_LIMIT = 1024
-
 #: Outcome rows collapsed and scored together; bounds the (rows, N) work arrays.
 _BLOCK = 256
 
@@ -209,16 +206,15 @@ class _Pipeline:
 
     Holds the decomposition, its split, the split coefficients' log-polar form,
     the target cat (dominant branch at X = 0, its partner and their overlap)
-    and, up to ``_GRAM_CACHE_LIMIT`` components, the ring Gram blocks
-    <b_m|b_n> (rotation invariant, so they also serve rotated rings).
+    and, up to ``_GRAM_CACHE_LIMIT`` components, the ring Gram matrix
+    <b_m|b_n> (rotation invariant, so it also serves rotated rings).
     """
 
     def __init__(self, alpha_i: float, n: int):
         self.decomp = kerr_decompose(alpha_i, n)
         self.two_mode = beamsplit_with_vacuum(self.decomp.state)
         self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
-        amps = self.two_mode.amps
-        self.gram = _overlap_log_blocks(amps, amps) if n <= _GRAM_CACHE_LIMIT else None
+        self.gram = _ring_gram(self.two_mode.amps)
         self.bt = default_target_beta(self.decomp, 0.0)
         self.pt = partner_for(self.bt)
         self.cross = coherent_overlap(self.bt, self.pt)
@@ -347,11 +343,12 @@ def success_probability(alpha_i: float, n: int, window: AcceptanceWindow) -> flo
 
     Composite Gauss-Legendre with 16 nodes per panel (panels of at most unit
     length), both rules' nodes scored as one batch.  Raises ArithmeticError
-    when the 8-node rule disagrees by more than 1e-10 relative.
+    when a node's density fails the conditioning digits-lost budget or the
+    8-node rule disagrees by more than 1e-10 relative.
     """
     (xc, wc), (xf, wf) = (_legendre_rule(window.intervals, k) for k in _LEGENDRE_NODES)
     rows = _pipeline(alpha_i, n).collapse(np.concatenate((xc, xf)))
-    density = np.array([rows.density(g) for g in range(len(rows.x))])
+    density = rows.densities()
     coarse, fine = float(wc @ density[:len(xc)]), float(wf @ density[len(xc):])
     if abs(fine - coarse) > 1e-10 * fine:
         raise ArithmeticError(

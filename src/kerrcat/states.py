@@ -256,11 +256,13 @@ def _overlap_log_blocks(a_rows: np.ndarray, a_cols: np.ndarray):
 
 
 class _LogAccumulator:
-    """Accumulates sum of exp(L) e^{i theta} terms across chunks, stably."""
+    """Accumulates sum of exp(L) e^{i theta} terms across chunks, stably, and
+    the sum of their magnitudes alongside."""
 
     def __init__(self):
         self.m = -math.inf
         self.s = 0.0 + 0.0j
+        self.mass = 0.0
 
     def add(self, logmag: np.ndarray, phase: np.ndarray):
         if logmag.size == 0:
@@ -268,11 +270,16 @@ class _LogAccumulator:
         m2 = float(np.max(logmag))
         if m2 == -math.inf:
             return
-        part = np.sum(np.exp(logmag - m2) * np.exp(1j * phase))
+        terms = np.exp(logmag - m2)
+        part, mass = np.sum(terms * np.exp(1j * phase)), float(np.sum(terms))
         if m2 <= self.m:
-            self.s += part * math.exp(m2 - self.m)
+            scale = math.exp(m2 - self.m)
+            self.s += part * scale
+            self.mass += mass * scale
         else:
-            self.s = self.s * math.exp(self.m - m2) + part
+            scale = math.exp(self.m - m2)
+            self.s = self.s * scale + part
+            self.mass = self.mass * scale + mass
             self.m = m2
 
     def result(self) -> LogComplex:
@@ -281,9 +288,18 @@ class _LogAccumulator:
             return LogComplex.zero()
         return LogComplex(self.m + math.log(a), float(_wrap_phase(np.angle(self.s))))
 
+    def digits_lost(self) -> float:
+        """log10(sum |terms| / |sum terms|), the condition number of the sum:
+        0 with no terms, inf when they cancel exactly."""
+        if self.mass == 0.0:
+            return 0.0
+        a = abs(self.s)
+        return math.log10(self.mass / a) if a else math.inf
 
-def _pair_sum_log(log_c, arg_c, amps, *, right=None, gram=None) -> LogComplex:
-    """sum_{m,n} conj(c_m) d_n <a_m|b_n> in log-complex form.
+
+def _pair_sum_log(log_c, arg_c, amps, *, right=None, gram=None) -> tuple[LogComplex, float]:
+    """sum_{m,n} conj(c_m) d_n <a_m|b_n> in log-complex form, and the digits
+    it loses to cancellation.
 
     The right-hand terms (log d, arg d, b) default to the left ones, which
     gives the squared norm.  ``gram`` holds precomputed (log-magnitude, phase)
@@ -300,12 +316,12 @@ def _pair_sum_log(log_c, arg_c, amps, *, right=None, gram=None) -> LogComplex:
         L = log_c[rows][:, None] + log_d[None, :] + ov_l
         T = -arg_c[rows][:, None] + arg_d[None, :] + ov_p
         acc.add(L, T)
-    return acc.result()
+    return acc.result(), acc.digits_lost()
 
 
 def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
     lc, ac = _log_polar(coeffs)
-    res = _pair_sum_log(lc, ac, amps)
+    res, _ = _pair_sum_log(lc, ac, amps)
     if res.log_magnitude == -math.inf:
         return -math.inf
     if abs(res.phase) > 1e-12:
@@ -337,8 +353,8 @@ def squared_norm(psi: CoherentSuperposition) -> float:
 def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> complex:
     """<psi|chi>; conjugate-symmetric in its arguments."""
     lc, ac = _log_polar(psi.coeffs)
-    return _pair_sum_log(lc, ac, psi.amps,
-                         right=(*_log_polar(chi.coeffs), chi.amps)).to_complex()
+    res, _ = _pair_sum_log(lc, ac, psi.amps, right=(*_log_polar(chi.coeffs), chi.amps))
+    return res.to_complex()
 
 
 def _marginal_density(psi: CoherentSuperposition, value: float, log_arrays) -> float:

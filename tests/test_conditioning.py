@@ -25,7 +25,9 @@ from kerrcat import (
     vacuum_state,
     x_outcome_density,
 )
+from kerrcat.conditioning import _DIGITS_BUDGET, _GRAM_CACHE_LIMIT
 from kerrcat.metrics import _BLOCK, _pipeline
+from kerrcat.states import _pair_sum_log
 
 SQRT2 = math.sqrt(2.0)
 
@@ -207,9 +209,9 @@ def _value_or_error(fn, *args):
 class TestPipelineRoute:
     """The cached pipeline and the public functions share one collapse."""
 
-    # reaches both Gaussian tails; at n = 200 the pair sum keeps an imaginary
-    # residue above 1e-12 at several of these points (X = -20, 24, and 24.85
-    # with 8.7e-9), where both density routes must raise
+    # reaches both Gaussian tails; at n = 200 the densities there lose up to
+    # 8 digits to cancellation (X = -20 and 24: 4.4 and 6.1, within the
+    # budget; X = 24.85: 8.03, past it, so both density routes must raise)
     GRID = [float(x) for x in np.linspace(-25.0, 25.0, 51)] + [24.85, 48.0]
 
     @pytest.mark.parametrize("n", [20, 60, 200])
@@ -255,3 +257,83 @@ class TestBatchedRows:
             assert np.array_equal(batch.amps[g], one.amps), u
             a, b, _ = pipe.fidelity_terms(0.5, rotation=u)
             assert (A[g], B[g]) == (a[0], b[0]), u
+
+
+def _log_route(pipe, rows, g):
+    """Row g of ``rows`` summed in the log domain: (log density, digits lost)."""
+    gram = None if pipe.gram is None else pipe.gram.log_blocks
+    norm, lost = _pair_sum_log(rows.log_q[g], rows.arg_q[g], rows.amps, gram=gram)
+    return norm.log_magnitude, lost
+
+
+class TestDigitsLostBudget:
+    """Densities are right to their budget or raise; the BLAS route agrees
+    with the log-domain pair sum, which still serves rows past the budget."""
+
+    XS = np.arange(-25.0, 25.5, 1.0)
+    # rows within _DIGITS_BUDGET (at most 7.7 digits here) are off by 7.5e-8 at worst
+    RTOL = 1e-6
+
+    @pytest.mark.parametrize("n", [20, 60, 200, 1024])
+    def test_matches_oracle_or_raises(self, n):
+        raised = []
+        for x in self.XS:
+            try:
+                got = outcome_density(20.0, n, x)
+            except ArithmeticError:
+                raised.append(x)
+                continue
+            _, want = oracles.condition_fock(20.0, n, float(x), 650)
+            assert got == pytest.approx(want, rel=self.RTOL), x
+        if n < 1024:
+            assert raised == []
+        else:
+            # N = 1024 loses 13.0 digits at X = 1, where the density is 0.5 % off
+            assert 1.0 in raised and 0.0 < len(raised) < len(self.XS)
+
+    @pytest.mark.parametrize("n,x", [(200, -20.0), (200, -18.0), (200, 24.0)])
+    def test_accepts_cancelling_tails(self, n, x):
+        _, want = oracles.condition_fock(20.0, n, x, 650)
+        assert outcome_density(20.0, n, x) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("x", [1.0, 2.5])
+    def test_rejects_overcomplete_ring(self, x):
+        with pytest.raises(ArithmeticError, match="digits to cancellation"):
+            outcome_density(20.0, 1024, x)
+        with pytest.raises(ArithmeticError, match="digits to cancellation"):
+            x_outcome_density(split(20.0, 1024), x)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_budget_rows_match_log_route(self, n):
+        pipe = _pipeline(20.0, n)
+        rows = pipe.collapse(np.linspace(-25.0, 25.0, 201))
+        assert np.all(rows.digits_lost <= _DIGITS_BUDGET)
+        for g in range(len(rows.x)):
+            log_norm, lost = _log_route(pipe, rows, g)
+            assert abs(rows.log_norm[g] - log_norm) <= 1e-13, rows.x[g]
+            assert rows.digits_lost[g] == pytest.approx(lost, abs=1e-12), rows.x[g]
+
+    @pytest.mark.parametrize("n,xs", [(200, [0.0, 24.85]),
+                                      (1024, [-3.0, 1.0, 2.5]),
+                                      (_GRAM_CACHE_LIMIT + 12, [0.0, 1.0])])
+    def test_rows_past_budget_use_log_route(self, n, xs):
+        pipe = _pipeline(20.0, n)
+        rows = pipe.collapse(xs)
+        for g in range(len(xs)):
+            log_norm, lost = _log_route(pipe, rows, g)
+            if pipe.gram is not None and rows.digits_lost[g] <= _DIGITS_BUDGET:
+                continue
+            assert rows.log_norm[g] == log_norm, xs[g]
+            assert rows.digits_lost[g] == lost, xs[g]
+        if pipe.gram is not None:
+            assert np.any(rows.digits_lost > _DIGITS_BUDGET)
+
+    def test_densities_share_the_gate(self):
+        pipe = _pipeline(20.0, 200)
+        rows = pipe.collapse([-20.0, 0.0, 24.0, 48.0])
+        got = rows.densities()
+        assert list(got) == [rows.density(g) for g in range(4)]
+        assert got[-1] == 0.0
+        with pytest.raises(ArithmeticError, match="X = 24.85"):
+            pipe.collapse([0.0, 24.85]).densities()
+        assert pipe.collapse([0.0, 24.85]).densities([0])[0] == rows.density(1)
