@@ -26,10 +26,10 @@ from .states import (
     CoherentSuperposition,
     DegenerateStateError,
     SQRT2,
+    _DIGITS_BUDGET,
     _LOG_DEGENERATE,
     _log_polar,
     _log_squared_norm,
-    _overlap_log_blocks,
     _pair_sum_log,
     _x_amplitude_log_arrays,
     superposition,
@@ -88,33 +88,30 @@ def _as_outcome(outcome) -> float:
     return x
 
 
-#: Largest digits a density may lose to cancellation, log10(sum |terms| / |sum|).
-#: Against the number-basis oracle (cutoff 650, alpha = 20) densities within it
-#: agree to 1e-7 relative (worst: N = 200, X = 25, 7.7 digits, 4e-8 off);
-#: N = 1024 at X = 1 loses 13.0 digits and is 0.5 % off.
-_DIGITS_BUDGET = 8.0
+def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
+    """Log-eigenvalues of the Gram matrix <b_m|b_n> of a ring b_n = b_0 w^n,
+    w = e^{2 i pi / N}; None unless ``amps`` is such a ring to 1e-12 relative.
 
-#: Rings up to this size get a Gram matrix and BLAS densities; larger rings
-#: use the chunked log-domain pair sum.
-_GRAM_CACHE_LIMIT = 1024
-
-
-class _Gram(NamedTuple):
-    """Ring Gram matrix <b_m|b_n>: the (log-magnitude, phase) blocks of the
-    log-domain pair sum, the dense matrix G and its magnitude |G|."""
-
-    log_blocks: tuple[np.ndarray, np.ndarray]
-    dense: np.ndarray
-    magnitude: np.ndarray
-
-
-def _ring_gram(amps: np.ndarray) -> _Gram | None:
-    """Gram matrix of the amplitudes ``amps``; None past ``_GRAM_CACHE_LIMIT``."""
-    if len(amps) > _GRAM_CACHE_LIMIT:
+    The Gram matrix of a ring is circulant: <b_m|b_n> = sum_j lam_j w^{j(n-m)}
+    with lam_j the Poisson(|b_0|^2) mass of the residue class k = j (mod N)
+    (expand exp(|b_0|^2 w^{n-m}) in powers).  The Poisson weights are built
+    by recurrence out from the mode and normalized to unit total mass; they
+    underflow to 0 within 40 |b_0| + 200 terms of it.
+    """
+    n = len(amps)
+    ring = amps[0] * np.exp(2j * np.pi * np.arange(n) / n)
+    if np.any(np.abs(amps - ring) > 1e-12 * abs(amps[0])):
         return None
-    logmag, phase = _overlap_log_blocks(amps, amps)
-    magnitude = np.exp(logmag)
-    return _Gram((logmag, phase), magnitude * np.exp(1j * phase), magnitude)
+    r2 = abs(amps[0]) ** 2
+    mode = math.floor(r2)
+    reach = math.ceil(40.0 * math.sqrt(r2) + 200.0)
+    up = np.arange(mode + 1, mode + reach + 1)
+    down = np.arange(mode, max(mode - reach, 0), -1)
+    weights = np.concatenate((np.cumprod(down / r2)[::-1], [1.0], np.cumprod(r2 / up)))
+    k = np.arange(mode - len(down), mode + reach + 1)
+    lam = np.bincount(k % n, weights=weights, minlength=n) / np.sum(weights)
+    with np.errstate(divide="ignore"):
+        return np.log(lam)
 
 
 class _Collapse(NamedTuple):
@@ -124,7 +121,9 @@ class _Collapse(NamedTuple):
     ``amps`` the amplitudes b_n, or one row of them per outcome when the ring
     is rotated.  ``log_norm`` holds the log squared norms
     sum_{m,n} conj(q_gm) q_gn <b_gm|b_gn>, the outcome densities p(X_g), and
-    ``digits_lost`` the digits each of those sums loses to cancellation.
+    ``digits_lost`` the digits each of those sums loses to cancellation, as
+    measured by the route that computed it: the spectral sum on a ring
+    within the budget, the log-domain pair sum otherwise.
     """
 
     x: np.ndarray
@@ -170,38 +169,40 @@ class _Collapse(NamedTuple):
         return superposition(self.coeffs(g), amps, normalized=True, merge=False)
 
 
-def _gram_norms(log_q, arg_q, gram: _Gram):
-    """(log squared norm, digits lost) of each row of q by BLAS.
+def _spectral_norms(log_q, arg_q, log_lam):
+    """(log squared norm, digits lost) of each row of q on a ring with Gram
+    log-eigenvalues ``log_lam`` (:func:`_ring_spectrum`).
 
-    With M_g = max_n log|q_gn| and q~_g = q_g e^{-M_g}, the squared norm is
-    e^{2 M_g} q~_g^H G q~_g and sum |terms| is |q~_g|^T |G| |q~_g|: one
-    matrix product each for the whole block.  A one-row product would go to
-    gemv, whose bits differ from gemm's, so a single row is doubled: a row's
-    result then does not depend on how many rows share its block.
+    With M_g = max_n log|q_gn|, q~_g = q_g e^{-M_g} and its transform
+    Q_gj = sum_n q~_gn w^{jn}, the squared norm is e^{2 M_g} sum_j lam_j |Q_gj|^2.
+    The transform errs by about eps sum_n |q~_gn| in each Q_gj, so the sum
+    loses log10(sum_n |q~_gn| sum_j lam_j |Q_gj| / sum_j lam_j |Q_gj|^2) digits.
+    Every reduction runs along its own row: a row's bits do not depend on
+    the rows batched with it.
     """
     top = np.max(log_q, axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     mag = np.exp(log_q - top)
-    q = mag * np.exp(1j * arg_q)
-    if len(q) == 1:
-        q, mag = np.vstack((q, q)), np.vstack((mag, mag))
-    rows = len(log_q)
-    s = np.abs(np.sum(np.conj(q) * (q @ gram.dense.T), axis=1))[:rows]
-    t = np.sum(mag * (mag @ gram.magnitude), axis=1)[:rows]
+    spec = mag.shape[1] * np.fft.ifft(mag * np.exp(1j * arg_q), axis=1)
+    lam, amp = np.exp(log_lam), np.abs(spec)
+    s = np.sum(lam * (spec.real ** 2 + spec.imag ** 2), axis=1)
+    t = np.sum(mag, axis=1) * np.sum(lam * amp, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return 2.0 * top[:, 0] + np.log(s), np.log10(t / s)
 
 
-def _collapse(log_c, arg_c, amps, x, gram: _Gram | None = None, rotation=None) -> _Collapse:
+def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
+              rotation=None) -> _Collapse:
     """Project the first arm of sum_n c_n |b_n> (x) |b_n> on each outcome in ``x``.
 
-    ``log_c``/``arg_c`` are the log-polar coefficients and ``gram`` the ring's
-    :func:`_ring_gram`, if it has one.  Given ``rotation``, row g rotates the
-    ring first, b_n -> b_n e^{i u_g}; ``x`` and ``rotation`` broadcast to one
-    row per outcome.  With a Gram matrix the densities of all rows come from
-    :func:`_gram_norms`; rows that lose more than ``_DIGITS_BUDGET`` digits
-    there, and every row without one, are summed one at a time in the log
-    domain by ``_pair_sum_log``, which also measures their digits lost.
+    ``log_c``/``arg_c`` are the log-polar coefficients and ``spectrum`` the
+    ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
+    rotates the ring first, b_n -> b_n e^{i u_g} (the spectrum does not
+    change); ``x`` and ``rotation`` broadcast to one row per outcome.  On a
+    ring the densities of all rows come from :func:`_spectral_norms`; rows
+    that lose more than ``_DIGITS_BUDGET`` digits there, and every row of a
+    state that is not a ring, are summed one at a time in the log domain by
+    ``_pair_sum_log``, which also measures their digits lost.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if rotation is not None:
@@ -209,13 +210,12 @@ def _collapse(log_c, arg_c, amps, x, gram: _Gram | None = None, rotation=None) -
         amps = amps * np.exp(1j * u)[:, None]
     wl, wp = _x_amplitude_log_arrays(x[:, None], amps)
     lq, aq = log_c + wl, arg_c + wp
-    if gram is None:
+    if spectrum is None:
         log_norm, lost = np.full(len(x), -math.inf), np.full(len(x), math.inf)
     else:
-        log_norm, lost = _gram_norms(lq, aq, gram)
+        log_norm, lost = _spectral_norms(lq, aq, spectrum)
     for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
-        norm, lost[g] = _pair_sum_log(lq[g], aq[g], amps if amps.ndim == 1 else amps[g],
-                                      gram=None if gram is None else gram.log_blocks)
+        norm, lost[g] = _pair_sum_log(lq[g], aq[g], amps if amps.ndim == 1 else amps[g])
         log_norm[g] = norm.log_magnitude
     return _Collapse(x, lq, aq, amps, log_norm, lost)
 
@@ -227,7 +227,7 @@ def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:
     digits to cancellation.
     """
     return _collapse(*_log_polar(two_mode.coeffs), two_mode.amps, float(X),
-                     _ring_gram(two_mode.amps)).density()
+                     _ring_spectrum(two_mode.amps)).density()
 
 
 def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSuperposition:
@@ -243,4 +243,4 @@ def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSu
         If the pre-normalization squared norm falls below 1e-300.
     """
     return _collapse(*_log_polar(two_mode.coeffs), two_mode.amps, _as_outcome(outcome),
-                     _ring_gram(two_mode.amps)).state()
+                     _ring_spectrum(two_mode.amps)).state()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    MERGE_TOLERANCE,
     CoherentSuperposition,
     _log_squared_norm,
     _wrap_phase,
@@ -115,7 +116,10 @@ def kerr_decompose(alpha_i: float, n: int) -> KerrDecomposition:
     if not (alpha_i > 0) or not math.isfinite(alpha_i):
         raise ValueError("alpha_i must be a positive real number")
     coeffs = kerr_coefficients(n)
-    state = superposition(coeffs, ring_amplitudes(alpha_i, n), normalized=True)
+    # neighbouring ring points lie 2 alpha_i sin(pi/n) apart, rounding moves
+    # them by ~1e-15 alpha_i: only a finer ring can hold coinciding amplitudes
+    merge = 2.0 * alpha_i * math.sin(math.pi / n) <= 2.0 * MERGE_TOLERANCE
+    state = superposition(coeffs, ring_amplitudes(alpha_i, n), normalized=True, merge=merge)
     return KerrDecomposition(n, float(alpha_i), coeffs, state)
 
 

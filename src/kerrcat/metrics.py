@@ -28,15 +28,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conditioning import _collapse, _ring_gram, beamsplit_with_vacuum
+from .conditioning import _collapse, _ring_spectrum, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
     SQRT2,
     _log_polar,
+    _marginal_densities,
+    _p_amplitude_log_arrays,
     _x_amplitude_log_arrays,
     coherent_overlap,
-    p_marginal_density,
     superposition,
 )
 
@@ -206,21 +207,21 @@ class _Pipeline:
 
     Holds the decomposition, its split, the split coefficients' log-polar form,
     the target cat (dominant branch at X = 0, its partner and their overlap)
-    and, up to ``_GRAM_CACHE_LIMIT`` components, the ring Gram matrix
-    <b_m|b_n> (rotation invariant, so it also serves rotated rings).
+    and the spectrum of the ring's Gram matrix <b_m|b_n> (rotation invariant,
+    so it also serves rotated rings).
     """
 
     def __init__(self, alpha_i: float, n: int):
         self.decomp = kerr_decompose(alpha_i, n)
         self.two_mode = beamsplit_with_vacuum(self.decomp.state)
         self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
-        self.gram = _ring_gram(self.two_mode.amps)
+        self.spectrum = _ring_spectrum(self.two_mode.amps)
         self.bt = default_target_beta(self.decomp, 0.0)
         self.pt = partner_for(self.bt)
         self.cross = coherent_overlap(self.bt, self.pt)
 
     def collapse(self, x, rotation=None):
-        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.gram, rotation)
+        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum, rotation)
 
     def density(self, x: float) -> float:
         return self.collapse(x).density()
@@ -363,7 +364,8 @@ def outcome_density(alpha_i: float, n: int, X: float) -> float:
 
 
 def _density_on_grid(psi: CoherentSuperposition, p_grid) -> list[tuple[float, float]]:
-    return [(float(p), p_marginal_density(psi, float(p))) for p in p_grid]
+    density = _marginal_densities(psi, p_grid, _p_amplitude_log_arrays)
+    return [(float(p), float(d)) for p, d in zip(p_grid, density)]
 
 
 def conditioned_p_distribution(alpha_i: float, n: int, X: float,

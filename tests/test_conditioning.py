@@ -25,9 +25,9 @@ from kerrcat import (
     vacuum_state,
     x_outcome_density,
 )
-from kerrcat.conditioning import _DIGITS_BUDGET, _GRAM_CACHE_LIMIT
+from kerrcat.conditioning import _DIGITS_BUDGET, _collapse, _ring_spectrum, _spectral_norms
 from kerrcat.metrics import _BLOCK, _pipeline
-from kerrcat.states import _pair_sum_log
+from kerrcat.states import _log_polar, _pair_sum_log
 
 SQRT2 = math.sqrt(2.0)
 
@@ -209,9 +209,9 @@ def _value_or_error(fn, *args):
 class TestPipelineRoute:
     """The cached pipeline and the public functions share one collapse."""
 
-    # reaches both Gaussian tails; at n = 200 the densities there lose up to
-    # 8 digits to cancellation (X = -20 and 24: 4.4 and 6.1, within the
-    # budget; X = 24.85: 8.03, past it, so both density routes must raise)
+    # reaches both Gaussian tails, where at n = 200 the log-domain pair sum
+    # loses up to 8 digits to cancellation (X = 24.85: 8.03) and the spectral
+    # densities at most 2.1; X = 48 is degenerate
     GRID = [float(x) for x in np.linspace(-25.0, 25.0, 51)] + [24.85, 48.0]
 
     @pytest.mark.parametrize("n", [20, 60, 200])
@@ -259,20 +259,24 @@ class TestBatchedRows:
             assert (A[g], B[g]) == (a[0], b[0]), u
 
 
-def _log_route(pipe, rows, g):
+def _log_route(rows, g):
     """Row g of ``rows`` summed in the log domain: (log density, digits lost)."""
-    gram = None if pipe.gram is None else pipe.gram.log_blocks
-    norm, lost = _pair_sum_log(rows.log_q[g], rows.arg_q[g], rows.amps, gram=gram)
+    amps = rows.amps if rows.amps.ndim == 1 else rows.amps[g]
+    norm, lost = _pair_sum_log(rows.log_q[g], rows.arg_q[g], amps)
     return norm.log_magnitude, lost
 
 
 class TestDigitsLostBudget:
-    """Densities are right to their budget or raise; the BLAS route agrees
+    """Densities are right to their budget or raise; the spectral route agrees
     with the log-domain pair sum, which still serves rows past the budget."""
 
     XS = np.arange(-25.0, 25.5, 1.0)
-    # rows within _DIGITS_BUDGET (at most 7.7 digits here) are off by 7.5e-8 at worst
+    # rows within _DIGITS_BUDGET are off by 5.7e-9 at worst (N = 1024, X = 4,
+    # where the double-precision oracle itself loses ~7 digits)
     RTOL = 1e-6
+    # rows past the budget on the spectral route (10.3 and 14.7 digits) and on
+    # the pair sum (15.8 and 15.6); the true N = 4096 density is 6.79e-110
+    PAST = [(1024, 6.0), (4096, 0.0)]
 
     @pytest.mark.parametrize("n", [20, 60, 200, 1024])
     def test_matches_oracle_or_raises(self, n):
@@ -288,20 +292,30 @@ class TestDigitsLostBudget:
         if n < 1024:
             assert raised == []
         else:
-            # N = 1024 loses 13.0 digits at X = 1, where the density is 0.5 % off
-            assert 1.0 in raised and 0.0 < len(raised) < len(self.XS)
+            # N = 1024 is accepted up to X = 4 (7.0 digits) and loses 10.3
+            # digits at X = 6
+            assert 1.0 not in raised and 6.0 in raised
+            assert 0 < len(raised) < len(self.XS)
 
     @pytest.mark.parametrize("n,x", [(200, -20.0), (200, -18.0), (200, 24.0)])
     def test_accepts_cancelling_tails(self, n, x):
         _, want = oracles.condition_fock(20.0, n, x, 650)
         assert outcome_density(20.0, n, x) == pytest.approx(want, rel=1e-8)
 
-    @pytest.mark.parametrize("x", [1.0, 2.5])
-    def test_rejects_overcomplete_ring(self, x):
+    # 60-digit number-basis densities (bench/make_refs.py); the pair sum is
+    # 5.2e-3 and 73 % off here
+    @pytest.mark.parametrize("x,want", [(1.0, 3.328515333401843e-14),
+                                        (2.5, 5.413351615309458e-17)], ids=["1.0", "2.5"])
+    def test_matches_high_precision_reference(self, x, want):
+        assert outcome_density(20.0, 1024, x) == pytest.approx(want, rel=1e-8)
+        assert x_outcome_density(split(20.0, 1024), x) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("n,x", PAST)
+    def test_rejects_past_budget(self, n, x):
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
-            outcome_density(20.0, 1024, x)
+            outcome_density(20.0, n, x)
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
-            x_outcome_density(split(20.0, 1024), x)
+            x_outcome_density(split(20.0, n), x)
 
     @pytest.mark.parametrize("n", [20, 40, 60])
     def test_budget_rows_match_log_route(self, n):
@@ -309,24 +323,35 @@ class TestDigitsLostBudget:
         rows = pipe.collapse(np.linspace(-25.0, 25.0, 201))
         assert np.all(rows.digits_lost <= _DIGITS_BUDGET)
         for g in range(len(rows.x)):
-            log_norm, lost = _log_route(pipe, rows, g)
+            log_norm, lost = _log_route(rows, g)
             assert abs(rows.log_norm[g] - log_norm) <= 1e-13, rows.x[g]
-            assert rows.digits_lost[g] == pytest.approx(lost, abs=1e-12), rows.x[g]
+            assert lost <= _DIGITS_BUDGET, rows.x[g]
 
-    @pytest.mark.parametrize("n,xs", [(200, [0.0, 24.85]),
-                                      (1024, [-3.0, 1.0, 2.5]),
-                                      (_GRAM_CACHE_LIMIT + 12, [0.0, 1.0])])
+    @pytest.mark.parametrize("n,xs", [(4096, [0.0]), (1024, [-3.0, 1.0, 6.0])])
     def test_rows_past_budget_use_log_route(self, n, xs):
         pipe = _pipeline(20.0, n)
         rows = pipe.collapse(xs)
+        spectral, lost = _spectral_norms(rows.log_q, rows.arg_q, pipe.spectrum)
+        assert np.any(lost > _DIGITS_BUDGET)
         for g in range(len(xs)):
-            log_norm, lost = _log_route(pipe, rows, g)
-            if pipe.gram is not None and rows.digits_lost[g] <= _DIGITS_BUDGET:
-                continue
-            assert rows.log_norm[g] == log_norm, xs[g]
-            assert rows.digits_lost[g] == lost, xs[g]
-        if pipe.gram is not None:
-            assert np.any(rows.digits_lost > _DIGITS_BUDGET)
+            if lost[g] <= _DIGITS_BUDGET:
+                assert (rows.log_norm[g], rows.digits_lost[g]) == (spectral[g], lost[g]), xs[g]
+            else:
+                assert (rows.log_norm[g], rows.digits_lost[g]) == _log_route(rows, g), xs[g]
+
+    def test_non_ring_state_uses_log_route(self):
+        # the N = 60 ring with one component moved off it by 1e-6
+        tm = split(20.0, 60)
+        amps = tm.amps.copy()
+        amps[7] += 1e-6
+        tm = TwoModeProductSuperposition(tm.coeffs, amps, True)
+        assert _ring_spectrum(amps) is None
+        xs = [-3.0, 0.0, 1.0]
+        rows = _collapse(*_log_polar(tm.coeffs), amps, xs)
+        for g, x in enumerate(xs):
+            log_norm, lost = _log_route(rows, g)
+            assert (rows.log_norm[g], rows.digits_lost[g]) == (log_norm, lost), x
+            assert x_outcome_density(tm, x) == rows.density(g), x
 
     def test_densities_share_the_gate(self):
         pipe = _pipeline(20.0, 200)
@@ -334,6 +359,31 @@ class TestDigitsLostBudget:
         got = rows.densities()
         assert list(got) == [rows.density(g) for g in range(4)]
         assert got[-1] == 0.0
-        with pytest.raises(ArithmeticError, match="X = 24.85"):
-            pipe.collapse([0.0, 24.85]).densities()
-        assert pipe.collapse([0.0, 24.85]).densities([0])[0] == rows.density(1)
+        for n, x in self.PAST:
+            past = _pipeline(20.0, n).collapse([x])
+            with pytest.raises(ArithmeticError, match=f"X = {x:g} "):
+                past.densities()
+            with pytest.raises(ArithmeticError, match=f"X = {x:g} "):
+                past.density()
+        pipe = _pipeline(20.0, 1024)
+        mixed = pipe.collapse([0.0, 6.0])
+        with pytest.raises(ArithmeticError, match="X = 6 "):
+            mixed.densities()
+        assert mixed.densities([0])[0] == pipe.collapse(0.0).density()
+
+
+class TestSquaredNormBudget:
+    """squared_norm shares the outcome densities' digits-lost budget."""
+
+    @pytest.mark.parametrize("n,x", [(200, 24.0), (1024, -3.0)])
+    def test_accepts_conditioned_state(self, n, x):
+        # these pair sums lose ~6 digits; the old absolute 1e-12 bound on the
+        # imaginary residue rejected both
+        assert condition_at(20.0, n, x).squared_norm() == pytest.approx(1.0, abs=1e-8)
+
+    def test_rejects_past_budget(self):
+        # the norm, 1 + a^2 - 2 a e^{-|b|^2 / 2} with a = 1 - 1e-10, is ~1e-10
+        # out of terms whose magnitudes sum to 4: 10.6 digits lost
+        psi = superposition([1.0, -(1.0 - 1e-10)], [0.0, 1e-5])
+        with pytest.raises(ArithmeticError, match="digits to cancellation"):
+            psi.squared_norm()

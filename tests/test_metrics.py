@@ -17,6 +17,7 @@ from kerrcat import (
     fidelity_curve,
     kerr_decompose,
     outcome_density,
+    p_marginal_density,
     partner_for,
     precondition_p_distribution,
     squared_norm,
@@ -24,6 +25,8 @@ from kerrcat import (
     superposition,
     window_from_threshold,
 )
+from kerrcat.cli import _grid
+from kerrcat.states import _LogAccumulator, _log_polar, _p_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
 
@@ -290,6 +293,29 @@ class TestDistributions:
         from kerrcat import DegenerateStateError
         with pytest.raises(DegenerateStateError):
             conditioned_p_distribution(20.0, 20, 48.0, [0.0])
+
+    # fig2: the ring before the splitter and conditioned at X = 0 (N = 20);
+    # fig4: conditioned at X = 0 (N = 200)
+    @pytest.mark.parametrize("n,step,conditioned", [(20, 0.05, False), (20, 0.05, True),
+                                                    (200, 0.02, True)])
+    def test_grid_matches_per_point(self, n, step, conditioned):
+        grid = _grid(-30.0, 30.0, step)
+        if conditioned:
+            rows = conditioned_p_distribution(20.0, n, 0.0, grid)
+            psi = metrics.condition_at(20.0, n, 0.0)
+        else:
+            rows = precondition_p_distribution(20.0, n, grid)
+            psi = kerr_decompose(20.0, n).state
+        lc, ac = _log_polar(psi.coeffs)
+        for p, got in rows:
+            # one point at a time in the log domain, as the grid was summed
+            # before it was blocked
+            acc = _LogAccumulator()
+            wl, wp = _p_amplitude_log_arrays(p, psi.amps)
+            acc.add(lc + wl, ac + wp)
+            want = math.exp(min(2.0 * acc.result().log_magnitude, 700.0))
+            assert abs(got - want) <= 1e-13 * want, p
+            assert abs(got - p_marginal_density(psi, p)) <= 1e-13 * got, p
 
     def test_large_ring_peak_positions_regression(self):
         # at n = 200 each branch is a ~7-component cluster whose coefficient
