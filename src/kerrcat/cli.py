@@ -213,8 +213,6 @@ def build_parser() -> _Parser:
     _add_common(p, with_x=True)
     p.add_argument("--sigma-max", type=float, default=0.3)
     p.add_argument("--sigma-step", type=float, default=0.01)
-    p.add_argument("--magnitude-only", action="store_true",
-                   help="average |<cat|psi>| instead of its square")
 
     p = sub.add_parser("reproduce", help="emit the canonical figure/table data series")
     p.add_argument("what", choices=("fig2", "fig3", "fig4", "fig5", "table1"))
@@ -392,8 +390,7 @@ def _cmd_noise_phase(parser, args) -> int:
     if args.sigma_step <= 0 or args.sigma_max < 0:
         parser.error("bad sigma grid")
     sigmas = _grid(0.0, args.sigma_max, args.sigma_step)
-    avg = phase_noise_avg_fidelity(args.alpha, n, args.x, sigmas,
-                                   magnitude_only=args.magnitude_only)
+    avg = phase_noise_avg_fidelity(args.alpha, n, args.x, sigmas)
     _write_csv(args.output, ("sigma", "avg_fidelity"), zip(sigmas, avg))
     return 0
 

@@ -122,8 +122,9 @@ class _Collapse(NamedTuple):
     is rotated.  ``log_norm`` holds the log squared norms
     sum_{m,n} conj(q_gm) q_gn <b_gm|b_gn>, the outcome densities p(X_g), and
     ``digits_lost`` the digits each of those sums loses to cancellation, as
-    measured by the route that computed it: the spectral sum on a ring
-    within the budget, the log-domain pair sum otherwise.
+    measured by the route that computed it: on a ring the spectral sum
+    within the budget and the sum over lags past it, on any other state the
+    log-domain pair sum.
     """
 
     x: np.ndarray
@@ -191,6 +192,31 @@ def _spectral_norms(log_q, arg_q, log_lam):
         return 2.0 * top[:, 0] + np.log(s), np.log10(t / s)
 
 
+def _lag_norm(log_q, arg_q, amps):
+    """(log squared norm, digits lost) of one row of q on a ring b_n = b_0 w^n,
+    summed directly over the N lags k = n - m.
+
+    The Gram matrix is circulant, <b_m|b_n> = g_{n-m} with
+    g_k = <b_0|b_k> = exp(|b_0|^2 (w^k - 1)), so with q~ = q e^{-M},
+    M = max_n log|q_n|, the squared norm is e^{2M} |sum_k g_k r_k| over the
+    circular autocorrelation r_k = sum_m conj(q~_m) q~_{m+k}.  The magnitudes
+    of the N^2 pair terms sum to sum_k |g_k| t_k, t_k = sum_m |q~_m| |q~_{m+k}|,
+    so the sum loses log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  Both
+    correlations are direct O(N^2) sums over the doubled row, in O(N) memory.
+    """
+    n = len(amps)
+    top = np.max(log_q)
+    top = top if np.isfinite(top) else 0.0
+    mag = np.exp(log_q - top)
+    q = mag * np.exp(1j * arg_q)
+    r = np.correlate(np.concatenate((q, q)), q, "valid")[:n]
+    t = np.correlate(np.concatenate((mag, mag)), mag, "valid")[:n]
+    g = np.exp(abs(amps[0]) ** 2 * np.expm1(2j * np.pi * np.arange(n) / n))
+    s, mass = abs(np.sum(g * r)), np.sum(np.abs(g) * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * top + np.log(s), np.log10(mass / s)
+
+
 def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
               rotation=None) -> _Collapse:
     """Project the first arm of sum_n c_n |b_n> (x) |b_n> on each outcome in ``x``.
@@ -199,10 +225,11 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
     rotates the ring first, b_n -> b_n e^{i u_g} (the spectrum does not
     change); ``x`` and ``rotation`` broadcast to one row per outcome.  On a
-    ring the densities of all rows come from :func:`_spectral_norms`; rows
-    that lose more than ``_DIGITS_BUDGET`` digits there, and every row of a
-    state that is not a ring, are summed one at a time in the log domain by
-    ``_pair_sum_log``, which also measures their digits lost.
+    ring the densities of all rows come from :func:`_spectral_norms`, and
+    rows that lose more than ``_DIGITS_BUDGET`` digits there are summed again
+    over lags by :func:`_lag_norm`, which also measures their digits lost.
+    Every row of a state that is not a ring is summed in the log domain by
+    ``_pair_sum_log``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if rotation is not None:
@@ -215,8 +242,12 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     else:
         log_norm, lost = _spectral_norms(lq, aq, spectrum)
     for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
-        norm, lost[g] = _pair_sum_log(lq[g], aq[g], amps if amps.ndim == 1 else amps[g])
-        log_norm[g] = norm.log_magnitude
+        row = amps if amps.ndim == 1 else amps[g]
+        if spectrum is None:
+            norm, lost[g] = _pair_sum_log(lq[g], aq[g], row)
+            log_norm[g] = norm.log_magnitude
+        else:
+            log_norm[g], lost[g] = _lag_norm(lq[g], aq[g], row)
     return _Collapse(x, lq, aq, amps, log_norm, lost)
 
 

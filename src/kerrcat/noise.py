@@ -153,19 +153,18 @@ def phase_noise_state(alpha_i: float, n: int, X: float,
 _FIRST_NODES, _MAX_NODES = 64, 8192
 
 
-def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma,
-                             magnitude_only: bool = False):
+def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
     """Gaussian-average fidelity of the phase-fluctuated conditioned state.
 
     Averages h(u) = |<cat(target, phi_max)|psi_u>|^2, phi_max maximizing the
-    unperturbed fidelity, over ring rotations u ~ N(0, sigma^2);
-    ``magnitude_only`` averages |<cat|psi_u>| instead.  h is 2 pi-periodic and
-    analytic: it is sampled on M equispaced rotations and the result is
-    sum_m h_m e^{-sigma^2 m^2 / 2} over the Fourier coefficients h_m of its
-    trigonometric interpolant (the periodic trapezoid rule with wrapped-Gaussian
-    weights; h(0) at sigma = 0).  M doubles from 64 on nested nodes until every
-    sigma agrees to 1e-8 with the previous M; past 8192 nodes ArithmeticError
-    is raised.  ``sigma`` is a number or a 1-D array; the result has its shape.
+    unperturbed fidelity, over ring rotations u ~ N(0, sigma^2).  h is
+    2 pi-periodic and analytic: it is sampled on M equispaced rotations and
+    the result is sum_m h_m e^{-sigma^2 m^2 / 2} over the Fourier coefficients
+    h_m of its trigonometric interpolant (the periodic trapezoid rule with
+    wrapped-Gaussian weights; h(0) at sigma = 0).  M doubles from 64 on nested
+    nodes until every sigma agrees to 1e-8 with the previous M; past 8192
+    nodes ArithmeticError is raised.  ``sigma`` is a number or a 1-D array;
+    the result has its shape.
     """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < 0):
@@ -175,8 +174,7 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma,
 
     def sample(u):
         A, B, _ = pipe.fidelity_terms(float(X), rotation=u)  # A = B = 0 where degenerate
-        h = _phi_objective(A, B, pipe.cross, phi_max)
-        return np.sqrt(h) if magnitude_only else h
+        return _phi_objective(A, B, pipe.cross, phi_max)
 
     def average(h):
         coeff = np.fft.rfft(h).real / len(h)

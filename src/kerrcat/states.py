@@ -10,8 +10,8 @@ P = sqrt(2) Im(beta).
 
 Amplitudes up to |beta| ~ 30 are supported: pairwise Gaussian overlaps reach
 exp(-1800), far below double-precision underflow, so every sum over component
-pairs is accumulated in log-complex form and converted to a plain float or
-complex exactly once.
+pairs in this module is accumulated in log-complex form and converted to a
+plain float or complex exactly once.
 """
 
 from __future__ import annotations

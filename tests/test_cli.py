@@ -64,6 +64,13 @@ class TestArgumentValidation:
             assert out == ""
             assert "unrecognized arguments: --workers 2" in err
 
+    def test_magnitude_only_removed(self, capsys):
+        code, out, err = run(["noise-phase", "--alpha", "4", "--n", "4",
+                              "--magnitude-only"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --magnitude-only" in err
+
 
 class TestDecompose:
     def test_coefficient_csv(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Beam splitting with vacuum and homodyne conditioning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from kerrcat import (
     vacuum_state,
     x_outcome_density,
 )
-from kerrcat.conditioning import _DIGITS_BUDGET, _collapse, _ring_spectrum, _spectral_norms
+from kerrcat.conditioning import (
+    _DIGITS_BUDGET,
+    _collapse,
+    _lag_norm,
+    _ring_spectrum,
+    _spectral_norms,
+)
 from kerrcat.metrics import _BLOCK, _pipeline
 from kerrcat.states import _log_polar, _pair_sum_log
 
@@ -266,16 +273,24 @@ def _log_route(rows, g):
     return norm.log_magnitude, lost
 
 
+def _lag_route(rows, g):
+    """Row g of ``rows`` summed over lags: (log density, digits lost)."""
+    amps = rows.amps if rows.amps.ndim == 1 else rows.amps[g]
+    return _lag_norm(rows.log_q[g], rows.arg_q[g], amps)
+
+
 class TestDigitsLostBudget:
     """Densities are right to their budget or raise; the spectral route agrees
-    with the log-domain pair sum, which still serves rows past the budget."""
+    with the log-domain pair sum, and ring rows past its budget are summed
+    again over lags."""
 
     XS = np.arange(-25.0, 25.5, 1.0)
     # rows within _DIGITS_BUDGET are off by 5.7e-9 at worst (N = 1024, X = 4,
     # where the double-precision oracle itself loses ~7 digits)
     RTOL = 1e-6
-    # rows past the budget on the spectral route (10.3 and 14.7 digits) and on
-    # the pair sum (15.8 and 15.6); the true N = 4096 density is 6.79e-110
+    # rows past the budget on the spectral route (10.3 and 14.7 digits), the
+    # lag route (14.3 and 15.1) and the pair sum (15.8 and 15.6); the true
+    # N = 4096 density is 6.79e-110
     PAST = [(1024, 6.0), (4096, 0.0)]
 
     @pytest.mark.parametrize("n", [20, 60, 200, 1024])
@@ -328,7 +343,7 @@ class TestDigitsLostBudget:
             assert lost <= _DIGITS_BUDGET, rows.x[g]
 
     @pytest.mark.parametrize("n,xs", [(4096, [0.0]), (1024, [-3.0, 1.0, 6.0])])
-    def test_rows_past_budget_use_log_route(self, n, xs):
+    def test_rows_past_budget_use_lag_route(self, n, xs):
         pipe = _pipeline(20.0, n)
         rows = pipe.collapse(xs)
         spectral, lost = _spectral_norms(rows.log_q, rows.arg_q, pipe.spectrum)
@@ -337,7 +352,50 @@ class TestDigitsLostBudget:
             if lost[g] <= _DIGITS_BUDGET:
                 assert (rows.log_norm[g], rows.digits_lost[g]) == (spectral[g], lost[g]), xs[g]
             else:
-                assert (rows.log_norm[g], rows.digits_lost[g]) == _log_route(rows, g), xs[g]
+                assert (rows.log_norm[g], rows.digits_lost[g]) == _lag_route(rows, g), xs[g]
+
+    @pytest.mark.parametrize("alpha", [5.0, 20.0, 30.0])
+    @pytest.mark.parametrize("n", [20, 200, 1024])
+    def test_lag_route_matches_log_route(self, alpha, n):
+        # every other row rotated, so the rows carry their own amplitudes;
+        # worst measured: 1.1e-13 times 10^d
+        xs = np.linspace(-alpha - 3.0, alpha + 3.0, 13)
+        rows = _pipeline(alpha, n).collapse(xs, rotation=0.3 * (np.arange(13) % 2))
+        checked = 0
+        for g in range(len(xs)):
+            log_norm, lost = _log_route(rows, g)
+            if lost <= _DIGITS_BUDGET:
+                checked += 1
+                lag_norm, lag_lost = _lag_route(rows, g)
+                assert abs(lag_norm - log_norm) <= 10.0 ** (lost - 12.0), xs[g]
+                assert abs(lag_lost - lost) <= 10.0 ** (lost - 12.0), xs[g]
+        assert checked >= 6
+
+    def test_lag_route_keeps_rows_past_budget(self):
+        # no ring row past the spectral budget is accepted on the lag route
+        past = 0
+        for alpha in (1.0, 3.0, 5.0, 10.0, 20.0, 30.0):
+            for n in (200, 1024, 4096):
+                pipe = _pipeline(alpha, n)
+                rows = pipe.collapse(np.linspace(-alpha - 8.0, alpha + 8.0, 33))
+                _, lost = _spectral_norms(rows.log_q, rows.arg_q, pipe.spectrum)
+                over = lost > _DIGITS_BUDGET
+                past += np.count_nonzero(over)
+                assert np.all(rows.digits_lost[over] > _DIGITS_BUDGET), (alpha, n)
+        assert past >= 100
+
+    def test_big_ring_row_memory(self):
+        # the N = 4096 row is past the spectral budget; the chunked log-domain
+        # pair sum peaked at 160 MiB there
+        pipe = _pipeline(20.0, 4096)
+        tracemalloc.start()
+        try:
+            rows = pipe.collapse(0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.digits_lost[0] > _DIGITS_BUDGET
+        assert peak < 8 * 2 ** 20
 
     def test_non_ring_state_uses_log_route(self):
         # the N = 60 ring with one component moved off it by 1e-6

@@ -189,11 +189,6 @@ class TestPhaseNoiseAverage:
             assert phase_noise_avg_fidelity(20.0, 20, 0.0, float(sigma)) == \
                 pytest.approx(value, abs=1e-8)
 
-    def test_magnitude_flag_orders(self):
-        sq = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.05)
-        mag = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.05, magnitude_only=True)
-        assert mag >= sq - 1e-12
-
     def test_large_sigma_plateau(self):
         f_28 = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.28)
         f_30 = phase_noise_avg_fidelity(20.0, 20, 0.0, 0.30)
