@@ -3,8 +3,8 @@
 Every command is deterministic: identical invocations produce byte-identical
 output files.  CSV is the plotting interface; no plotting code ships.
 
-Exit codes: 0 success, 1 malformed arguments, 2 numerical failure (degenerate
-state, truncation), 3 verification failure.
+Exit codes: 0 success, 1 malformed arguments or an unreadable or malformed
+file, 2 numerical failure (degenerate state, truncation), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import __version__
 from .conditioning import beamsplit_with_vacuum
 from .kerr import (
     KerrParams,
-    TruncationError,
     coefficient_rows,
     fock_expand,
     kerr_decompose,
@@ -41,11 +40,7 @@ from .metrics import (
     window_from_threshold,
 )
 from .noise import NoiseParams, lossy_fidelity, phase_noise_avg_fidelity
-from .states import (
-    DegenerateStateError,
-    load_state,
-    state_to_json_dict,
-)
+from .states import load_state, state_to_json_dict
 
 ENV_OUTDIR = "KERRCAT_OUTDIR"
 
@@ -64,16 +59,21 @@ def _fmt(x: float) -> str:
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive grid built from integer multiples of step (exact zero, stable)."""
+    if not (0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise ValueError(f"bad grid {lo:g} to {hi:g} step {step:g}: "
+                         "need finite values, step > 0 and max >= min")
     return np.arange(round(lo / step), round(hi / step) + 1) * step
 
 
-def _out_path(path: str | None) -> str | None:
+def _write(path: str | None, emit) -> None:
+    """Call emit on stdout, or on the file at path and report it."""
     if path is None:
-        return None
-    outdir = os.environ.get(ENV_OUTDIR)
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
+        emit(sys.stdout)
+        return
+    path = os.path.join(os.environ.get(ENV_OUTDIR, ""), path)  # keeps absolute paths
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        emit(fh)
+    print(f"wrote {path}")
 
 
 def _write_csv(path: str | None, header, rows) -> None:
@@ -85,51 +85,41 @@ def _write_csv(path: str | None, header, rows) -> None:
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
-    path = _out_path(path)
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-        print(f"wrote {path}")
+    _write(path, emit)
 
 
 def _write_json(path: str | None, doc) -> None:
-    path = _out_path(path)
-    if path is None:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}")
+    def emit(fh):
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+    _write(path, emit)
 
 
-def _resolve_n(parser: _Parser, args) -> int:
+def _resolve_n(args) -> int:
     """Components count from --n or --lambda-tau (which must equal pi/N)."""
-    if args.lambda_tau is not None:
-        if args.lambda_tau <= 0:
-            parser.error("--lambda-tau must be positive")
-        n_real = math.pi / args.lambda_tau
-        n = round(n_real)
-        if n < 1 or abs(n_real - n) > 1e-9 * max(1.0, n):
-            parser.error(
-                f"--lambda-tau {args.lambda_tau:g} is not pi/N for an integer N "
-                f"(closest N = {n_real:.6f}); ring decomposition requires pi/N")
-        if args.n is not None and args.n != n:
-            parser.error(f"--n {args.n} conflicts with --lambda-tau (pi/{n})")
-        return n
-    return args.n if args.n is not None else 20
+    if args.lambda_tau is None:
+        return args.n if args.n is not None else 20
+    if args.lambda_tau <= 0:
+        raise ValueError("--lambda-tau must be positive")
+    n_real = math.pi / args.lambda_tau
+    n = round(n_real)
+    if n < 1 or abs(n_real - n) > 1e-9 * max(1.0, n):
+        raise ValueError(
+            f"--lambda-tau {args.lambda_tau:g} is not pi/N for an integer N "
+            f"(closest N = {n_real:.6f}); ring decomposition requires pi/N")
+    if args.n is not None and args.n != n:
+        raise ValueError(f"--n {args.n} conflicts with --lambda-tau (pi/{n})")
+    return n
 
 
-def _check_alpha(parser: _Parser, alpha: float) -> float:
+def _check_alpha(alpha: float) -> None:
     if not (alpha > 0) or not math.isfinite(alpha):
-        parser.error("--alpha must be a positive real number")
-    return alpha
+        raise ValueError("--alpha must be a positive real number")
 
 
 def _add_common(sub, *, with_x=False):
+    """Ring arguments (checked and resolved to args.n in main), --x and --output."""
     sub.add_argument("--alpha", type=float, default=20.0,
                      help="initial coherent amplitude (real, default 20)")
     sub.add_argument("--n", type=int, default=None,
@@ -140,8 +130,6 @@ def _add_common(sub, *, with_x=False):
         sub.add_argument("--x", type=float, default=0.0,
                          help="homodyne outcome on the monitored mode (default 0)")
     sub.add_argument("--output", default=None, help="output file (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format")
 
 
 def build_parser() -> _Parser:
@@ -153,6 +141,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decompose", help="ring decomposition at interaction phase pi/N")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("evolve-fock", help="number-basis evolution at arbitrary phase")
     p.add_argument("--alpha", type=float, default=20.0)
@@ -165,6 +154,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("condition", help="split on vacuum and condition on outcome X")
     _add_common(p, with_x=True)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("fidelity", help="phi-maximized cat fidelity of a conditioned state")
     _add_common(p, with_x=True)
@@ -179,28 +169,21 @@ def build_parser() -> _Parser:
     p.add_argument("--x-max", type=float, default=3.0)
     p.add_argument("--x-step", type=float, default=0.01)
 
-    p = sub.add_parser("pdist-pre", help="P distribution before the beam splitter")
-    _add_common(p)
-    p.add_argument("--p-min", type=float, default=None)
-    p.add_argument("--p-max", type=float, default=None)
-    p.add_argument("--p-step", type=float, default=0.05)
+    for name, with_x, when in (("pdist-pre", False, "before the beam splitter"),
+                               ("pdist-post", True, "after conditioning")):
+        p = sub.add_parser(name, help=f"P distribution {when}")
+        _add_common(p, with_x=with_x)
+        p.add_argument("--p-min", type=float, default=None)
+        p.add_argument("--p-max", type=float, default=None)
+        p.add_argument("--p-step", type=float, default=0.05)
 
-    p = sub.add_parser("pdist-post", help="P distribution after conditioning")
-    _add_common(p, with_x=True)
-    p.add_argument("--p-min", type=float, default=None)
-    p.add_argument("--p-max", type=float, default=None)
-    p.add_argument("--p-step", type=float, default=0.05)
-
-    p = sub.add_parser("success-prob",
-                       help="probability of outcomes whose fidelity clears a threshold")
-    _add_common(p)
-    p.add_argument("--f-min", type=float, required=True)
-    p.add_argument("--scan-step", type=float, default=0.01)
-
-    p = sub.add_parser("window", help="acceptance window {X : F(X) >= f_min}")
-    _add_common(p)
-    p.add_argument("--f-min", type=float, required=True)
-    p.add_argument("--scan-step", type=float, default=0.01)
+    for name, what in (("success-prob",
+                        "probability of outcomes whose fidelity clears a threshold"),
+                       ("window", "acceptance window {X : F(X) >= f_min}")):
+        p = sub.add_parser(name, help=what)
+        _add_common(p)
+        p.add_argument("--f-min", type=float, required=True)
+        p.add_argument("--scan-step", type=float, default=0.01)
 
     p = sub.add_parser("noise-loss", help="fidelity under final-stage photon loss")
     _add_common(p, with_x=True)
@@ -228,24 +211,20 @@ def build_parser() -> _Parser:
 # command implementations
 # --------------------------------------------------------------------------
 
-def _cmd_decompose(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    decomp = kerr_decompose(args.alpha, n)
-    if (args.format or "csv") == "json":
+def _cmd_decompose(args) -> int:
+    decomp = kerr_decompose(args.alpha, args.n)
+    if args.format == "json":
         _write_json(args.output, state_to_json_dict(decomp.state))
     else:
         _write_csv(args.output, ("n", "re", "im", "magnitude", "zeta_n"),
-                   [(k, re, im, mag, z) for k, re, im, mag, z in coefficient_rows(n)])
+                   coefficient_rows(args.n))
     return 0
 
 
-def _cmd_evolve_fock(parser, args) -> int:
+def _cmd_evolve_fock(args) -> int:
     alpha = complex(args.alpha, args.alpha_im)
     if alpha == 0:
-        parser.error("--alpha must be nonzero")
-    if args.lambda_tau <= 0:
-        parser.error("--lambda-tau must be positive")
+        raise ValueError("--alpha must be nonzero")
     cutoff = args.cutoff if args.cutoff is not None else recommended_cutoff(alpha)
     state = kerr_fock_evolve(KerrParams(args.lambda_tau, alpha), cutoff)
     rows = [(k, float(c.real), float(c.imag), float(abs(c) ** 2))
@@ -255,11 +234,9 @@ def _cmd_evolve_fock(parser, args) -> int:
     return 0
 
 
-def _cmd_condition(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    psi = condition_at(args.alpha, n, args.x)
-    if (args.format or "json") == "json":
+def _cmd_condition(args) -> int:
+    psi = condition_at(args.alpha, args.n, args.x)
+    if args.format == "json":
         _write_json(args.output, state_to_json_dict(psi, measurement_x=args.x))
     else:
         rows = [(float(c.real), float(c.imag), float(a.real), float(a.imag))
@@ -268,29 +245,22 @@ def _cmd_condition(parser, args) -> int:
     return 0
 
 
-def _target_from_args(parser, args, n: int) -> complex:
+def _target_from_args(args) -> complex:
     if (args.target_re is None) != (args.target_im is None):
-        parser.error("--target-re and --target-im must be given together")
+        raise ValueError("--target-re and --target-im must be given together")
     if args.target_re is not None:
-        t = complex(args.target_re, args.target_im)
-        if t == 0:
-            parser.error("target amplitude must be nonzero")
-        return t
-    return default_target_beta(kerr_decompose(args.alpha, n), 0.0)
+        return complex(args.target_re, args.target_im)
+    return default_target_beta(kerr_decompose(args.alpha, args.n), 0.0)
 
 
-def _cmd_fidelity(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    target = _target_from_args(parser, args, n)
-    if args.state is not None:
-        psi, meas_x = load_state(args.state)
-        x = meas_x if meas_x is not None else args.x
-        report = cat_fidelity(psi, target)
+def _cmd_fidelity(args) -> int:
+    target = _target_from_args(args)
+    if args.state is None:
+        psi, x = condition_at(args.alpha, args.n, args.x), args.x
     else:
-        x = args.x
-        psi = condition_at(args.alpha, n, x)
-        report = cat_fidelity(psi, target)
+        psi, x = load_state(args.state)
+        x = args.x if x is None else x
+    report = cat_fidelity(psi, target)
     print(f"fidelity={_fmt(report.fidelity)} phi_max={_fmt(report.phi_max)} "
           f"target_re={_fmt(report.target_beta.real)} target_im={_fmt(report.target_beta.imag)}")
     if args.output is not None:
@@ -299,103 +269,69 @@ def _cmd_fidelity(parser, args) -> int:
     return 0
 
 
-def _cmd_fidelity_curve(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    if args.x_step <= 0 or args.x_max < args.x_min:
-        parser.error("bad grid bounds")
-    grid = _grid(args.x_min, args.x_max, args.x_step)
-    pts = fidelity_curve(args.alpha, n, grid)
+def _cmd_fidelity_curve(args) -> int:
+    pts = fidelity_curve(args.alpha, args.n, _grid(args.x_min, args.x_max, args.x_step))
     _write_csv(args.output, ("x", "fidelity", "phi_max"),
                [(p.x, p.fidelity, p.phi_max) for p in pts])
     return 0
 
 
-def _p_grid(args, alpha: float):
-    span = math.sqrt(2.0) * alpha + 8.0
-    lo = args.p_min if args.p_min is not None else -span
-    hi = args.p_max if args.p_max is not None else span
-    return _grid(lo, hi, args.p_step)
-
-
-def _cmd_pdist_pre(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    rows = precondition_p_distribution(args.alpha, n, _p_grid(args, args.alpha))
+def _cmd_pdist(args) -> int:
+    span = math.sqrt(2.0) * args.alpha + 8.0
+    grid = _grid(-span if args.p_min is None else args.p_min,
+                 span if args.p_max is None else args.p_max, args.p_step)
+    if args.command == "pdist-pre":
+        rows = precondition_p_distribution(args.alpha, args.n, grid)
+    else:
+        rows = conditioned_p_distribution(args.alpha, args.n, args.x, grid)
     _write_csv(args.output, ("p", "density"), rows)
     return 0
 
 
-def _cmd_pdist_post(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    rows = conditioned_p_distribution(args.alpha, n, args.x, _p_grid(args, args.alpha))
-    _write_csv(args.output, ("p", "density"), rows)
-    return 0
-
-
-def _window_rows(alpha, n, f_min, window, prob):
-    ivs = ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in window.intervals)
-    return [(n, float(alpha), float(f_min), ivs, float(prob))]
-
-
-def _cmd_success_prob(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    if not (0.0 < args.f_min < 1.0):
-        parser.error("--f-min must lie strictly between 0 and 1")
-    window = window_from_threshold(args.alpha, n, args.f_min, scan_step=args.scan_step)
-    prob = success_probability(args.alpha, n, window)
+def _cmd_success_prob(args) -> int:
+    window = window_from_threshold(args.alpha, args.n, args.f_min, scan_step=args.scan_step)
+    prob = success_probability(args.alpha, args.n, window)
     print(f"success_probability={_fmt(prob)}")
     if args.output is not None:
+        ivs = ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in window.intervals)
         _write_csv(args.output,
                    ("n", "alpha_i", "f_min", "window_intervals", "probability"),
-                   _window_rows(args.alpha, n, args.f_min, window, prob))
+                   [(args.n, args.alpha, args.f_min, ivs, float(prob))])
     return 0
 
 
-def _cmd_window(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    if not (0.0 < args.f_min < 1.0):
-        parser.error("--f-min must lie strictly between 0 and 1")
-    window = window_from_threshold(args.alpha, n, args.f_min, scan_step=args.scan_step)
+def _cmd_window(args) -> int:
+    window = window_from_threshold(args.alpha, args.n, args.f_min, scan_step=args.scan_step)
     for lo, hi in window.intervals:
         print(f"[{_fmt(lo)}, {_fmt(hi)}]")
-    _write_csv(args.output, ("x_lo", "x_hi"),
-               [(lo, hi) for lo, hi in window.intervals])
+    if args.output is not None:
+        _write_csv(args.output, ("x_lo", "x_hi"), window.intervals)
     return 0
 
 
-def _cmd_noise_loss(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
+def _cmd_noise_loss(args) -> int:
     try:
         probs = [float(tok) for tok in args.loss_probs.split(",") if tok.strip()]
     except ValueError:
-        parser.error("--loss-probs must be a comma-separated list of numbers")
+        raise ValueError("--loss-probs must be a comma-separated list of numbers") from None
     rows = []
     for p in probs:
         noise = NoiseParams(loss_prob=p, direct_flip=args.direct_flip)
-        rows.append((float(p), lossy_fidelity(args.alpha, n, args.x, noise)))
+        rows.append((float(p), lossy_fidelity(args.alpha, args.n, args.x, noise)))
         print(f"loss={p:g} fidelity={_fmt(rows[-1][1])}")
     if args.output is not None:
         _write_csv(args.output, ("loss_prob", "fidelity"), rows)
     return 0
 
 
-def _cmd_noise_phase(parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    n = _resolve_n(parser, args)
-    if args.sigma_step <= 0 or args.sigma_max < 0:
-        parser.error("bad sigma grid")
+def _cmd_noise_phase(args) -> int:
     sigmas = _grid(0.0, args.sigma_max, args.sigma_step)
-    avg = phase_noise_avg_fidelity(args.alpha, n, args.x, sigmas)
+    avg = phase_noise_avg_fidelity(args.alpha, args.n, args.x, sigmas)
     _write_csv(args.output, ("sigma", "avg_fidelity"), zip(sigmas, avg))
     return 0
 
 
-def _cmd_reproduce(parser, args) -> int:
+def _cmd_reproduce(args) -> int:
     outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{args.what}.csv")
@@ -449,7 +385,7 @@ def _cmd_reproduce(parser, args) -> int:
     return 0
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     failures = 0
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -492,8 +428,8 @@ _COMMANDS = {
     "condition": _cmd_condition,
     "fidelity": _cmd_fidelity,
     "fidelity-curve": _cmd_fidelity_curve,
-    "pdist-pre": _cmd_pdist_pre,
-    "pdist-post": _cmd_pdist_post,
+    "pdist-pre": _cmd_pdist,
+    "pdist-post": _cmd_pdist,
     "success-prob": _cmd_success_prob,
     "window": _cmd_window,
     "noise-loss": _cmd_noise_loss,
@@ -507,14 +443,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](parser, args)
+        if "n" in args:  # a ring command, built by _add_common
+            _check_alpha(args.alpha)
+            args.n = _resolve_n(args)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help/--version and usage errors
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 1)
-    except (DegenerateStateError, TruncationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # DegenerateStateError, TruncationError among them
         print(f"kerrcat: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"kerrcat: error: {exc}", file=sys.stderr)
         return 1
 

@@ -300,6 +300,8 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
     """
     if not (0.0 < f_min < 1.0):
         raise ValueError("f_min must lie strictly between 0 and 1")
+    if not (scan_step > 0):
+        raise ValueError("scan_step must be positive")
     lo, hi = -(alpha_i + 5.0), alpha_i + 5.0
     xs = np.arange(lo, hi + 0.5 * scan_step, scan_step)
     above = np.array([p.fidelity >= f_min for p in fidelity_curve(alpha_i, n, xs)])

@@ -29,7 +29,7 @@ from .states import CoherentSuperposition
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Loss and phase-noise strengths.
+    """Final-stage photon loss.
 
     Exactly one of ``loss_prob`` (probability of losing at least one photon at
     the final stage) or ``gamma_tau`` (decay exponent) fixes the loss; setting
@@ -41,7 +41,6 @@ class NoiseParams:
 
     loss_prob: float | None = None
     gamma_tau: float | None = None
-    sigma_phase: float = 0.0
     direct_flip: bool = False
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class NoiseParams:
                 raise ValueError("flip probability cannot exceed 1/2 (parity equipartition)")
         if self.gamma_tau is not None and self.gamma_tau < 0:
             raise ValueError("gamma_tau must be nonnegative")
-        if self.sigma_phase < 0:
-            raise ValueError("sigma_phase must be nonnegative")
 
     def mean_lost_photons(self, alpha_i: float) -> float:
         if self.gamma_tau is not None:

@@ -423,18 +423,23 @@ def state_to_json_dict(psi: CoherentSuperposition, measurement_x: float | None =
 
 
 def state_from_json_dict(doc: dict) -> tuple[CoherentSuperposition, float | None]:
-    """Inverse of :func:`state_to_json_dict`; returns (state, measurement X or None)."""
-    comps = doc["components"]
-    coeffs = [complex(c["coeff_re"], c["coeff_im"]) for c in comps]
-    amps = [complex(c["amp_re"], c["amp_im"]) for c in comps]
-    psi = superposition(coeffs, amps, normalized=bool(doc.get("normalized", False)))
-    meas = doc.get("measurement")
-    mx = None
-    if meas is not None:
-        if meas.get("quadrature") != "X":
-            raise ValueError(f"unsupported measurement quadrature {meas.get('quadrature')!r}")
-        mx = float(meas["value"])
-    return psi, mx
+    """Inverse of :func:`state_to_json_dict`; returns (state, measurement X or None).
+
+    Raises ValueError naming the first missing field.
+    """
+    try:
+        comps = doc["components"]
+        coeffs = [complex(c["coeff_re"], c["coeff_im"]) for c in comps]
+        amps = [complex(c["amp_re"], c["amp_im"]) for c in comps]
+        meas = doc.get("measurement")
+        mx = None
+        if meas is not None:
+            if meas.get("quadrature") != "X":
+                raise ValueError(f"unsupported measurement quadrature {meas.get('quadrature')!r}")
+            mx = float(meas["value"])
+    except KeyError as exc:
+        raise ValueError(f"state JSON lacks the field {exc.args[0]!r}") from None
+    return superposition(coeffs, amps, normalized=bool(doc.get("normalized", False))), mx
 
 
 def dump_state(psi: CoherentSuperposition, path, measurement_x: float | None = None) -> None:

@@ -64,12 +64,89 @@ class TestArgumentValidation:
             assert out == ""
             assert "unrecognized arguments: --workers 2" in err
 
+    # every subcommand built by _add_common, with the arguments it requires
+    RING = [["decompose"], ["condition"], ["fidelity"], ["fidelity-curve"],
+            ["pdist-pre"], ["pdist-post"], ["success-prob", "--f-min", "0.9"],
+            ["window", "--f-min", "0.9"], ["noise-loss"], ["noise-phase"]]
+
+    @pytest.mark.parametrize("bad", [["--alpha", "0"], ["--lambda-tau", "0.33"]],
+                             ids=["alpha", "lambda-tau"])
+    @pytest.mark.parametrize("args", RING, ids=[a[0] for a in RING])
+    def test_ring_commands_reject_bad_ring(self, capsys, args, bad):
+        code, out, err = run(args + bad, capsys)
+        assert code == 1
+        assert out == ""
+        assert "kerrcat: error:" in err
+
+    @pytest.mark.parametrize("args", [a for a in RING if a[0] not in ("decompose", "condition")],
+                             ids=lambda a: a[0])
+    def test_format_only_where_read(self, capsys, tmp_path, args):
+        target = tmp_path / "o.out"
+        code, out, err = run(args + ["--format", "json", "--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --format json" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("args", [
+        [cmd] + bad for cmd in ("pdist-pre", "pdist-post")
+        for bad in (["--p-step", "0"], ["--p-step", "-0.05"], ["--p-min", "5", "--p-max", "-5"])
+    ] + [["fidelity-curve", "--x-step", "0"], ["fidelity-curve", "--x-max", "inf"],
+         ["noise-phase", "--sigma-max", "-0.1"]],
+        ids=lambda a: " ".join(a))
+    def test_bad_grid(self, capsys, tmp_path, args):
+        target = tmp_path / "g.csv"
+        code, out, err = run(args + ["--alpha", "4", "--n", "4", "--output", str(target)],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert "bad grid" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("step", ["0", "-0.01"])
+    @pytest.mark.parametrize("cmd", ["window", "success-prob"])
+    def test_bad_scan_step(self, capsys, tmp_path, cmd, step):
+        target = tmp_path / "w.csv"
+        code, out, err = run([cmd, "--alpha", "4", "--n", "4", "--f-min", "0.9",
+                              "--scan-step", step, "--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "scan_step must be positive" in err
+        assert not target.exists()
+
     def test_magnitude_only_removed(self, capsys):
         code, out, err = run(["noise-phase", "--alpha", "4", "--n", "4",
                               "--magnitude-only"], capsys)
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --magnitude-only" in err
+
+
+class TestFileErrors:
+    def test_missing_state_file(self, capsys, tmp_path):
+        code, out, err = run(["fidelity", "--state", str(tmp_path / "missing.json")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kerrcat: error:") and err.count("\n") == 1
+
+    def test_missing_output_directory(self, capsys, tmp_path):
+        code, out, err = run(["decompose", "--n", "4",
+                              "--output", str(tmp_path / "missing" / "c.csv")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kerrcat: error:") and err.count("\n") == 1
+
+    def test_state_missing_field(self, capsys, tmp_path):
+        state = tmp_path / "s.json"
+        assert run(["condition", "--alpha", "4", "--n", "4", "--output", str(state)],
+                   capsys)[0] == 0
+        doc = json.loads(state.read_text())
+        del doc["components"][0]["coeff_im"]
+        state.write_text(json.dumps(doc))
+        code, out, err = run(["fidelity", "--state", str(state)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kerrcat: error:") and "'coeff_im'" in err
 
 
 class TestDecompose:
@@ -190,6 +267,17 @@ class TestCurvesAndWindows:
         assert rows[0] == ["x_lo", "x_hi"]
         assert len(rows) >= 2
         assert "[" in printed
+
+
+    def test_window_stdout_is_intervals_only(self, capsys):
+        code, printed, _ = run(["window", "--alpha", "6", "--n", "2",
+                                "--f-min", "0.9", "--scan-step", "0.05"], capsys)
+        assert code == 0
+        lines = printed.splitlines()
+        assert lines
+        for line in lines:
+            lo, hi = line.removeprefix("[").removesuffix("]").split(", ")
+            assert line == f"[{lo}, {hi}]" and float(lo) < float(hi)
 
 
 class TestDistributionsAndNoise:

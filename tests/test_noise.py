@@ -83,8 +83,6 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(direct_flip=True)
         with pytest.raises(ValueError):
-            NoiseParams(sigma_phase=-0.1)
-        with pytest.raises(ValueError):
             NoiseParams(gamma_tau=-1.0)
 
 
