@@ -70,7 +70,6 @@ def _write(path: str | None, emit) -> None:
     if path is None:
         emit(sys.stdout)
         return
-    path = os.path.join(os.environ.get(ENV_OUTDIR, ""), path)  # keeps absolute paths
     with open(path, "w", encoding="utf-8", newline="") as fh:
         emit(fh)
     print(f"wrote {path}")
@@ -118,8 +117,9 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("--alpha must be a positive real number")
 
 
-def _add_common(sub, *, with_x=False):
-    """Ring arguments (checked and resolved to args.n in main), --x and --output."""
+def _add_common(sub, *, with_x=False, output="output file (default stdout)"):
+    """Ring arguments (checked and resolved to args.n in main), --x and --output
+    (``output`` is its help)."""
     sub.add_argument("--alpha", type=float, default=20.0,
                      help="initial coherent amplitude (real, default 20)")
     sub.add_argument("--n", type=int, default=None,
@@ -129,7 +129,7 @@ def _add_common(sub, *, with_x=False):
     if with_x:
         sub.add_argument("--x", type=float, default=0.0,
                          help="homodyne outcome on the monitored mode (default 0)")
-    sub.add_argument("--output", default=None, help="output file (default stdout)")
+    sub.add_argument("--output", default=None, help=output)
 
 
 def build_parser() -> _Parser:
@@ -157,7 +157,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("fidelity", help="phi-maximized cat fidelity of a conditioned state")
-    _add_common(p, with_x=True)
+    _add_common(p, with_x=True, output="also write x, fidelity and phi_max to this CSV "
+                                       "file (the summary line is printed either way)")
     p.add_argument("--state", default=None,
                    help="JSON state file to score instead of running the pipeline")
     p.add_argument("--target-re", type=float, default=None)
@@ -177,16 +178,21 @@ def build_parser() -> _Parser:
         p.add_argument("--p-max", type=float, default=None)
         p.add_argument("--p-step", type=float, default=0.05)
 
-    for name, what in (("success-prob",
-                        "probability of outcomes whose fidelity clears a threshold"),
-                       ("window", "acceptance window {X : F(X) >= f_min}")):
+    for name, what, output in (
+            ("success-prob", "probability of outcomes whose fidelity clears a threshold",
+             "also write the window and its probability to this CSV file "
+             "(the probability is printed either way)"),
+            ("window", "acceptance window {X : F(X) >= f_min}",
+             "also write the window's intervals to this CSV file "
+             "(they are printed either way)")):
         p = sub.add_parser(name, help=what)
-        _add_common(p)
+        _add_common(p, output=output)
         p.add_argument("--f-min", type=float, required=True)
         p.add_argument("--scan-step", type=float, default=0.01)
 
     p = sub.add_parser("noise-loss", help="fidelity under final-stage photon loss")
-    _add_common(p, with_x=True)
+    _add_common(p, with_x=True, output="also write loss_prob and fidelity to this CSV file "
+                                       "(one line per probability is printed either way)")
     p.add_argument("--loss-probs", default="0,0.1,0.2,0.3,0.4,0.5,0.6",
                    help="comma-separated loss probabilities")
     p.add_argument("--direct-flip", action="store_true",
@@ -199,7 +205,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="emit the canonical figure/table data series")
     p.add_argument("what", choices=("fig2", "fig3", "fig4", "fig5", "table1"))
-    p.add_argument("--outdir", default=None, help="directory for the CSV files")
+    p.add_argument("--outdir", default="",
+                   help=f"directory for the CSV files, under ${ENV_OUTDIR} if relative "
+                        f"(default ${ENV_OUTDIR}, else the current directory)")
 
     p = sub.add_parser("verify", help="run the exactness and oracle cross-checks")
     p.add_argument("--fast", action="store_true", help="smaller verification grid")
@@ -332,7 +340,7 @@ def _cmd_noise_phase(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    outdir = args.outdir or os.environ.get(ENV_OUTDIR) or "."
+    outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{args.what}.csv")
 
@@ -446,6 +454,10 @@ def main(argv=None) -> int:
         if "n" in args:  # a ring command, built by _add_common
             _check_alpha(args.alpha)
             args.n = _resolve_n(args)
+        for dest in ("output", "outdir"):  # the one place KERRCAT_OUTDIR applies
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, os.path.join(os.environ.get(ENV_OUTDIR, ""),
+                                                 getattr(args, dest)))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help/--version and usage errors
         code = exc.code

@@ -31,6 +31,7 @@ from .states import (
     _log_polar,
     _log_squared_norm,
     _pair_sum_log,
+    _scale,
     _x_amplitude_log_arrays,
     superposition,
 )
@@ -117,19 +118,20 @@ def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
 class _Collapse(NamedTuple):
     """Unnormalized collapsed states sum_n q_gn |b_gn>, q_gn = c_n <X_g|b_gn>.
 
-    One row g per outcome: ``log_q``/``arg_q`` hold the log-polar q_gn and
-    ``amps`` the amplitudes b_n, or one row of them per outcome when the ring
-    is rotated.  ``log_norm`` holds the log squared norms
+    One row g per outcome, scaled by :func:`_scale`: ``q`` holds
+    q_gn e^{-top_g} and ``top`` the row scales top_g = max_n log|q_gn|;
+    ``amps`` holds the amplitudes b_n, or one row of them per outcome when
+    the ring is rotated.  ``log_norm`` holds the log squared norms
     sum_{m,n} conj(q_gm) q_gn <b_gm|b_gn>, the outcome densities p(X_g), and
     ``digits_lost`` the digits each of those sums loses to cancellation, as
     measured by the route that computed it: on a ring the spectral sum
     within the budget and the sum over lags past it, on any other state the
-    log-domain pair sum.
+    pair sum.
     """
 
     x: np.ndarray
-    log_q: np.ndarray
-    arg_q: np.ndarray
+    top: np.ndarray
+    q: np.ndarray
     amps: np.ndarray
     log_norm: np.ndarray
     digits_lost: np.ndarray
@@ -140,8 +142,7 @@ class _Collapse(NamedTuple):
 
     def coeffs(self, rows) -> np.ndarray:
         """Renormalized coefficients of non-degenerate ``rows``."""
-        lg = self.log_norm[rows, None]
-        return np.exp(self.log_q[rows] - 0.5 * lg) * np.exp(1j * self.arg_q[rows])
+        return self.q[rows] * np.exp(self.top[rows] - 0.5 * self.log_norm[rows])[..., None]
 
     def densities(self, rows=slice(None)) -> np.ndarray:
         """p(X) of ``rows``; raises ArithmeticError if one of them loses more
@@ -170,51 +171,45 @@ class _Collapse(NamedTuple):
         return superposition(self.coeffs(g), amps, normalized=True, merge=False)
 
 
-def _spectral_norms(log_q, arg_q, log_lam):
+def _spectral_norms(q, log_lam):
     """(log squared norm, digits lost) of each row of q on a ring with Gram
     log-eigenvalues ``log_lam`` (:func:`_ring_spectrum`).
 
-    With M_g = max_n log|q_gn|, q~_g = q_g e^{-M_g} and its transform
-    Q_gj = sum_n q~_gn w^{jn}, the squared norm is e^{2 M_g} sum_j lam_j |Q_gj|^2.
-    The transform errs by about eps sum_n |q~_gn| in each Q_gj, so the sum
-    loses log10(sum_n |q~_gn| sum_j lam_j |Q_gj| / sum_j lam_j |Q_gj|^2) digits.
+    With the transform Q_gj = sum_n q_gn w^{jn}, the squared norm is
+    sum_j lam_j |Q_gj|^2.  The transform errs by about eps sum_n |q_gn| in
+    each Q_gj, so the sum loses
+    log10(sum_n |q_gn| sum_j lam_j |Q_gj| / sum_j lam_j |Q_gj|^2) digits.
     Every reduction runs along its own row: a row's bits do not depend on
     the rows batched with it.
     """
-    top = np.max(log_q, axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    mag = np.exp(log_q - top)
-    spec = mag.shape[1] * np.fft.ifft(mag * np.exp(1j * arg_q), axis=1)
+    spec = q.shape[1] * np.fft.ifft(q, axis=1)
     lam, amp = np.exp(log_lam), np.abs(spec)
     s = np.sum(lam * (spec.real ** 2 + spec.imag ** 2), axis=1)
-    t = np.sum(mag, axis=1) * np.sum(lam * amp, axis=1)
+    t = np.sum(np.abs(q), axis=1) * np.sum(lam * amp, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 * top[:, 0] + np.log(s), np.log10(t / s)
+        return np.log(s), np.log10(t / s)
 
 
-def _lag_norm(log_q, arg_q, amps):
-    """(log squared norm, digits lost) of one row of q on a ring b_n = b_0 w^n,
+def _lag_norm(q, amps):
+    """(log squared norm, digits lost) of one row q on a ring b_n = b_0 w^n,
     summed directly over the N lags k = n - m.
 
     The Gram matrix is circulant, <b_m|b_n> = g_{n-m} with
-    g_k = <b_0|b_k> = exp(|b_0|^2 (w^k - 1)), so with q~ = q e^{-M},
-    M = max_n log|q_n|, the squared norm is e^{2M} |sum_k g_k r_k| over the
-    circular autocorrelation r_k = sum_m conj(q~_m) q~_{m+k}.  The magnitudes
-    of the N^2 pair terms sum to sum_k |g_k| t_k, t_k = sum_m |q~_m| |q~_{m+k}|,
-    so the sum loses log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  Both
-    correlations are direct O(N^2) sums over the doubled row, in O(N) memory.
+    g_k = <b_0|b_k> = exp(|b_0|^2 (w^k - 1)), so the squared norm is
+    |sum_k g_k r_k| over the circular autocorrelation
+    r_k = sum_m conj(q_m) q_{m+k}.  The magnitudes of the N^2 pair terms sum
+    to sum_k |g_k| t_k, t_k = sum_m |q_m| |q_{m+k}|, so the sum loses
+    log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  Both correlations are
+    direct O(N^2) sums over the doubled row, in O(N) memory.
     """
     n = len(amps)
-    top = np.max(log_q)
-    top = top if np.isfinite(top) else 0.0
-    mag = np.exp(log_q - top)
-    q = mag * np.exp(1j * arg_q)
+    mag = np.abs(q)
     r = np.correlate(np.concatenate((q, q)), q, "valid")[:n]
     t = np.correlate(np.concatenate((mag, mag)), mag, "valid")[:n]
     g = np.exp(abs(amps[0]) ** 2 * np.expm1(2j * np.pi * np.arange(n) / n))
     s, mass = abs(np.sum(g * r)), np.sum(np.abs(g) * t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 * top + np.log(s), np.log10(mass / s)
+        return np.log(s), np.log10(mass / s)
 
 
 def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
@@ -224,12 +219,13 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     ``log_c``/``arg_c`` are the log-polar coefficients and ``spectrum`` the
     ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
     rotates the ring first, b_n -> b_n e^{i u_g} (the spectrum does not
-    change); ``x`` and ``rotation`` broadcast to one row per outcome.  On a
-    ring the densities of all rows come from :func:`_spectral_norms`, and
-    rows that lose more than ``_DIGITS_BUDGET`` digits there are summed again
-    over lags by :func:`_lag_norm`, which also measures their digits lost.
-    Every row of a state that is not a ring is summed in the log domain by
-    ``_pair_sum_log``.
+    change); ``x`` and ``rotation`` broadcast to one row per outcome.  Each
+    row is scaled once by :func:`_scale`, and every route below sums the
+    scaled row.  On a ring the densities of all rows come from
+    :func:`_spectral_norms`, and rows that lose more than ``_DIGITS_BUDGET``
+    digits there are summed again over lags by :func:`_lag_norm`, which also
+    measures their digits lost.  Every row of a state that is not a ring is
+    summed by ``_pair_sum_log``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if rotation is not None:
@@ -237,18 +233,20 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
         amps = amps * np.exp(1j * u)[:, None]
     wl, wp = _x_amplitude_log_arrays(x[:, None], amps)
     lq, aq = log_c + wl, arg_c + wp
+    top, q = _scale(lq, aq)
     if spectrum is None:
         log_norm, lost = np.full(len(x), -math.inf), np.full(len(x), math.inf)
     else:
-        log_norm, lost = _spectral_norms(lq, aq, spectrum)
+        log_norm, lost = _spectral_norms(q, spectrum)
     for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
         row = amps if amps.ndim == 1 else amps[g]
         if spectrum is None:
-            norm, lost[g] = _pair_sum_log(lq[g], aq[g], row)
+            # the row is passed scaled, so the pair sum's own scale is 0
+            norm, lost[g] = _pair_sum_log(lq[g] - top[g], aq[g], row)
             log_norm[g] = norm.log_magnitude
         else:
-            log_norm[g], lost[g] = _lag_norm(lq[g], aq[g], row)
-    return _Collapse(x, lq, aq, amps, log_norm, lost)
+            log_norm[g], lost[g] = _lag_norm(q[g], row)
+    return _Collapse(x, top, q, amps, 2.0 * top + log_norm, lost)
 
 
 def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:
@@ -264,9 +262,9 @@ def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:
 def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSuperposition:
     """Collapse the unmonitored mode on homodyne outcome X (exact projection).
 
-    Coefficients and the normalization are assembled in the log domain, so
-    outcomes deep in the Gaussian tails normalize correctly until the state is
-    numerically null.
+    The collapsed row is scaled by its largest coefficient before it is
+    summed, so outcomes deep in the Gaussian tails normalize correctly until
+    the state is numerically null.
 
     Raises
     ------

@@ -9,9 +9,13 @@ so every coherent-state quadrature density is a Gaussian of variance 1/2,
 P = sqrt(2) Im(beta).
 
 Amplitudes up to |beta| ~ 30 are supported: pairwise Gaussian overlaps reach
-exp(-1800), far below double-precision underflow, so every sum over component
-pairs in this module is accumulated in log-complex form and converted to a
-plain float or complex exactly once.
+exp(-1800), far below double-precision underflow.  Coefficients therefore
+stay in log-polar form until a sum needs them, and every sum over components
+follows one rule, written once in :func:`_scale` (and inline in the blocked
+``_marginal_densities``): shift the logs by their largest value, exponentiate,
+sum, and add the shift back to the log of the sum.  No scaled term exceeds 1,
+and in a squared norm the largest diagonal term is 1, so a term that
+underflows is negligible against the sum.
 """
 
 from __future__ import annotations
@@ -238,7 +242,7 @@ def _p_amplitude_log_arrays(P, amps: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# log-domain pair sums
+# scaled component sums
 # --------------------------------------------------------------------------
 
 _CHUNK = 512
@@ -252,74 +256,42 @@ def _log_polar(z: np.ndarray):
     return lg, np.angle(z)
 
 
-def _overlap_log_blocks(a_rows: np.ndarray, a_cols: np.ndarray):
-    """Log-magnitude and phase of <a_rows[m]|a_cols[n]> as 2-D arrays."""
-    cross = np.conj(a_rows)[:, None] * a_cols[None, :]
-    m2r = np.abs(a_rows) ** 2
-    m2c = np.abs(a_cols) ** 2
-    logmag = cross.real - 0.5 * (m2r[:, None] + m2c[None, :])
-    return logmag, cross.imag
+def _scale(log_c, arg_c):
+    """(M, c e^{-M}) for c = e^{log_c + i arg_c}, with M the largest log|c|
+    along the last axis (0 where every entry is zero).
 
-
-class _LogAccumulator:
-    """Accumulates sum of exp(L) e^{i theta} terms across chunks, stably, and
-    the sum of their magnitudes alongside."""
-
-    def __init__(self):
-        self.m = -math.inf
-        self.s = 0.0 + 0.0j
-        self.mass = 0.0
-
-    def add(self, logmag: np.ndarray, phase: np.ndarray):
-        if logmag.size == 0:
-            return
-        m2 = float(np.max(logmag))
-        if m2 == -math.inf:
-            return
-        terms = np.exp(logmag - m2)
-        part, mass = np.sum(terms * np.exp(1j * phase)), float(np.sum(terms))
-        if m2 <= self.m:
-            scale = math.exp(m2 - self.m)
-            self.s += part * scale
-            self.mass += mass * scale
-        else:
-            scale = math.exp(self.m - m2)
-            self.s = self.s * scale + part
-            self.mass = self.mass * scale + mass
-            self.m = m2
-
-    def result(self) -> LogComplex:
-        a = abs(self.s)
-        if a == 0.0 or self.m == -math.inf:
-            return LogComplex.zero()
-        return LogComplex(self.m + math.log(a), float(_wrap_phase(np.angle(self.s))))
-
-    def digits_lost(self) -> float:
-        """log10(sum |terms| / |sum terms|), the condition number of the sum:
-        0 with no terms, inf when they cancel exactly."""
-        if self.mass == 0.0:
-            return 0.0
-        a = abs(self.s)
-        return math.log10(self.mass / a) if a else math.inf
+    The one shift every component sum in the package makes before it
+    exponentiates: the largest scaled entry has magnitude 1.
+    """
+    top = np.max(log_c, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return top[..., 0], np.exp(log_c - top) * np.exp(1j * arg_c)
 
 
 def _pair_sum_log(log_c, arg_c, amps, *, right=None) -> tuple[LogComplex, float]:
     """sum_{m,n} conj(c_m) d_n <a_m|b_n> in log-complex form, and the digits
-    it loses to cancellation.
+    it loses to cancellation, log10(sum |terms| / |sum terms|): 0 with no
+    terms, inf when they cancel exactly.
 
     The right-hand terms (log d, arg d, b) default to the left ones, which
-    gives the squared norm.
+    gives the squared norm.  Both sides are scaled by :func:`_scale`, so no
+    term exceeds 1 (|<a|b>| = e^{-|a - b|^2 / 2}), and the terms are summed
+    directly, ``_CHUNK`` rows at a time.
     """
     log_d, arg_d, amps_d = (log_c, arg_c, amps) if right is None else right
-    n = len(amps)
-    acc = _LogAccumulator()
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, n))
-        ov_l, ov_p = _overlap_log_blocks(amps[rows], amps_d)
-        L = log_c[rows][:, None] + log_d[None, :] + ov_l
-        T = -arg_c[rows][:, None] + arg_d[None, :] + ov_p
-        acc.add(L, T)
-    return acc.result(), acc.digits_lost()
+    (top_c, c), (top_d, d) = _scale(log_c, arg_c), _scale(log_d, arg_d)
+    m2_d = np.abs(amps_d) ** 2
+    s, mass = 0j, 0.0
+    for start in range(0, len(amps), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        a = amps[rows]
+        overlap = np.exp(np.conj(a)[:, None] * amps_d - 0.5 * (np.abs(a)[:, None] ** 2 + m2_d))
+        terms = np.conj(c[rows])[:, None] * d * overlap
+        s += np.sum(terms)
+        mass += float(np.sum(np.abs(terms)))
+    res = LogComplex.from_complex(s)
+    lost = math.log10(mass / abs(s)) if s else (math.inf if mass else 0.0)
+    return LogComplex(res.log_magnitude + float(top_c + top_d), res.phase), lost
 
 
 def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:

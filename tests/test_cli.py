@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -341,11 +342,40 @@ class TestReproduceAndVerify:
         rows = list(csv.reader((tmp_path / "fig2.csv").read_text().splitlines()))
         assert rows[0] == ["p", "density_before_split", "density_conditioned_x0"]
 
+    # a relative KERRCAT_OUTDIR prefixes the directory once
+    @pytest.mark.parametrize("outdir,written", [([], ("rel", "fig2.csv")),
+                                                (["--outdir", "a"], ("rel", "a", "fig2.csv"))],
+                             ids=["env", "outdir-under-env"])
+    def test_reproduce_relative_outdir_env(self, capsys, tmp_path, monkeypatch, outdir,
+                                           written):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("KERRCAT_OUTDIR", "rel")
+        code, out, _ = run(["reproduce", "fig2", *outdir], capsys)
+        assert code == 0
+        assert out == f"wrote {os.path.join(*written)}\n"
+        assert tmp_path.joinpath(*written).is_file()
+
+    def test_reproduce_absolute_outdir_ignores_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("KERRCAT_OUTDIR", "rel")
+        code, out, _ = run(["reproduce", "fig2", "--outdir", str(tmp_path / "abs")], capsys)
+        assert code == 0
+        assert out == f"wrote {tmp_path / 'abs' / 'fig2.csv'}\n"
+        assert (tmp_path / "abs" / "fig2.csv").is_file()
+
     def test_verify_fast(self, capsys):
         code, out, _ = run(["verify", "--fast"], capsys)
         assert code == 0
         assert out.count("ok  ") == 3
         assert "FAIL" not in out
+
+    def test_summary_commands_document_output(self, capsys):
+        code, out, _ = run(["window", "--help"], capsys)
+        assert code == 0
+        text = " ".join(out.split())
+        assert "default stdout" not in text
+        assert "--output OUTPUT also write the window's intervals to this CSV file " \
+               "(they are printed either way)" in text
 
     def test_outdir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KERRCAT_OUTDIR", str(tmp_path))

@@ -34,7 +34,7 @@ from kerrcat.conditioning import (
     _spectral_norms,
 )
 from kerrcat.metrics import _BLOCK, _pipeline
-from kerrcat.states import _log_polar, _pair_sum_log
+from kerrcat.states import _log_polar, _pair_sum_log, _x_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
 
@@ -266,17 +266,20 @@ class TestBatchedRows:
             assert (A[g], B[g]) == (a[0], b[0]), u
 
 
-def _log_route(rows, g):
-    """Row g of ``rows`` summed in the log domain: (log density, digits lost)."""
+def _log_route(log_c, arg_c, rows, g):
+    """Row g of ``rows`` rebuilt in log-polar form from the log-polar
+    coefficients and X_g, then summed by the pair sum: (log density, digits lost)."""
     amps = rows.amps if rows.amps.ndim == 1 else rows.amps[g]
-    norm, lost = _pair_sum_log(rows.log_q[g], rows.arg_q[g], amps)
+    wl, wp = _x_amplitude_log_arrays(rows.x[g], amps)
+    norm, lost = _pair_sum_log(log_c + wl, arg_c + wp, amps)
     return norm.log_magnitude, lost
 
 
 def _lag_route(rows, g):
     """Row g of ``rows`` summed over lags: (log density, digits lost)."""
     amps = rows.amps if rows.amps.ndim == 1 else rows.amps[g]
-    return _lag_norm(rows.log_q[g], rows.arg_q[g], amps)
+    log_norm, lost = _lag_norm(rows.q[g], amps)
+    return 2.0 * rows.top[g] + log_norm, lost
 
 
 class TestDigitsLostBudget:
@@ -338,7 +341,7 @@ class TestDigitsLostBudget:
         rows = pipe.collapse(np.linspace(-25.0, 25.0, 201))
         assert np.all(rows.digits_lost <= _DIGITS_BUDGET)
         for g in range(len(rows.x)):
-            log_norm, lost = _log_route(rows, g)
+            log_norm, lost = _log_route(pipe.log_c, pipe.arg_c, rows, g)
             assert abs(rows.log_norm[g] - log_norm) <= 1e-13, rows.x[g]
             assert lost <= _DIGITS_BUDGET, rows.x[g]
 
@@ -346,11 +349,12 @@ class TestDigitsLostBudget:
     def test_rows_past_budget_use_lag_route(self, n, xs):
         pipe = _pipeline(20.0, n)
         rows = pipe.collapse(xs)
-        spectral, lost = _spectral_norms(rows.log_q, rows.arg_q, pipe.spectrum)
+        spectral, lost = _spectral_norms(rows.q, pipe.spectrum)
         assert np.any(lost > _DIGITS_BUDGET)
         for g in range(len(xs)):
             if lost[g] <= _DIGITS_BUDGET:
-                assert (rows.log_norm[g], rows.digits_lost[g]) == (spectral[g], lost[g]), xs[g]
+                want = (2.0 * rows.top[g] + spectral[g], lost[g])
+                assert (rows.log_norm[g], rows.digits_lost[g]) == want, xs[g]
             else:
                 assert (rows.log_norm[g], rows.digits_lost[g]) == _lag_route(rows, g), xs[g]
 
@@ -360,10 +364,11 @@ class TestDigitsLostBudget:
         # every other row rotated, so the rows carry their own amplitudes;
         # worst measured: 1.1e-13 times 10^d
         xs = np.linspace(-alpha - 3.0, alpha + 3.0, 13)
-        rows = _pipeline(alpha, n).collapse(xs, rotation=0.3 * (np.arange(13) % 2))
+        pipe = _pipeline(alpha, n)
+        rows = pipe.collapse(xs, rotation=0.3 * (np.arange(13) % 2))
         checked = 0
         for g in range(len(xs)):
-            log_norm, lost = _log_route(rows, g)
+            log_norm, lost = _log_route(pipe.log_c, pipe.arg_c, rows, g)
             if lost <= _DIGITS_BUDGET:
                 checked += 1
                 lag_norm, lag_lost = _lag_route(rows, g)
@@ -378,7 +383,7 @@ class TestDigitsLostBudget:
             for n in (200, 1024, 4096):
                 pipe = _pipeline(alpha, n)
                 rows = pipe.collapse(np.linspace(-alpha - 8.0, alpha + 8.0, 33))
-                _, lost = _spectral_norms(rows.log_q, rows.arg_q, pipe.spectrum)
+                _, lost = _spectral_norms(rows.q, pipe.spectrum)
                 over = lost > _DIGITS_BUDGET
                 past += np.count_nonzero(over)
                 assert np.all(rows.digits_lost[over] > _DIGITS_BUDGET), (alpha, n)
@@ -405,9 +410,10 @@ class TestDigitsLostBudget:
         tm = TwoModeProductSuperposition(tm.coeffs, amps, True)
         assert _ring_spectrum(amps) is None
         xs = [-3.0, 0.0, 1.0]
-        rows = _collapse(*_log_polar(tm.coeffs), amps, xs)
+        log_c, arg_c = _log_polar(tm.coeffs)
+        rows = _collapse(log_c, arg_c, amps, xs)
         for g, x in enumerate(xs):
-            log_norm, lost = _log_route(rows, g)
+            log_norm, lost = _log_route(log_c, arg_c, rows, g)
             assert (rows.log_norm[g], rows.digits_lost[g]) == (log_norm, lost), x
             assert x_outcome_density(tm, x) == rows.density(g), x
 

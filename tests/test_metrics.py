@@ -26,7 +26,7 @@ from kerrcat import (
     window_from_threshold,
 )
 from kerrcat.cli import _grid
-from kerrcat.states import _LogAccumulator, _log_polar, _p_amplitude_log_arrays
+from kerrcat.states import _log_polar, _p_amplitude_log_arrays, _scale
 
 SQRT2 = math.sqrt(2.0)
 
@@ -310,10 +310,9 @@ class TestDistributions:
         for p, got in rows:
             # one point at a time in the log domain, as the grid was summed
             # before it was blocked
-            acc = _LogAccumulator()
             wl, wp = _p_amplitude_log_arrays(p, psi.amps)
-            acc.add(lc + wl, ac + wp)
-            want = math.exp(min(2.0 * acc.result().log_magnitude, 700.0))
+            top, terms = _scale(lc + wl, ac + wp)
+            want = math.exp(min(2.0 * (top + math.log(abs(np.sum(terms)))), 700.0))
             assert abs(got - want) <= 1e-13 * want, p
             assert abs(got - p_marginal_density(psi, p)) <= 1e-13 * got, p
 

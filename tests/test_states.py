@@ -10,10 +10,12 @@ import oracles
 from kerrcat import (
     DegenerateStateError,
     LogComplex,
+    beamsplit_with_vacuum,
     coherent_overlap,
     coherent_overlap_log,
     coherent_state,
     inner_product,
+    kerr_decompose,
     p_amplitude,
     p_marginal_density,
     squared_norm,
@@ -179,6 +181,17 @@ class TestNormsAndInnerProducts:
             v1 = sum(c * oracles.coherent_fock(a, 200) for c, a in zip(c1, a1))
             v2 = sum(c * oracles.coherent_fock(a, 200) for c, a in zip(c2, a2))
             assert inner_product(psi, chi) == pytest.approx(complex(np.vdot(v1, v2)), abs=1e-10)
+
+    def test_norm_of_ring_past_one_chunk(self):
+        # 1024 components: the pair sum runs over two _CHUNK blocks of rows
+        psi = kerr_decompose(20.0, 1024).state
+        assert squared_norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert beamsplit_with_vacuum(psi).squared_norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_inner_product_near_underflow(self):
+        # <18|-18> = e^{-2 * 18^2} = e^{-648}, about 3.8e-282
+        got = inner_product(coherent_state(18.0), coherent_state(-18.0))
+        assert got == pytest.approx(math.exp(-648.0), rel=1e-12, abs=0.0)
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(29)
