@@ -160,7 +160,7 @@ def build_parser() -> _Parser:
     _add_common(p, with_x=True, output="also write x, fidelity and phi_max to this CSV "
                                        "file (the summary line is printed either way)")
     p.add_argument("--state", default=None,
-                   help="JSON state file to score instead of running the pipeline")
+                   help="JSON state file to score, normalized, instead of running the pipeline")
     p.add_argument("--target-re", type=float, default=None)
     p.add_argument("--target-im", type=float, default=None)
 
@@ -268,6 +268,7 @@ def _cmd_fidelity(args) -> int:
     else:
         psi, x = load_state(args.state)
         x = args.x if x is None else x
+        psi = psi if psi.is_normalized else psi.normalized()  # a null state raises
     report = cat_fidelity(psi, target)
     print(f"fidelity={_fmt(report.fidelity)} phi_max={_fmt(report.phi_max)} "
           f"target_re={_fmt(report.target_beta.real)} target_im={_fmt(report.target_beta.imag)}")

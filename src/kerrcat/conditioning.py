@@ -31,8 +31,8 @@ from .states import (
     _log_polar,
     _log_squared_norm,
     _pair_sum_log,
+    _project,
     _scale,
-    _x_amplitude_log_arrays,
     superposition,
 )
 
@@ -156,10 +156,6 @@ class _Collapse(NamedTuple):
                 f"to cancellation (budget {_DIGITS_BUDGET:g})")
         return np.exp(np.minimum(self.log_norm[rows], 700.0))
 
-    def density(self, g: int = 0) -> float:
-        """p(X_g), under the same budget as :meth:`densities`."""
-        return float(self.densities([g])[0])
-
     def state(self, g: int = 0) -> CoherentSuperposition:
         """Row g renormalized; raises DegenerateStateError below 1e-300."""
         lg = self.log_norm[g]
@@ -231,8 +227,7 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     if rotation is not None:
         x, u = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
         amps = amps * np.exp(1j * u)[:, None]
-    wl, wp = _x_amplitude_log_arrays(x[:, None], amps)
-    lq, aq = log_c + wl, arg_c + wp
+    lq, aq = _project(log_c, arg_c, amps, x[:, None])
     top, q = _scale(lq, aq)
     if spectrum is None:
         log_norm, lost = np.full(len(x), -math.inf), np.full(len(x), math.inf)
@@ -255,8 +250,8 @@ def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:
     Raises ArithmeticError if the density loses more than ``_DIGITS_BUDGET``
     digits to cancellation.
     """
-    return _collapse(*_log_polar(two_mode.coeffs), two_mode.amps, float(X),
-                     _ring_spectrum(two_mode.amps)).density()
+    return float(_collapse(*_log_polar(two_mode.coeffs), two_mode.amps, float(X),
+                           _ring_spectrum(two_mode.amps)).densities()[0])
 
 
 def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSuperposition:

@@ -35,7 +35,7 @@ from .states import (
     SQRT2,
     _log_polar,
     _marginal_densities,
-    _p_amplitude_log_arrays,
+    _overlap_exponent,
     _x_amplitude_log_arrays,
     coherent_overlap,
     superposition,
@@ -158,9 +158,8 @@ def _max_phi(A, B, cross: complex):
     return np.where(second, vals[1], vals[0]), np.where(second, phis[1], phis[0]) % (2.0 * np.pi)
 
 
-def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
-                 partner_beta: complex | None = None) -> FidelityReport:
-    """max over phi of |<cat_{target_beta, phi}|psi>|^2 (psi assumed normalized)."""
+def _target_cat(target_beta: complex, partner_beta: complex | None):
+    """(branch, partner, <branch|partner>); ValueError unless they make a cat."""
     bt = complex(target_beta)
     if bt == 0:
         raise ValueError("target amplitude must be nonzero")
@@ -168,18 +167,22 @@ def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
     cross = coherent_overlap(bt, pt)
     if abs(cross) > 1.0 - 1e-12:
         raise ValueError("target and partner branches coincide; not a cat")
-    fid, phi = _max_phi(*_branch_terms(psi.coeffs, psi.amps, bt, pt), complex(cross))
+    return bt, pt, cross
+
+
+def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
+                 partner_beta: complex | None = None) -> FidelityReport:
+    """max over phi of |<cat_{target_beta, phi}|psi>|^2 (psi assumed normalized)."""
+    bt, pt, cross = _target_cat(target_beta, partner_beta)
+    fid, phi = _max_phi(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross)
     return FidelityReport(float(fid), float(phi), bt)
 
 
 def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
                 partner_beta: complex | None = None) -> float:
-    """|<cat_{target_beta, phi}|psi>|^2 at a fixed relative phase phi."""
-    bt = complex(target_beta)
-    pt = partner_for(bt) if partner_beta is None else complex(partner_beta)
-    cross = coherent_overlap(bt, pt)
-    A, B = _branch_terms(psi.coeffs, psi.amps, bt, pt)
-    return float(_phi_objective(A, B, complex(cross), phi))
+    """|<cat_{target_beta, phi}|psi>|^2 at a fixed relative phase phi; raises as cat_fidelity."""
+    bt, pt, cross = _target_cat(target_beta, partner_beta)
+    return float(_phi_objective(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross, phi))
 
 
 def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
@@ -223,9 +226,6 @@ class _Pipeline:
     def collapse(self, x, rotation=None):
         return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum, rotation)
 
-    def density(self, x: float) -> float:
-        return self.collapse(x).density()
-
     def conditioned(self, x: float, rotation: float | None = None) -> CoherentSuperposition:
         return self.collapse(x, rotation).state()
 
@@ -263,8 +263,8 @@ def _branch_terms(coeffs, amps, bt: complex, pt: complex):
     for each row of ``coeffs`` (``amps`` one row shared by all, or one per row)."""
 
     def amplitude(beta: complex):
-        cross = np.conj(complex(beta)) * amps
-        row = np.exp(cross - 0.5 * (abs(beta) ** 2 + np.abs(amps) ** 2))
+        # named: numpy would multiply into a temporary in place, changing bits
+        row = np.exp(_overlap_exponent(beta, amps))
         return np.sum(coeffs * row, axis=-1)
 
     return amplitude(bt), amplitude(pt)
@@ -362,11 +362,11 @@ def success_probability(alpha_i: float, n: int, window: AcceptanceWindow) -> flo
 
 def outcome_density(alpha_i: float, n: int, X: float) -> float:
     """Convenience wrapper: homodyne density of the split decomposition."""
-    return _pipeline(alpha_i, n).density(float(X))
+    return float(_pipeline(alpha_i, n).collapse(float(X)).densities()[0])
 
 
 def _density_on_grid(psi: CoherentSuperposition, p_grid) -> list[tuple[float, float]]:
-    density = _marginal_densities(psi, p_grid, _p_amplitude_log_arrays)
+    density = _marginal_densities(psi, p_grid, -1j * psi.amps)
     return [(float(p), float(d)) for p, d in zip(p_grid, density)]
 
 

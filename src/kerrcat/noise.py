@@ -107,11 +107,6 @@ def _flip_partner_branch(psi: CoherentSuperposition, target_beta: complex) -> Co
     return CoherentSuperposition(flipped, psi.amps, psi.is_normalized)
 
 
-def _target_terms(pipe, psi: CoherentSuperposition):
-    """(A, B) of ``psi`` against the pipeline's target cat branches."""
-    return _branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt)
-
-
 def lossy_final_state(alpha_i: float, n: int, X: float,
                       noise: NoiseParams) -> LossyFinalState:
     """Run the pipeline at the decayed amplitude and build both mixture branches."""
@@ -131,8 +126,10 @@ def lossy_fidelity(alpha_i: float, n: int, X: float, noise: NoiseParams) -> floa
     """
     final = lossy_final_state(alpha_i, n, X, noise)
     pipe = _pipeline(final.decayed_alpha, n)
-    f_plus, phi_max = map(float, _max_phi(*_target_terms(pipe, final.branch_plus), pipe.cross))
-    f_minus = float(_phi_objective(*_target_terms(pipe, final.branch_minus), pipe.cross, phi_max))
+    (a_plus, b_plus), (a_minus, b_minus) = (_branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt)
+                                            for psi in (final.branch_plus, final.branch_minus))
+    f_plus, phi_max = map(float, _max_phi(a_plus, b_plus, pipe.cross))
+    f_minus = float(_phi_objective(a_minus, b_minus, pipe.cross, phi_max))
     return (1.0 - final.p_flip) * f_plus + final.p_flip * f_minus
 
 
@@ -167,7 +164,8 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
     if np.any(sigma < 0):
         raise ValueError("sigma must be nonnegative")
     pipe = _pipeline(float(alpha_i), int(n))
-    _, phi_max = _max_phi(*_target_terms(pipe, pipe.conditioned(float(X))), pipe.cross)
+    psi = pipe.conditioned(float(X))
+    _, phi_max = _max_phi(*_branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt), pipe.cross)
 
     def sample(u):
         A, B, _ = pipe.fidelity_terms(float(X), rotation=u)  # A = B = 0 where degenerate

@@ -11,11 +11,10 @@ P = sqrt(2) Im(beta).
 Amplitudes up to |beta| ~ 30 are supported: pairwise Gaussian overlaps reach
 exp(-1800), far below double-precision underflow.  Coefficients therefore
 stay in log-polar form until a sum needs them, and every sum over components
-follows one rule, written once in :func:`_scale` (and inline in the blocked
-``_marginal_densities``): shift the logs by their largest value, exponentiate,
-sum, and add the shift back to the log of the sum.  No scaled term exceeds 1,
-and in a squared norm the largest diagonal term is 1, so a term that
-underflows is negligible against the sum.
+follows one rule, written once in :func:`_scale`: shift the logs by their
+largest value, exponentiate, sum, and add the shift back to the log of the
+sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
+term is 1, so a term that underflows is negligible against the sum.
 """
 
 from __future__ import annotations
@@ -204,11 +203,13 @@ def coherent_overlap(beta1: complex, beta2: complex) -> complex:
 
 def coherent_overlap_log(beta1: complex, beta2: complex) -> LogComplex:
     """Underflow-free variant of :func:`coherent_overlap`."""
-    b1 = complex(beta1)
-    b2 = complex(beta2)
-    cross = b1.conjugate() * b2
-    logmag = cross.real - 0.5 * (abs(b1) ** 2 + abs(b2) ** 2)
-    return LogComplex(logmag, float(_wrap_phase(cross.imag)))
+    e = _overlap_exponent(complex(beta1), complex(beta2))
+    return LogComplex(float(e.real), float(_wrap_phase(e.imag)))
+
+
+def _overlap_exponent(a, b):
+    """log <a|b> = conj(a) b - (|a|^2 + |b|^2) / 2, elementwise."""
+    return np.conj(a) * b - 0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)
 
 
 def x_amplitude(X: float, beta: complex) -> complex:
@@ -237,10 +238,6 @@ def _x_amplitude_log_arrays(X, amps: np.ndarray):
     return logmag, phase
 
 
-def _p_amplitude_log_arrays(P, amps: np.ndarray):
-    return _x_amplitude_log_arrays(P, -1j * amps)
-
-
 # --------------------------------------------------------------------------
 # scaled component sums
 # --------------------------------------------------------------------------
@@ -254,6 +251,15 @@ def _log_polar(z: np.ndarray):
     with np.errstate(divide="ignore"):
         lg = np.log(mag)
     return lg, np.angle(z)
+
+
+def _project(log_c, arg_c, amps, x):
+    """(log|q|, arg q) of the rows q_gn = c_n <X_g|b_n> of a column of outcomes
+    ``x``, b_n in ``amps`` (one row shared, or one per outcome)."""
+    lq, aq = _x_amplitude_log_arrays(x, amps)
+    lq += log_c
+    aq += arg_c
+    return lq, aq
 
 
 def _scale(log_c, arg_c):
@@ -280,12 +286,10 @@ def _pair_sum_log(log_c, arg_c, amps, *, right=None) -> tuple[LogComplex, float]
     """
     log_d, arg_d, amps_d = (log_c, arg_c, amps) if right is None else right
     (top_c, c), (top_d, d) = _scale(log_c, arg_c), _scale(log_d, arg_d)
-    m2_d = np.abs(amps_d) ** 2
     s, mass = 0j, 0.0
     for start in range(0, len(amps), _CHUNK):
         rows = slice(start, start + _CHUNK)
-        a = amps[rows]
-        overlap = np.exp(np.conj(a)[:, None] * amps_d - 0.5 * (np.abs(a)[:, None] ** 2 + m2_d))
+        overlap = np.exp(_overlap_exponent(amps[rows, None], amps_d))
         terms = np.conj(c[rows])[:, None] * d * overlap
         s += np.sum(terms)
         mass += float(np.sum(np.abs(terms)))
@@ -337,33 +341,29 @@ def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> com
 _MARGINAL_BLOCK = 1 << 16
 
 
-def _marginal_densities(psi: CoherentSuperposition, values, log_arrays) -> np.ndarray:
-    """|<v|psi>|^2 at each of ``values``, summed in the log domain one row per
-    value, ``_MARGINAL_BLOCK`` terms at a time."""
+def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
+    """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, b_n = ``amps`` (P uses
+    -i psi.amps: <P|b> = <X = P|-i b>), ``_MARGINAL_BLOCK`` terms at a time."""
     lc, ac = _log_polar(psi.coeffs)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     out = np.empty(len(values))
     step = max(1, _MARGINAL_BLOCK // len(lc))
     for start in range(0, len(values), step):
-        wl, wp = log_arrays(values[start:start + step, None], psi.amps)
-        L = lc + wl
-        top = np.max(L, axis=1, keepdims=True)
-        top[~np.isfinite(top)] = 0.0
-        s = np.sum(np.exp(L - top) * np.exp(1j * (ac + wp)), axis=1)
+        top, q = _scale(*_project(lc, ac, amps, values[start:start + step, None]))
         with np.errstate(divide="ignore"):
-            log_amp = top[:, 0] + np.log(np.abs(s))
+            log_amp = top + np.log(np.abs(np.sum(q, axis=1)))
         out[start:start + step] = np.exp(np.minimum(2.0 * log_amp, 700.0))
     return out
 
 
 def x_marginal_density(psi: CoherentSuperposition, X: float) -> float:
     """|<X|psi>|^2 for a pure state psi (expects psi normalized)."""
-    return float(_marginal_densities(psi, X, _x_amplitude_log_arrays)[0])
+    return float(_marginal_densities(psi, X, psi.amps)[0])
 
 
 def p_marginal_density(psi: CoherentSuperposition, P: float) -> float:
     """|<P|psi>|^2 for a pure state psi (expects psi normalized)."""
-    return float(_marginal_densities(psi, P, _p_amplitude_log_arrays)[0])
+    return float(_marginal_densities(psi, P, -1j * psi.amps)[0])
 
 
 # --------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def state_to_json_dict(psi: CoherentSuperposition, measurement_x: float | None =
 def state_from_json_dict(doc: dict) -> tuple[CoherentSuperposition, float | None]:
     """Inverse of :func:`state_to_json_dict`; returns (state, measurement X or None).
 
-    Raises ValueError naming the first missing field.
+    Raises ValueError naming the first missing field, or on a malformed value.
     """
     try:
         comps = doc["components"]
@@ -411,6 +411,8 @@ def state_from_json_dict(doc: dict) -> tuple[CoherentSuperposition, float | None
             mx = float(meas["value"])
     except KeyError as exc:
         raise ValueError(f"state JSON lacks the field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed state JSON: {exc}") from None
     return superposition(coeffs, amps, normalized=bool(doc.get("normalized", False))), mx
 
 

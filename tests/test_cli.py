@@ -149,6 +149,25 @@ class TestFileErrors:
         assert out == ""
         assert err.startswith("kerrcat: error:") and "'coeff_im'" in err
 
+    COMPONENT = {"coeff_re": 1.0, "coeff_im": 0.0, "amp_re": 2.0, "amp_im": 0.0}
+
+    @pytest.mark.parametrize("doc", [
+        {"components": 5},
+        {"components": [1]},
+        {"components": [{**COMPONENT, "coeff_re": "1"}]},
+        {"components": [{**COMPONENT, "coeff_im": None}]},
+        {"components": [COMPONENT], "measurement": "x"},
+        [COMPONENT],
+    ], ids=["components-number", "component-number", "string-coefficient",
+            "null-coefficient", "measurement-string", "top-level-list"])
+    def test_state_malformed(self, capsys, tmp_path, doc):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps(doc))
+        code, out, err = run(["fidelity", "--state", str(state)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kerrcat: error:") and err.count("\n") == 1
+
 
 class TestDecompose:
     def test_coefficient_csv(self, capsys, tmp_path):
@@ -216,6 +235,28 @@ class TestConditionAndFidelity:
         code, loaded_out, _ = run(["fidelity", "--state", str(state)], capsys)
         assert code == 0
         assert direct_out.splitlines()[-1] == loaded_out.splitlines()[-1]
+
+    def _fidelity_of_file(self, capsys, tmp_path, coeff):
+        """fidelity --state on coeff (|i b> + |-i b>), b = 20 / sqrt2, marked
+        as not normalized."""
+        doc = {"components": [{"coeff_re": coeff, "coeff_im": 0.0,
+                               "amp_re": 0.0, "amp_im": sign * 20.0 / math.sqrt(2)}
+                              for sign in (1, -1)],
+               "normalized": False}
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps(doc))
+        return run(["fidelity", "--state", str(state)], capsys)
+
+    def test_unnormalized_state_is_scored_normalized(self, capsys, tmp_path):
+        # the even cat with coefficients 2 instead of 1/sqrt(2)
+        code, out, _ = self._fidelity_of_file(capsys, tmp_path, 2.0)
+        assert code == 0
+        assert float(out.split("fidelity=")[1].split()[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_null_state_exit_code(self, capsys, tmp_path):
+        code, out, err = self._fidelity_of_file(capsys, tmp_path, 0.0)
+        assert code == 2
+        assert out == "" and "numerical failure" in err
 
     def test_fidelity_prints_value(self, capsys):
         code, out, _ = run(["fidelity", "--x", "0"], capsys)

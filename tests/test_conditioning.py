@@ -415,25 +415,23 @@ class TestDigitsLostBudget:
         for g, x in enumerate(xs):
             log_norm, lost = _log_route(log_c, arg_c, rows, g)
             assert (rows.log_norm[g], rows.digits_lost[g]) == (log_norm, lost), x
-            assert x_outcome_density(tm, x) == rows.density(g), x
+            assert x_outcome_density(tm, x) == rows.densities([g])[0], x
 
     def test_densities_share_the_gate(self):
         pipe = _pipeline(20.0, 200)
         rows = pipe.collapse([-20.0, 0.0, 24.0, 48.0])
         got = rows.densities()
-        assert list(got) == [rows.density(g) for g in range(4)]
+        assert list(got) == [rows.densities([g])[0] for g in range(4)]
         assert got[-1] == 0.0
         for n, x in self.PAST:
             past = _pipeline(20.0, n).collapse([x])
             with pytest.raises(ArithmeticError, match=f"X = {x:g} "):
                 past.densities()
-            with pytest.raises(ArithmeticError, match=f"X = {x:g} "):
-                past.density()
         pipe = _pipeline(20.0, 1024)
         mixed = pipe.collapse([0.0, 6.0])
         with pytest.raises(ArithmeticError, match="X = 6 "):
             mixed.densities()
-        assert mixed.densities([0])[0] == pipe.collapse(0.0).density()
+        assert mixed.densities([0])[0] == pipe.collapse(0.0).densities()[0]
 
 
 class TestSquaredNormBudget:

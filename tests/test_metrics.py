@@ -26,7 +26,7 @@ from kerrcat import (
     window_from_threshold,
 )
 from kerrcat.cli import _grid
-from kerrcat.states import _log_polar, _p_amplitude_log_arrays, _scale
+from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,6 +112,16 @@ class TestCatFidelity:
             vec = sum(c * oracles.coherent_fock(a, 150) for c, a in zip(psi.coeffs, psi.amps))
             want = oracles.max_phi_fidelity_fock(vec, bt, partner_for(bt))
             assert cat_fidelity(psi, bt).fidelity == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("score", [
+        lambda psi, bt, pt: cat_fidelity(psi, bt, pt),
+        lambda psi, bt, pt: cat_overlap(psi, bt, 0.5, pt),
+    ], ids=["fidelity", "overlap"])
+    @pytest.mark.parametrize("bt,pt", [(0.0, None), (2.0, 2.0), (2.0, 2.0 + 1e-7)],
+                             ids=["zero-target", "equal-partner", "near-partner"])
+    def test_rejects_target_that_is_not_a_cat(self, score, bt, pt):
+        with pytest.raises(ValueError):
+            score(CatState(2.0, 0.0).to_superposition(), bt, pt)
 
     def test_cat_overlap_fixed_phase(self):
         psi = CatState(2.0, 0.9).to_superposition()
@@ -306,15 +316,26 @@ class TestDistributions:
         else:
             rows = precondition_p_distribution(20.0, n, grid)
             psi = kerr_decompose(20.0, n).state
+        self._assert_cells_match_points(psi, rows)
+
+    def test_large_ring_grid_matches_per_point(self):
+        # N = 1024 at X = 1: 64 grid points per block, 19 blocks
+        rows = conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05))
+        self._assert_cells_match_points(metrics.condition_at(20.0, 1024, 1.0), rows)
+
+    @staticmethod
+    def _assert_cells_match_points(psi, rows):
+        """Every grid cell equals the one-point call bit for bit, and the
+        one-point log-domain sum to 1e-13."""
         lc, ac = _log_polar(psi.coeffs)
         for p, got in rows:
             # one point at a time in the log domain, as the grid was summed
-            # before it was blocked
-            wl, wp = _p_amplitude_log_arrays(p, psi.amps)
+            # before it was blocked; <P|b> = <X = P|-i b>
+            wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
             top, terms = _scale(lc + wl, ac + wp)
             want = math.exp(min(2.0 * (top + math.log(abs(np.sum(terms)))), 700.0))
             assert abs(got - want) <= 1e-13 * want, p
-            assert abs(got - p_marginal_density(psi, p)) <= 1e-13 * got, p
+            assert got == p_marginal_density(psi, p), p
 
     def test_large_ring_peak_positions_regression(self):
         # at n = 200 each branch is a ~7-component cluster whose coefficient
