@@ -233,8 +233,9 @@ def _cmd_evolve_fock(args) -> int:
     alpha = complex(args.alpha, args.alpha_im)
     if alpha == 0:
         raise ValueError("--alpha must be nonzero")
+    params = KerrParams(args.lambda_tau, alpha)  # checked before the cutoff is derived
     cutoff = args.cutoff if args.cutoff is not None else recommended_cutoff(alpha)
-    state = kerr_fock_evolve(KerrParams(args.lambda_tau, alpha), cutoff)
+    state = kerr_fock_evolve(params, cutoff)
     rows = [(k, float(c.real), float(c.imag), float(abs(c) ** 2))
             for k, c in enumerate(state.amplitudes)]
     _write_csv(args.output, ("n", "re", "im", "prob"), rows)

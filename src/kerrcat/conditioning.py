@@ -81,12 +81,7 @@ def beamsplit_with_vacuum(psi: CoherentSuperposition) -> TwoModeProductSuperposi
 
 
 def _as_outcome(outcome) -> float:
-    if isinstance(outcome, HomodyneOutcome):
-        return outcome.x
-    x = float(outcome)
-    if not math.isfinite(x):
-        raise ValueError("measurement outcome must be finite")
-    return x
+    return outcome.x if isinstance(outcome, HomodyneOutcome) else float(outcome)
 
 
 def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
@@ -116,20 +111,20 @@ def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
 
 
 class _Collapse(NamedTuple):
-    """Unnormalized collapsed states sum_n q_gn |b_gn>, q_gn = c_n <X_g|b_gn>.
+    """Unnormalized collapsed states sum_n q_gn |b_n e^{i u_g}>, q_gn = c_n <X_g|b_n e^{i u_g}>.
 
-    One row g per outcome, scaled by :func:`_scale`: ``q`` holds
-    q_gn e^{-top_g} and ``top`` the row scales top_g = max_n log|q_gn|;
-    ``amps`` holds the amplitudes b_n, or one row of them per outcome when
-    the ring is rotated.  ``log_norm`` holds the log squared norms
-    sum_{m,n} conj(q_gm) q_gn <b_gm|b_gn>, the outcome densities p(X_g), and
-    ``digits_lost`` the digits each of those sums loses to cancellation, as
-    measured by the route that computed it: on a ring the spectral sum
-    within the budget and the sum over lags past it, on any other state the
-    pair sum.
+    One row g per outcome X_g and ring rotation u_g (0 unturned), scaled by
+    :func:`_scale`: ``q`` holds q_gn e^{-top_g}, ``top`` the row scales
+    top_g = max_n log|q_gn| and ``amps`` the one unturned ring b_n.
+    ``log_norm`` holds the log squared norms sum_{m,n} conj(q_gm) q_gn <b_m|b_n>,
+    the outcome densities p(X_g), and ``digits_lost`` the digits each of
+    those sums loses to cancellation, as measured by the route that computed
+    it: on a ring the spectral sum within the budget and the sum over lags
+    past it, on any other state the pair sum.
     """
 
     x: np.ndarray
+    u: np.ndarray
     top: np.ndarray
     q: np.ndarray
     amps: np.ndarray
@@ -163,8 +158,8 @@ class _Collapse(NamedTuple):
             raise DegenerateStateError(
                 f"conditioning on X = {self.x[g]:g} annihilates the state "
                 f"(log density {lg:.1f})")
-        amps = self.amps if self.amps.ndim == 1 else self.amps[g]
-        return superposition(self.coeffs(g), amps, normalized=True, merge=False)
+        return superposition(self.coeffs(g), self.amps * np.exp(1j * self.u[g]),
+                             normalized=True, merge=False)
 
 
 def _spectral_norms(q, log_lam):
@@ -214,34 +209,37 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
 
     ``log_c``/``arg_c`` are the log-polar coefficients and ``spectrum`` the
     ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
-    rotates the ring first, b_n -> b_n e^{i u_g} (the spectrum does not
-    change); ``x`` and ``rotation`` broadcast to one row per outcome.  Each
-    row is scaled once by :func:`_scale`, and every route below sums the
-    scaled row.  On a ring the densities of all rows come from
-    :func:`_spectral_norms`, and rows that lose more than ``_DIGITS_BUDGET``
-    digits there are summed again over lags by :func:`_lag_norm`, which also
-    measures their digits lost.  Every row of a state that is not a ring is
-    summed by ``_pair_sum_log``.
+    projects on the turned ring b_n e^{i u_g}, which has the Gram matrix of
+    the unturned one; ``x`` and ``rotation`` broadcast to one row per outcome.
+    Each row is scaled once by :func:`_scale`, and every route below sums the
+    scaled row over the unturned ring.  On a ring the densities of all rows
+    come from :func:`_spectral_norms`, and rows that lose more than
+    ``_DIGITS_BUDGET`` digits there are summed again over lags by
+    :func:`_lag_norm`, which also measures their digits lost.  Every row of a
+    state that is not a ring is summed by ``_pair_sum_log``.  Raises
+    ValueError unless every outcome and rotation is finite.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.zeros(len(x))
     if rotation is not None:
         x, u = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
-        amps = amps * np.exp(1j * u)[:, None]
-    lq, aq = _project(log_c, arg_c, amps, x[:, None])
+    if not np.isfinite(x + u).all():
+        raise ValueError("measurement outcome must be finite")
+    turned = amps if rotation is None else amps * np.exp(1j * u)[:, None]  # unturned: one shared row
+    lq, aq = _project(log_c, arg_c, turned, x[:, None])
     top, q = _scale(lq, aq)
     if spectrum is None:
         log_norm, lost = np.full(len(x), -math.inf), np.full(len(x), math.inf)
     else:
         log_norm, lost = _spectral_norms(q, spectrum)
     for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
-        row = amps if amps.ndim == 1 else amps[g]
         if spectrum is None:
             # the row is passed scaled, so the pair sum's own scale is 0
-            norm, lost[g] = _pair_sum_log(lq[g] - top[g], aq[g], row)
+            norm, lost[g] = _pair_sum_log(lq[g] - top[g], aq[g], amps)
             log_norm[g] = norm.log_magnitude
         else:
-            log_norm[g], lost[g] = _lag_norm(q[g], row)
-    return _Collapse(x, top, q, amps, 2.0 * top + log_norm, lost)
+            log_norm[g], lost[g] = _lag_norm(q[g], amps)
+    return _Collapse(x, u, top, q, amps, 2.0 * top + log_norm, lost)
 
 
 def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:

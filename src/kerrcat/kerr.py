@@ -17,6 +17,7 @@ e^{-i pi k^2 / N} for every k.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ class KerrParams:
     def __post_init__(self):
         if not (self.lambda_tau > 0):
             raise ValueError("lambda_tau must be positive")
+        if not cmath.isfinite(complex(self.alpha)):
+            raise ValueError("alpha must be finite")
 
 
 @dataclass(frozen=True)

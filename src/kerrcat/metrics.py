@@ -22,6 +22,7 @@ successes and inflate the success probability several-fold.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,6 +165,8 @@ def _target_cat(target_beta: complex, partner_beta: complex | None):
     if bt == 0:
         raise ValueError("target amplitude must be nonzero")
     pt = partner_for(bt) if partner_beta is None else complex(partner_beta)
+    if not (cmath.isfinite(bt) and cmath.isfinite(pt)):
+        raise ValueError("target and partner amplitudes must be finite")
     cross = coherent_overlap(bt, pt)
     if abs(cross) > 1.0 - 1e-12:
         raise ValueError("target and partner branches coincide; not a cat")
@@ -219,9 +222,7 @@ class _Pipeline:
         self.two_mode = beamsplit_with_vacuum(self.decomp.state)
         self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
         self.spectrum = _ring_spectrum(self.two_mode.amps)
-        self.bt = default_target_beta(self.decomp, 0.0)
-        self.pt = partner_for(self.bt)
-        self.cross = coherent_overlap(self.bt, self.pt)
+        self.bt, self.pt, self.cross = _target_cat(default_target_beta(self.decomp, 0.0), None)
 
     def collapse(self, x, rotation=None):
         return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum, rotation)
@@ -246,9 +247,9 @@ class _Pipeline:
             rows_c = self.collapse(x[rows], None if rotation is None else rotation[rows])
             degenerate[rows] = rows_c.degenerate()
             ok = np.flatnonzero(~degenerate[rows])
-            amps = rows_c.amps if rows_c.amps.ndim == 1 else rows_c.amps[ok]
-            A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), amps,
-                                                         self.bt, self.pt)
+            turn = np.exp(-1j * rows_c.u[ok])[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
+            targets = (self.bt, self.pt) if rotation is None else (self.bt * turn, self.pt * turn)
+            A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), rows_c.amps, *targets)
         return A, B, degenerate
 
     def fidelity(self, x):
@@ -260,7 +261,7 @@ class _Pipeline:
 
 def _branch_terms(coeffs, amps, bt: complex, pt: complex):
     """(A, B) = (<bt|psi>, <pt|psi>), the branch amplitudes of a cat fidelity,
-    for each row of ``coeffs`` (``amps`` one row shared by all, or one per row)."""
+    for each row of ``coeffs`` on the shared ``amps`` (bt and pt broadcast)."""
 
     def amplitude(beta: complex):
         # named: numpy would multiply into a temporary in place, changing bits

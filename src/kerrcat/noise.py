@@ -49,8 +49,8 @@ class NoiseParams:
         if self.direct_flip:
             if self.loss_prob is None:
                 raise ValueError("direct_flip needs loss_prob")
-            if self.loss_prob > 0.5:
-                raise ValueError("flip probability cannot exceed 1/2 (parity equipartition)")
+            if self.loss_prob >= 0.5:
+                raise ValueError("flip probability must be below 1/2 (parity equipartition)")
         if self.gamma_tau is not None and self.gamma_tau < 0:
             raise ValueError("gamma_tau must be nonnegative")
 
@@ -161,8 +161,8 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
     the result has its shape.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0):
-        raise ValueError("sigma must be nonnegative")
+    if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+        raise ValueError("sigma must be finite and nonnegative")
     pipe = _pipeline(float(alpha_i), int(n))
     psi = pipe.conditioned(float(X))
     _, phi_max = _max_phi(*_branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt), pipe.cross)

@@ -255,7 +255,7 @@ def _log_polar(z: np.ndarray):
 
 def _project(log_c, arg_c, amps, x):
     """(log|q|, arg q) of the rows q_gn = c_n <X_g|b_n> of a column of outcomes
-    ``x``, b_n in ``amps`` (one row shared, or one per outcome)."""
+    ``x``, b_n in ``amps``."""
     lq, aq = _x_amplitude_log_arrays(x, amps)
     lq += log_c
     aq += arg_c
@@ -346,6 +346,8 @@ def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
     -i psi.amps: <P|b> = <X = P|-i b>), ``_MARGINAL_BLOCK`` terms at a time."""
     lc, ac = _log_polar(psi.coeffs)
     values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("quadrature values must be finite")
     out = np.empty(len(values))
     step = max(1, _MARGINAL_BLOCK // len(lc))
     for start in range(0, len(values), step):

@@ -65,6 +65,27 @@ class TestArgumentValidation:
             assert out == ""
             assert "unrecognized arguments: --workers 2" in err
 
+    @pytest.mark.parametrize("args,message", [
+        # at alpha = 1e-7 the target cat's branches overlap to 1 - 1e-14
+        (["fidelity", "--alpha", "1e-7"], "branches coincide"),
+        (["fidelity-curve", "--alpha", "1e-7"], "branches coincide"),
+        (["noise-phase", "--alpha", "1e-7"], "branches coincide"),
+        (["success-prob", "--alpha", "1e-7", "--f-min", "0.5"], "branches coincide"),
+        (["condition", "--x", "inf"], "measurement outcome must be finite"),
+        (["condition", "--x", "nan"], "measurement outcome must be finite"),
+        (["fidelity", "--target-re", "nan", "--target-im", "0"], "amplitudes must be finite"),
+        (["evolve-fock", "--alpha", "nan", "--lambda-tau", "0.1"], "alpha must be finite"),
+        (["evolve-fock", "--alpha", "inf", "--lambda-tau", "0.1"], "alpha must be finite"),
+        (["noise-loss", "--loss-probs", "0.5", "--direct-flip"], "must be below 1/2"),
+    ], ids=["fidelity-tiny-alpha", "curve-tiny-alpha", "noise-phase-tiny-alpha",
+            "success-prob-tiny-alpha", "condition-inf-x", "condition-nan-x", "nan-target",
+            "fock-nan-alpha", "fock-inf-alpha", "half-flip"])
+    def test_rejects_bad_input(self, capsys, args, message):
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kerrcat: error:") and message in err
+
     # every subcommand built by _add_common, with the arguments it requires
     RING = [["decompose"], ["condition"], ["fidelity"], ["fidelity-curve"],
             ["pdist-pre"], ["pdist-post"], ["success-prob", "--f-min", "0.9"],

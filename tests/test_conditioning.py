@@ -33,7 +33,7 @@ from kerrcat.conditioning import (
     _ring_spectrum,
     _spectral_norms,
 )
-from kerrcat.metrics import _BLOCK, _pipeline
+from kerrcat.metrics import _BLOCK, _branch_terms, _pipeline
 from kerrcat.states import _log_polar, _pair_sum_log, _x_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
@@ -110,6 +110,17 @@ class TestConditionOnX:
             condition_on_x(split(2.0, 2), math.nan)
         with pytest.raises(ValueError):
             HomodyneOutcome(math.inf)
+
+    @pytest.mark.parametrize("call", [
+        lambda: outcome_density(20.0, 20, math.nan),
+        lambda: x_outcome_density(split(20.0, 20), -math.inf),
+        lambda: fidelity_curve(20.0, 20, [0.0, math.nan]),
+        lambda: fidelity_curve(20.0, 20, [math.inf]),
+        lambda: phase_noise_state(20.0, 20, 0.0, math.nan),
+    ], ids=["density", "public-density", "curve-nan", "curve-inf", "rotation"])
+    def test_collapse_rejects_nonfinite_outcome(self, call):
+        with pytest.raises(ValueError, match="measurement outcome must be finite"):
+            call()
 
     def test_degenerate_outcome_raises(self):
         tm = split(20.0, 20)
@@ -261,15 +272,26 @@ class TestBatchedRows:
         for g, u in enumerate(self.ROTATIONS):
             one = phase_noise_state(20.0, n, 0.5, u)
             assert np.array_equal(batch.coeffs(g), one.coeffs), u
-            assert np.array_equal(batch.amps[g], one.amps), u
+            assert np.array_equal(batch.state(g).amps, one.amps), u
             a, b, _ = pipe.fidelity_terms(0.5, rotation=u)
             assert (A[g], B[g]) == (a[0], b[0]), u
+
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_turned_target_matches_turned_ring(self, n):
+        # fidelity_terms turns the target by -u, <t|b e^{iu}> = <t e^{-iu}|b>;
+        # the conditioned state turns the ring by u
+        pipe = _pipeline(20.0, n)
+        for u in (-0.3, 0.1, 2.0):
+            A, B, _ = pipe.fidelity_terms(0.5, rotation=u)
+            psi = phase_noise_state(20.0, n, 0.5, u)
+            a, b = _branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt)
+            assert abs(A[0] - a) <= 1e-13 and abs(B[0] - b) <= 1e-13, u
 
 
 def _log_route(log_c, arg_c, rows, g):
     """Row g of ``rows`` rebuilt in log-polar form from the log-polar
     coefficients and X_g, then summed by the pair sum: (log density, digits lost)."""
-    amps = rows.amps if rows.amps.ndim == 1 else rows.amps[g]
+    amps = rows.amps * np.exp(1j * rows.u[g])
     wl, wp = _x_amplitude_log_arrays(rows.x[g], amps)
     norm, lost = _pair_sum_log(log_c + wl, arg_c + wp, amps)
     return norm.log_magnitude, lost
@@ -277,8 +299,7 @@ def _log_route(log_c, arg_c, rows, g):
 
 def _lag_route(rows, g):
     """Row g of ``rows`` summed over lags: (log density, digits lost)."""
-    amps = rows.amps if rows.amps.ndim == 1 else rows.amps[g]
-    log_norm, lost = _lag_norm(rows.q[g], amps)
+    log_norm, lost = _lag_norm(rows.q[g], rows.amps)
     return 2.0 * rows.top[g] + log_norm, lost
 
 
@@ -416,6 +437,12 @@ class TestDigitsLostBudget:
             log_norm, lost = _log_route(log_c, arg_c, rows, g)
             assert (rows.log_norm[g], rows.digits_lost[g]) == (log_norm, lost), x
             assert x_outcome_density(tm, x) == rows.densities([g])[0], x
+        # a turned row is summed over the unturned state, so it matches the
+        # pair sum over the turned one to rounding, not bit for bit
+        turned = _collapse(log_c, arg_c, amps, 1.0, rotation=0.3)
+        log_norm, lost = _log_route(log_c, arg_c, turned, 0)
+        assert abs(turned.log_norm[0] - log_norm) <= 1e-13
+        assert abs(turned.digits_lost[0] - lost) <= 1e-13
 
     def test_densities_share_the_gate(self):
         pipe = _pipeline(20.0, 200)

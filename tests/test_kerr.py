@@ -156,6 +156,9 @@ class TestFockEvolve:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             KerrParams(0.0, 1.0)
+        for alpha in (math.nan, math.inf, complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                KerrParams(1.0, alpha)
         with pytest.raises(ValueError):
             kerr_fock_evolve(KerrParams(1.0, 1.0), -2)
 

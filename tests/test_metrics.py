@@ -117,8 +117,10 @@ class TestCatFidelity:
         lambda psi, bt, pt: cat_fidelity(psi, bt, pt),
         lambda psi, bt, pt: cat_overlap(psi, bt, 0.5, pt),
     ], ids=["fidelity", "overlap"])
-    @pytest.mark.parametrize("bt,pt", [(0.0, None), (2.0, 2.0), (2.0, 2.0 + 1e-7)],
-                             ids=["zero-target", "equal-partner", "near-partner"])
+    @pytest.mark.parametrize("bt,pt", [(0.0, None), (2.0, 2.0), (2.0, 2.0 + 1e-7),
+                                       (math.nan, None), (2.0, complex(math.inf, 1.0))],
+                             ids=["zero-target", "equal-partner", "near-partner",
+                                  "nan-target", "inf-partner"])
     def test_rejects_target_that_is_not_a_cat(self, score, bt, pt):
         with pytest.raises(ValueError):
             score(CatState(2.0, 0.0).to_superposition(), bt, pt)
@@ -180,6 +182,12 @@ class TestFidelityCurve:
             right = fidelity_curve(20.0, n, [1.7, 0.4])
             assert left[0].fidelity == pytest.approx(right[0].fidelity, abs=1e-10)
             assert left[1].fidelity == pytest.approx(right[1].fidelity, abs=1e-10)
+
+    def test_pipeline_refuses_vanishing_cat(self):
+        # at alpha = 1e-7 the target branches overlap to 1 - 1e-14: the
+        # conditioned state is vacuum, not a cat
+        with pytest.raises(ValueError, match="branches coincide"):
+            fidelity_curve(1e-7, 20, [0.0])
 
     def test_degenerate_point_flagged(self):
         pts = fidelity_curve(20.0, 20, [0.0, 48.0])
@@ -250,6 +258,11 @@ class TestWindowsAndSuccess:
 
 
 class TestDistributions:
+    @pytest.mark.parametrize("p", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_nonfinite_grid(self, p):
+        with pytest.raises(ValueError, match="quadrature values must be finite"):
+            conditioned_p_distribution(20.0, 20, 0.0, [0.0, p])
+
     def test_conditioned_bimodal_flagship(self):
         grid = np.arange(-25.0, 25.0001, 0.01)
         rows = conditioned_p_distribution(20.0, 20, 0.0, grid)

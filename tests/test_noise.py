@@ -80,6 +80,8 @@ class TestNoiseParams:
             NoiseParams(loss_prob=1.0)
         with pytest.raises(ValueError):
             NoiseParams(loss_prob=0.6, direct_flip=True)
+        with pytest.raises(ValueError, match="below 1/2"):
+            NoiseParams(loss_prob=0.5, direct_flip=True)  # log1p(-1) downstream
         with pytest.raises(ValueError):
             NoiseParams(direct_flip=True)
         with pytest.raises(ValueError):
@@ -224,6 +226,13 @@ class TestPhaseNoiseAverage:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             phase_noise_avg_fidelity(20.0, 20, 0.0, -0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, [0.1, math.nan]],
+                             ids=["nan", "inf", "array-nan"])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        # a nan sigma would double the rule up to the node cap
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            phase_noise_avg_fidelity(20.0, 20, 0.0, sigma)
 
     def test_unconverged_average_raises(self, monkeypatch, capsys):
         # N=20 needs 2048 rotation nodes to reach 1e-8
