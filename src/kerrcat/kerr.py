@@ -213,10 +213,10 @@ def medium_length(lam: float, n: int, v: float) -> float:
 def coefficient_rows(n: int):
     """Rows (k, re, im, magnitude, zeta_k) for CSV emission; zeta in (-pi, pi]."""
     coeffs = kerr_coefficients(n)
-    rows = []
-    for k, c in enumerate(coeffs, start=1):
-        rows.append((k, c.real, c.imag, abs(c), float(_wrap_phase(np.angle(c)))))
-    return rows
+    zeta = _wrap_phase(np.angle(coeffs))
+    # Python's abs per element: np.abs differs from it in the last bit
+    return [(k, c.real, c.imag, abs(c), float(z))
+            for k, (c, z) in enumerate(zip(coeffs, zeta), start=1)]
 
 
 def decomposition_norm_check(decomp: KerrDecomposition) -> float:

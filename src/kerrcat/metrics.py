@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -211,10 +211,9 @@ _BLOCK = 256
 class _Pipeline:
     """Per-(alpha_i, n) cache of the decompose -> split chain for conditioning.
 
-    Holds the decomposition, its split, the split coefficients' log-polar form,
-    the target cat (dominant branch at X = 0, its partner and their overlap)
+    Holds the decomposition, its split, the split coefficients' log-polar form
     and the spectrum of the ring's Gram matrix <b_m|b_n> (rotation invariant,
-    so it also serves rotated rings).
+    so it also serves rotated rings), and builds the target cat on first use.
     """
 
     def __init__(self, alpha_i: float, n: int):
@@ -222,7 +221,13 @@ class _Pipeline:
         self.two_mode = beamsplit_with_vacuum(self.decomp.state)
         self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
         self.spectrum = _ring_spectrum(self.two_mode.amps)
-        self.bt, self.pt, self.cross = _target_cat(default_target_beta(self.decomp, 0.0), None)
+
+    @cached_property
+    def target(self):
+        """(bt, pt, <bt|pt>): the dominant branch at X = 0, its partner and
+        their overlap; ValueError if they make no cat (tiny alpha), raised
+        only by what scores a fidelity."""
+        return _target_cat(default_target_beta(self.decomp, 0.0), None)
 
     def collapse(self, x, rotation=None):
         return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum, rotation)
@@ -242,20 +247,21 @@ class _Pipeline:
             x, rotation = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
         A, B = np.zeros(len(x), dtype=complex), np.zeros(len(x), dtype=complex)
         degenerate = np.zeros(len(x), dtype=bool)
+        bt, pt, _ = self.target
         for start in range(0, len(x), _BLOCK):
             rows = slice(start, start + _BLOCK)
             rows_c = self.collapse(x[rows], None if rotation is None else rotation[rows])
             degenerate[rows] = rows_c.degenerate()
             ok = np.flatnonzero(~degenerate[rows])
             turn = np.exp(-1j * rows_c.u[ok])[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
-            targets = (self.bt, self.pt) if rotation is None else (self.bt * turn, self.pt * turn)
+            targets = (bt, pt) if rotation is None else (bt * turn, pt * turn)
             A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), rows_c.amps, *targets)
         return A, B, degenerate
 
     def fidelity(self, x):
         """(F, phi_max, degenerate) at each outcome; F = phi_max = 0 where degenerate."""
         A, B, degenerate = self.fidelity_terms(x)
-        fid, phi = _max_phi(A, B, self.cross)
+        fid, phi = _max_phi(A, B, self.target[2])
         return np.where(degenerate, 0.0, fid), np.where(degenerate, 0.0, phi), degenerate
 
 

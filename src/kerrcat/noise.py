@@ -113,7 +113,7 @@ def lossy_final_state(alpha_i: float, n: int, X: float,
     a_dec = noise.decayed_alpha(alpha_i)
     pipe = _pipeline(a_dec, n)
     plus = pipe.conditioned(float(X))
-    minus = _flip_partner_branch(plus, pipe.bt)
+    minus = _flip_partner_branch(plus, pipe.target[0])
     return LossyFinalState(noise.flip_probability(alpha_i), plus, minus, a_dec)
 
 
@@ -125,11 +125,11 @@ def lossy_fidelity(alpha_i: float, n: int, X: float, noise: NoiseParams) -> floa
     F = (1 - P_f) F_plus + P_f F_minus.
     """
     final = lossy_final_state(alpha_i, n, X, noise)
-    pipe = _pipeline(final.decayed_alpha, n)
-    (a_plus, b_plus), (a_minus, b_minus) = (_branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt)
+    bt, pt, cross = _pipeline(final.decayed_alpha, n).target
+    (a_plus, b_plus), (a_minus, b_minus) = (_branch_terms(psi.coeffs, psi.amps, bt, pt)
                                             for psi in (final.branch_plus, final.branch_minus))
-    f_plus, phi_max = map(float, _max_phi(a_plus, b_plus, pipe.cross))
-    f_minus = float(_phi_objective(a_minus, b_minus, pipe.cross, phi_max))
+    f_plus, phi_max = map(float, _max_phi(a_plus, b_plus, cross))
+    f_minus = float(_phi_objective(a_minus, b_minus, cross, phi_max))
     return (1.0 - final.p_flip) * f_plus + final.p_flip * f_minus
 
 
@@ -165,11 +165,12 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
         raise ValueError("sigma must be finite and nonnegative")
     pipe = _pipeline(float(alpha_i), int(n))
     psi = pipe.conditioned(float(X))
-    _, phi_max = _max_phi(*_branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt), pipe.cross)
+    bt, pt, cross = pipe.target
+    _, phi_max = _max_phi(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross)
 
     def sample(u):
         A, B, _ = pipe.fidelity_terms(float(X), rotation=u)  # A = B = 0 where degenerate
-        return _phi_objective(A, B, pipe.cross, phi_max)
+        return _phi_objective(A, B, cross, phi_max)
 
     def average(h):
         coeff = np.fft.rfft(h).real / len(h)

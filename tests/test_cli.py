@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from kerrcat.cli import main
+from kerrcat.metrics import condition_at, outcome_density
 
 
 def run(args, capsys):
@@ -85,6 +86,16 @@ class TestArgumentValidation:
         assert code == 1
         assert out == ""
         assert err.startswith("kerrcat: error:") and message in err
+
+    def test_tiny_alpha_conditions_without_a_cat(self, capsys, tmp_path):
+        # no target cat exists at alpha = 1e-7, but conditioning needs none;
+        # the commands that score a fidelity refuse it (test_rejects_bad_input)
+        for args in (["condition"], ["pdist-post", "--p-step", "0.5"]):
+            code, _, err = run([*args, "--alpha", "1e-7", "--output",
+                                str(tmp_path / "o.csv")], capsys)
+            assert code == 0, err
+        assert outcome_density(1e-7, 4, 0.0) == pytest.approx(math.exp(-5e-14) / math.sqrt(math.pi))
+        assert condition_at(1e-7, 4, 0.0).squared_norm() == pytest.approx(1.0, abs=1e-12)
 
     # every subcommand built by _add_common, with the arguments it requires
     RING = [["decompose"], ["condition"], ["fidelity"], ["fidelity-curve"],
@@ -257,13 +268,33 @@ class TestConditionAndFidelity:
         assert code == 0
         assert direct_out.splitlines()[-1] == loaded_out.splitlines()[-1]
 
-    def _fidelity_of_file(self, capsys, tmp_path, coeff):
-        """fidelity --state on coeff (|i b> + |-i b>), b = 20 / sqrt2, marked
-        as not normalized."""
+    @pytest.mark.parametrize("x", [-1.5, 3.0])
+    def test_round_trip_at_other_outcomes(self, capsys, tmp_path, x):
+        # the flagged file passes the norm check unchanged
+        state = tmp_path / "s.json"
+        assert run(["condition", "--x", str(x), "--output", str(state)], capsys)[0] == 0
+        code, direct_out, _ = run(["fidelity", "--x", str(x)], capsys)
+        assert code == 0
+        code, loaded_out, _ = run(["fidelity", "--state", str(state)], capsys)
+        assert code == 0
+        assert direct_out.splitlines()[-1] == loaded_out.splitlines()[-1]
+
+    def test_flagged_state_with_unmeasurable_norm(self, capsys, tmp_path):
+        # a loaded state's norm is a pair sum, which loses 13 digits on the
+        # N = 1024 ring at X = 1: the flag cannot be checked, so exit 2
+        state = tmp_path / "s.json"
+        args = ["--n", "1024", "--x", "1"]
+        assert run(["condition", *args, "--output", str(state)], capsys)[0] == 0
+        code, out, err = run(["fidelity", *args, "--state", str(state)], capsys)
+        assert code == 2
+        assert out == "" and "digits to cancellation" in err
+
+    def _fidelity_of_file(self, capsys, tmp_path, coeff, normalized=False):
+        """fidelity --state on coeff (|i b> + |-i b>), b = 20 / sqrt2."""
         doc = {"components": [{"coeff_re": coeff, "coeff_im": 0.0,
                                "amp_re": 0.0, "amp_im": sign * 20.0 / math.sqrt(2)}
                               for sign in (1, -1)],
-               "normalized": False}
+               "normalized": normalized}
         state = tmp_path / "s.json"
         state.write_text(json.dumps(doc))
         return run(["fidelity", "--state", str(state)], capsys)
@@ -276,6 +307,17 @@ class TestConditionAndFidelity:
 
     def test_null_state_exit_code(self, capsys, tmp_path):
         code, out, err = self._fidelity_of_file(capsys, tmp_path, 0.0)
+        assert code == 2
+        assert out == "" and "numerical failure" in err
+
+    def test_flagged_state_off_norm_rejected(self, capsys, tmp_path):
+        # squared norm 8, marked normalized: rejected, not scored as 8
+        code, out, err = self._fidelity_of_file(capsys, tmp_path, 2.0, normalized=True)
+        assert code == 1
+        assert out == "" and "marked normalized but has squared norm 7.99" in err
+
+    def test_flagged_null_state_exit_code(self, capsys, tmp_path):
+        code, out, err = self._fidelity_of_file(capsys, tmp_path, 0.0, normalized=True)
         assert code == 2
         assert out == "" and "numerical failure" in err
 

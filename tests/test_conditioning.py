@@ -284,7 +284,7 @@ class TestBatchedRows:
         for u in (-0.3, 0.1, 2.0):
             A, B, _ = pipe.fidelity_terms(0.5, rotation=u)
             psi = phase_noise_state(20.0, n, 0.5, u)
-            a, b = _branch_terms(psi.coeffs, psi.amps, pipe.bt, pipe.pt)
+            a, b = _branch_terms(psi.coeffs, psi.amps, *pipe.target[:2])
             assert abs(A[0] - a) <= 1e-13 and abs(B[0] - b) <= 1e-13, u
 
 

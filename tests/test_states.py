@@ -26,6 +26,8 @@ from kerrcat import (
     x_amplitude,
     x_marginal_density,
 )
+from kerrcat.metrics import condition_at
+from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
 
 PI_QUARTER = math.pi ** -0.25
 SQRT2 = math.sqrt(2.0)
@@ -247,6 +249,50 @@ class TestMarginals:
             span = SQRT2 * 20 + 10
             val, _ = quad(lambda x: x_marginal_density(psi, x), -span, span, limit=400)
             assert val == pytest.approx(1.0, abs=1e-6)
+
+
+class TestScaleCut:
+    """_scale computes only the entries of at least eps/n of their row's largest."""
+
+    EPS = np.finfo(float).eps
+
+    def test_cut_and_live_entries(self):
+        rng = np.random.default_rng(13)
+        n = 300
+        log_c = rng.uniform(-80.0, 5.0, (4, n))
+        arg_c = rng.uniform(-math.pi, math.pi, (4, n))
+        log_c[1, ::3] = -math.inf          # exact zeros
+        log_c[2] = -math.inf               # an all-zero row scales by 0
+        log_c[3, 7] = log_c[3].max() + math.log(self.EPS / n)  # exactly on the cut
+        top, scaled = _scale(log_c, arg_c)
+        want_top = np.where(np.isfinite(log_c).any(axis=1), log_c.max(axis=1), 0.0)
+        assert np.array_equal(top, want_top)
+        shifted = log_c - want_top[:, None]
+        dense = np.exp(shifted) * np.exp(1j * arg_c)
+        live = shifted >= math.log(self.EPS / n)
+        assert live[3, 7] and 0 < live.sum() < 0.75 * live.size
+        assert np.all(scaled[~live] == 0)
+        assert np.array_equal(scaled[live], dense[live])  # bit for bit
+        # the 1-D form (pair sums) cuts the same way
+        top1, row = _scale(log_c[0], arg_c[0])
+        assert top1 == top[0] and np.array_equal(row, scaled[0])
+
+    def test_p_cells_within_rounding_of_dense_sum(self):
+        # N = 1024, X = 1: every P cell's cut sum stays within the rounding
+        # bound (n + 1) eps sum|terms| of the sum over every term
+        psi = condition_at(20.0, 1024, 1.0)
+        n = len(psi)
+        lc, ac = _log_polar(psi.coeffs)
+        p = np.arange(-600, 601)[:, None] * 0.05
+        wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
+        log_c, arg_c = lc + wl, ac + wp
+        _, scaled = _scale(log_c, arg_c)
+        top = log_c.max(axis=1, keepdims=True)
+        with np.errstate(under="ignore"):
+            dense = np.exp(log_c - top) * np.exp(1j * arg_c)
+        assert np.count_nonzero(scaled) < 0.5 * scaled.size
+        err = np.abs(np.sum(scaled, axis=1) - np.sum(dense, axis=1))
+        assert np.all(err <= (n + 1) * self.EPS * np.sum(np.abs(dense), axis=1))
 
 
 class TestConstructionAndJson:
