@@ -40,7 +40,7 @@ from .metrics import (
     window_from_threshold,
 )
 from .noise import NoiseParams, lossy_fidelity, phase_noise_avg_fidelity
-from .states import load_state, squared_norm, state_to_json_dict
+from .states import load_state, normalization_mismatch, state_to_json_dict
 
 ENV_OUTDIR = "KERRCAT_OUTDIR"
 
@@ -271,7 +271,7 @@ def _cmd_fidelity(args) -> int:
         x = args.x if x is None else x
         if not psi.is_normalized:
             psi = psi.normalized()  # a null state raises
-        elif abs((norm := squared_norm(psi)) - 1.0) > 1e-9:  # so does this one
+        elif (norm := normalization_mismatch(psi)) is not None:  # so does this one
             # checked, not renormalized: that would move round trips' last digits
             raise ValueError(f"{args.state} is marked normalized but has squared norm {norm!r}")
     report = cat_fidelity(psi, target)

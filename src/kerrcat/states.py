@@ -14,9 +14,11 @@ stay in log-polar form until a sum needs them, and every sum over components
 follows one rule, written once in :func:`_scale`: shift the logs by their
 largest value, exponentiate, sum, and add the shift back to the log of the
 sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
-term is 1.  Terms below eps/n of the largest of n are not computed: together
-they move a sum by less than one ulp of its largest term, inside the
-rounding error of the sum itself.
+term is 1.  Terms below eps/n of the largest of the n terms of a sum are not
+computed: together they move that sum by less than one ulp of its largest
+term, inside its own rounding error.  The cut holds only for the sum it is
+made in, so coefficients that outlive a sum (a conditioned state's) are
+never cut: a later sum weights them differently.
 """
 
 from __future__ import annotations
@@ -265,9 +267,17 @@ def _project(log_c, arg_c, amps, x):
     return lq, aq
 
 
+def _top(log_c):
+    """Largest log_c along the last axis, kept as a length-1 axis; 0 where
+    every entry is -inf (all zero)."""
+    top = np.max(log_c, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return top
+
+
 def _scale(log_c, arg_c):
-    """(M, c e^{-M}) for c = e^{log_c + i arg_c}, with M the largest log|c|
-    along the last axis (0 where every entry is zero).
+    """(M, c e^{-M}) for c = e^{log_c + i arg_c}, with M = :func:`_top`, the
+    largest log|c| along the last axis, for the terms of one sum per row.
 
     The one shift every component sum in the package makes before it
     exponentiates: the largest scaled entry has magnitude 1.  Only entries
@@ -275,13 +285,14 @@ def _scale(log_c, arg_c):
     the rest are exactly 0.  Together they are below n * eps/n = eps, one ulp
     of the largest term, while summing n terms already errs by up to
     (n - 1) u sum|terms|, u = eps/2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 4.2).  In a pair sum of n^2 terms
-    the cut moves at most about n eps, against n^2 u.  So the cut stays
-    inside the rounding of every sum, and the digits-lost measures keep
-    their meaning.
+    Numerical Algorithms, 2nd ed., sec. 4.2).  In a squared norm's pair sum
+    of n^2 terms, whose largest diagonal term is 1, the cut moves at most
+    2 n eps, against (n^2 - 1) u.  So the cut stays inside the rounding of
+    the sum the row is scaled for, and the digits-lost measures keep their
+    meaning.  It does not hold for any other sum over the same entries:
+    do not keep the result as coefficients.
     """
-    top = np.max(log_c, axis=-1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
+    top = _top(log_c)
     shifted = log_c - top
     live = np.flatnonzero(shifted >= math.log(_EPS / shifted.shape[-1]))
     scaled = np.zeros(shifted.shape, dtype=complex)
@@ -343,6 +354,27 @@ def squared_norm(psi: CoherentSuperposition) -> float:
         raise DegenerateStateError(
             f"state is numerically null (log squared norm {log_norm:.1f})")
     return math.exp(log_norm)
+
+
+def normalization_mismatch(psi: CoherentSuperposition) -> float | None:
+    """<psi|psi> if the pair sum measures it off 1, else None.
+
+    A pair sum that loses ``lost`` digits to cancellation errs by about
+    eps 10^lost times a factor that grows with the terms and amplitudes (up
+    to 60 on the conditioned states of `kerrcat condition` at N = 200 and
+    400, X in [-25, 25], which lose up to 7.8 digits), so a norm within
+    1e-12 10^lost of 1, or within 1e-9, matches.  A norm that loses more
+    than ``_DIGITS_BUDGET`` digits is not measured and matches too.  Raises
+    DegenerateStateError on a null state.
+    """
+    res, lost = _pair_sum_log(*_log_polar(psi.coeffs), psi.amps)
+    if res.log_magnitude < _LOG_DEGENERATE:
+        raise DegenerateStateError(
+            f"state is numerically null (log squared norm {res.log_magnitude:.1f})")
+    if lost > _DIGITS_BUDGET:
+        return None
+    norm = math.exp(res.log_magnitude)
+    return norm if abs(norm - 1.0) > max(1e-9, 1e-12 * 10.0 ** lost) else None
 
 
 def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> complex:

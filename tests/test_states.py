@@ -27,7 +27,7 @@ from kerrcat import (
     x_marginal_density,
 )
 from kerrcat.metrics import condition_at
-from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
+from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays, normalization_mismatch
 
 PI_QUARTER = math.pi ** -0.25
 SQRT2 = math.sqrt(2.0)
@@ -206,6 +206,28 @@ class TestNormsAndInnerProducts:
             assert lhs <= squared_norm(psi) * squared_norm(chi) * (1 + 1e-12)
 
 
+class TestNormalizationMismatch:
+    def test_off_norm_measured(self):
+        psi = superposition([2.0, 2.0], [14.14j, -14.14j], normalized=True)
+        assert normalization_mismatch(psi) == pytest.approx(8.0)
+        assert normalization_mismatch(psi.normalized()) is None
+
+    def test_cancelling_norm_within_its_error(self):
+        # c (|b> - |b + d>) with 2 c^2 (1 - e^{-d^2/2}) = 1 loses 7.7 digits;
+        # its pair sum reads 1 - 5.8e-9 at b = 1.75, beyond 1e-9
+        d = 3e-4
+        c = 1.0 / math.sqrt(-2.0 * math.expm1(-d * d / 2))
+        for b in np.linspace(0.5, 3.0, 11):
+            psi = superposition([c, -c], [b, b + d], normalized=True)
+            assert normalization_mismatch(psi) is None, b
+        assert normalization_mismatch(superposition([c, -c], [3.0, 3.0 + d])) is None
+        assert normalization_mismatch(superposition([1.001 * c, -c], [3.0, 3.0 + d])) > 1.0
+
+    def test_null_state_raises(self):
+        with pytest.raises(DegenerateStateError):
+            normalization_mismatch(superposition([0.0], [1.0], normalized=True))
+
+
 class TestMarginals:
     def test_vacuum_marginals(self):
         for x in (0.0, 0.7, -2.1):
@@ -278,10 +300,21 @@ class TestScaleCut:
         assert top1 == top[0] and np.array_equal(row, scaled[0])
 
     def test_p_cells_within_rounding_of_dense_sum(self):
-        # N = 1024, X = 1: every P cell's cut sum stays within the rounding
-        # bound (n + 1) eps sum|terms| of the sum over every term
+        # N = 1024, X = 1.  The collapse is rebuilt here without _scale: every
+        # conditioned coefficient must be kept (a P cell may weight one far
+        # below the cut by e^200 more than the largest), and every P cell's
+        # cut sum must stay within the rounding bound (n + 1) eps sum|terms|
+        # of the dense sum over those coefficients
+        two = beamsplit_with_vacuum(kerr_decompose(20.0, 1024).state)
+        lc, ac = _log_polar(two.coeffs)
+        wl, wp = _x_amplitude_log_arrays(1.0, two.amps)
+        lq, aq = lc + wl, ac + wp
+        q = np.exp(lq - lq.max()) * np.exp(1j * aq)
+        assert np.all(q != 0)
         psi = condition_at(20.0, 1024, 1.0)
         n = len(psi)
+        big = np.argmax(np.abs(q))
+        assert np.allclose(psi.coeffs, q * (psi.coeffs[big] / q[big]), rtol=4 * self.EPS, atol=0)
         lc, ac = _log_polar(psi.coeffs)
         p = np.arange(-600, 601)[:, None] * 0.05
         wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
