@@ -293,11 +293,20 @@ def _scale(log_c, arg_c):
     do not keep the result as coefficients.
     """
     top = _top(log_c)
-    shifted = log_c - top
-    live = np.flatnonzero(shifted >= math.log(_EPS / shifted.shape[-1]))
-    scaled = np.zeros(shifted.shape, dtype=complex)
-    scaled.flat[live] = np.exp(shifted.flat[live]) * np.exp(1j * np.ravel(arg_c)[live])
-    return top[..., 0], scaled
+    shifted = np.ravel(log_c - top)
+    live = shifted >= math.log(_EPS / log_c.shape[-1])
+    # np.exp(shifted) * np.exp(1j * arg_c) on the live entries, bit for bit,
+    # in place: a P block may be all live, and each temporary is a block
+    mag = shifted[live]
+    del shifted
+    np.exp(mag, out=mag)
+    term = 1j * np.ravel(arg_c)[live]
+    np.exp(term, out=term)
+    np.multiply(mag, term, out=term)
+    del mag
+    scaled = np.zeros(log_c.size, dtype=complex)
+    scaled[live] = term
+    return top[..., 0], scaled.reshape(log_c.shape)
 
 
 def _pair_sum_log(log_c, arg_c, amps, *, right=None) -> tuple[LogComplex, float]:
