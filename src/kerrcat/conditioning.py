@@ -32,7 +32,7 @@ from .states import (
     _log_squared_norm,
     _pair_sum_log,
     _project,
-    _top,
+    _scale_all,
     superposition,
 )
 
@@ -113,8 +113,8 @@ def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
 class _Collapse(NamedTuple):
     """Unnormalized collapsed states sum_n q_gn |b_n e^{i u_g}>, q_gn = c_n <X_g|b_n e^{i u_g}>.
 
-    One row g per outcome X_g and ring rotation u_g (0 unturned), shifted
-    by its largest log: ``q`` holds every q_gn e^{-top_g}, none cut (they
+    One row g per outcome X_g and ring rotation u_g (0 unturned), scaled by
+    :func:`_scale_all`: ``q`` holds every q_gn e^{-top_g}, none cut (they
     are the collapsed states' coefficients), ``top`` the row scales
     top_g = max_n log|q_gn| and ``amps`` the one unturned ring b_n.
     ``log_norm`` holds the log squared norms sum_{m,n} conj(q_gm) q_gn <b_m|b_n>,
@@ -212,11 +212,11 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
     projects on the turned ring b_n e^{i u_g}, which has the Gram matrix of
     the unturned one; ``x`` and ``rotation`` broadcast to one row per outcome.
-    Each row is shifted by its largest log and exponentiated in full, not
-    through :func:`_scale`: its entries become the collapsed state's
-    coefficients, and a later sum (a P cell) may weight an entry below
-    :func:`_scale`'s cut far more than the row's largest.  Every route below
-    sums that row over the unturned ring.  On a ring the densities of all rows
+    Each row is scaled once by :func:`_scale_all`, not cut by
+    :func:`_scale`: its entries become the collapsed state's coefficients,
+    and a later sum (a P cell) may weight an entry below the cut far more
+    than the row's largest.  Every route below sums that row over the
+    unturned ring.  On a ring the densities of all rows
     come from :func:`_spectral_norms`, and rows that lose more than
     ``_DIGITS_BUDGET`` digits there are summed again over lags by
     :func:`_lag_norm`, which also measures their digits lost.  Every row of a
@@ -231,8 +231,7 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
         raise ValueError("measurement outcome must be finite")
     turned = amps if rotation is None else amps * np.exp(1j * u)[:, None]  # unturned: one shared row
     lq, aq = _project(log_c, arg_c, turned, x[:, None])
-    top = _top(lq)[:, 0]
-    q = np.exp(lq - top[:, None]) * np.exp(1j * aq)
+    top, q = _scale_all(lq, aq)
     if spectrum is None:
         log_norm, lost = np.full(len(x), -math.inf), np.full(len(x), math.inf)
     else:

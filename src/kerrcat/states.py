@@ -17,8 +17,9 @@ sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
 term is 1.  Terms below eps/n of the largest of the n terms of a sum are not
 computed: together they move that sum by less than one ulp of its largest
 term, inside its own rounding error.  The cut holds only for the sum it is
-made in, so coefficients that outlive a sum (a conditioned state's) are
-never cut: a later sum weights them differently.
+made in, and only when that sum's largest term comes from the largest
+entry: coefficients that outlive a sum (a conditioned state's) and the two
+sides of an inner product are never cut.
 """
 
 from __future__ import annotations
@@ -289,8 +290,9 @@ def _scale(log_c, arg_c):
     of n^2 terms, whose largest diagonal term is 1, the cut moves at most
     2 n eps, against (n^2 - 1) u.  So the cut stays inside the rounding of
     the sum the row is scaled for, and the digits-lost measures keep their
-    meaning.  It does not hold for any other sum over the same entries:
-    do not keep the result as coefficients.
+    meaning.  It does not hold for any other sum over the same entries, nor
+    for a sum whose largest term need not come from the largest entry:
+    those take :func:`_scale_all`.
     """
     top = _top(log_c)
     shifted = np.ravel(log_c - top)
@@ -309,18 +311,29 @@ def _scale(log_c, arg_c):
     return top[..., 0], scaled.reshape(log_c.shape)
 
 
+def _scale_all(log_c, arg_c):
+    """:func:`_scale` with every entry computed, for entries that outlive one
+    sum (a conditioned state's coefficients) and for sums whose largest term
+    need not come from the largest entry (an inner product)."""
+    top = _top(log_c)
+    return top[..., 0], np.exp(log_c - top) * np.exp(1j * arg_c)
+
+
 def _pair_sum_log(log_c, arg_c, amps, *, right=None) -> tuple[LogComplex, float]:
     """sum_{m,n} conj(c_m) d_n <a_m|b_n> in log-complex form, and the digits
     it loses to cancellation, log10(sum |terms| / |sum terms|): 0 with no
     terms, inf when they cancel exactly.
 
     The right-hand terms (log d, arg d, b) default to the left ones, which
-    gives the squared norm.  Both sides are scaled by :func:`_scale`, so no
-    term exceeds 1 (|<a|b>| = e^{-|a - b|^2 / 2}), and the terms are summed
-    directly, ``_CHUNK`` rows at a time.
+    gives the squared norm.  Both sides are scaled, so no term exceeds 1
+    (|<a|b>| = e^{-|a - b|^2 / 2}), and the terms are summed directly,
+    ``_CHUNK`` rows at a time.  A squared norm's largest term is a diagonal
+    one, 1, so its sides take :func:`_scale`'s cut; an inner product's
+    largest term may pair two small entries, so its sides are scaled in full.
     """
     log_d, arg_d, amps_d = (log_c, arg_c, amps) if right is None else right
-    (top_c, c), (top_d, d) = _scale(log_c, arg_c), _scale(log_d, arg_d)
+    scale = _scale if right is None else _scale_all
+    (top_c, c), (top_d, d) = scale(log_c, arg_c), scale(log_d, arg_d)
     s, mass = 0j, 0.0
     for start in range(0, len(amps), _CHUNK):
         rows = slice(start, start + _CHUNK)

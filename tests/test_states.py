@@ -195,6 +195,15 @@ class TestNormsAndInnerProducts:
         got = inner_product(coherent_state(18.0), coherent_state(-18.0))
         assert got == pytest.approx(math.exp(-648.0), rel=1e-12, abs=0.0)
 
+    def test_inner_product_keeps_small_coefficients(self):
+        # the 1e-20 component is below eps/2 of its state's largest, yet it
+        # gives the largest term: <psi|chi> = e^-50 + 1e-20
+        psi = superposition([1.0, 1e-20], [0.0, 10.0])
+        chi = coherent_state(10.0)
+        want = math.exp(-50.0) + 1e-20
+        for got in (inner_product(psi, chi), inner_product(chi, psi)):
+            assert abs(got - want) <= 1e-14 * want
+
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
