@@ -11,7 +11,8 @@ P = sqrt(2) Im(beta).
 Amplitudes up to |beta| ~ 30 are supported: pairwise Gaussian overlaps reach
 exp(-1800), far below double-precision underflow.  Coefficients therefore
 stay in log-polar form until a sum needs them, and every sum over components
-follows one rule, written once in :func:`_scale`: shift the logs by their
+follows one rule, written once in :func:`_scale` (and, without its cut, in
+:func:`_scale_all`): shift the logs by their
 largest value, exponentiate, sum, and add the shift back to the log of the
 sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
 term is 1.  Terms below eps/n of the largest of the n terms of a sum are not
