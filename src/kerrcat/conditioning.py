@@ -32,7 +32,9 @@ from .states import (
     _log_squared_norm,
     _pair_sum_log,
     _project,
+    _ring_spectrum,
     _scale_all,
+    _spectral_norms,
     superposition,
 )
 
@@ -82,32 +84,6 @@ def beamsplit_with_vacuum(psi: CoherentSuperposition) -> TwoModeProductSuperposi
 
 def _as_outcome(outcome) -> float:
     return outcome.x if isinstance(outcome, HomodyneOutcome) else float(outcome)
-
-
-def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
-    """Log-eigenvalues of the Gram matrix <b_m|b_n> of a ring b_n = b_0 w^n,
-    w = e^{2 i pi / N}; None unless ``amps`` is such a ring to 1e-12 relative.
-
-    The Gram matrix of a ring is circulant: <b_m|b_n> = sum_j lam_j w^{j(n-m)}
-    with lam_j the Poisson(|b_0|^2) mass of the residue class k = j (mod N)
-    (expand exp(|b_0|^2 w^{n-m}) in powers).  The Poisson weights are built
-    by recurrence out from the mode and normalized to unit total mass; they
-    underflow to 0 within 40 |b_0| + 200 terms of it.
-    """
-    n = len(amps)
-    ring = amps[0] * np.exp(2j * np.pi * np.arange(n) / n)
-    if np.any(np.abs(amps - ring) > 1e-12 * abs(amps[0])):
-        return None
-    r2 = abs(amps[0]) ** 2
-    mode = math.floor(r2)
-    reach = math.ceil(40.0 * math.sqrt(r2) + 200.0)
-    up = np.arange(mode + 1, mode + reach + 1)
-    down = np.arange(mode, max(mode - reach, 0), -1)
-    weights = np.concatenate((np.cumprod(down / r2)[::-1], [1.0], np.cumprod(r2 / up)))
-    k = np.arange(mode - len(down), mode + reach + 1)
-    lam = np.bincount(k % n, weights=weights, minlength=n) / np.sum(weights)
-    with np.errstate(divide="ignore"):
-        return np.log(lam)
 
 
 class _Collapse(NamedTuple):
@@ -161,25 +137,6 @@ class _Collapse(NamedTuple):
                 f"(log density {lg:.1f})")
         return superposition(self.coeffs(g), self.amps * np.exp(1j * self.u[g]),
                              normalized=True, merge=False)
-
-
-def _spectral_norms(q, log_lam):
-    """(log squared norm, digits lost) of each row of q on a ring with Gram
-    log-eigenvalues ``log_lam`` (:func:`_ring_spectrum`).
-
-    With the transform Q_gj = sum_n q_gn w^{jn}, the squared norm is
-    sum_j lam_j |Q_gj|^2.  The transform errs by about eps sum_n |q_gn| in
-    each Q_gj, so the sum loses
-    log10(sum_n |q_gn| sum_j lam_j |Q_gj| / sum_j lam_j |Q_gj|^2) digits.
-    Every reduction runs along its own row: a row's bits do not depend on
-    the rows batched with it.
-    """
-    spec = q.shape[1] * np.fft.ifft(q, axis=1)
-    lam, amp = np.exp(log_lam), np.abs(spec)
-    s = np.sum(lam * (spec.real ** 2 + spec.imag ** 2), axis=1)
-    t = np.sum(np.abs(q), axis=1) * np.sum(lam * amp, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(s), np.log10(t / s)
 
 
 def _lag_norm(q, amps):

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .conditioning import _collapse, _ring_spectrum, beamsplit_with_vacuum
+from .conditioning import _collapse, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
@@ -37,6 +37,7 @@ from .states import (
     _log_polar,
     _marginal_densities,
     _overlap_exponent,
+    _ring_spectrum,
     _x_amplitude_log_arrays,
     coherent_overlap,
     superposition,

@@ -21,6 +21,13 @@ term, inside its own rounding error.  The cut holds only for the sum it is
 made in, and only when that sum's largest term comes from the largest
 entry: coefficients that outlive a sum (a conditioned state's) and the two
 sides of an inner product are never cut.
+
+Rings b_n = b_0 w^n, w = e^{2 i pi / N}, are recognized
+(:func:`_ring_weights`): their Gram matrix is circulant, so their squared
+norms are spectral (:func:`_spectral_norms`), and when N exceeds the photon
+numbers their Poisson weights reach, their marginal densities are summed
+over those photon numbers with the Hermite-function recurrence
+(:func:`_fock_densities`) instead of over their N components.
 """
 
 from __future__ import annotations
@@ -360,6 +367,68 @@ def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
+# rings b_n = b_0 w^n, w = e^{2 i pi / N}
+# --------------------------------------------------------------------------
+
+def _ring_weights(amps: np.ndarray):
+    """(k, weights): the photon numbers k = k_0, k_0 + 1, ..., k_1 within reach
+    of a ring b_n = b_0 w^n, w = e^{2 i pi / N}, and their Poisson(|b_0|^2)
+    weights relative to the mode's; None unless ``amps`` is such a ring to
+    1e-12 relative.
+
+    The weights are built by recurrence out from the mode; they underflow to
+    0 within 40 |b_0| + 200 terms of it.
+    """
+    n = len(amps)
+    ring = amps[0] * np.exp(2j * np.pi * np.arange(n) / n)
+    if np.any(np.abs(amps - ring) > 1e-12 * abs(amps[0])):
+        return None
+    r2 = abs(amps[0]) ** 2
+    mode = math.floor(r2)
+    reach = math.ceil(40.0 * math.sqrt(r2) + 200.0)
+    up = np.arange(mode + 1, mode + reach + 1)
+    down = np.arange(mode, max(mode - reach, 0), -1)
+    weights = np.concatenate((np.cumprod(down / r2)[::-1], [1.0], np.cumprod(r2 / up)))
+    return np.arange(mode - len(down), mode + reach + 1), weights
+
+
+def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
+    """Log-eigenvalues of the Gram matrix <b_m|b_n> of a ring b_n = b_0 w^n;
+    None unless ``amps`` is a ring (:func:`_ring_weights`).
+
+    The Gram matrix of a ring is circulant: <b_m|b_n> = sum_j lam_j w^{j(n-m)}
+    with lam_j the Poisson(|b_0|^2) mass of the residue class k = j (mod N)
+    (expand exp(|b_0|^2 w^{n-m}) in powers), normalized to unit total mass.
+    """
+    ring = _ring_weights(amps)
+    if ring is None:
+        return None
+    k, weights = ring
+    lam = np.bincount(k % len(amps), weights=weights, minlength=len(amps)) / np.sum(weights)
+    with np.errstate(divide="ignore"):
+        return np.log(lam)
+
+
+def _spectral_norms(q, log_lam):
+    """(log squared norm, digits lost) of each row of q on a ring with Gram
+    log-eigenvalues ``log_lam`` (:func:`_ring_spectrum`).
+
+    With the transform Q_gj = sum_n q_gn w^{jn}, the squared norm is
+    sum_j lam_j |Q_gj|^2.  The transform errs by about eps sum_n |q_gn| in
+    each Q_gj, so the sum loses
+    log10(sum_n |q_gn| sum_j lam_j |Q_gj| / sum_j lam_j |Q_gj|^2) digits.
+    Every reduction runs along its own row: a row's bits do not depend on
+    the rows batched with it.
+    """
+    spec = q.shape[1] * np.fft.ifft(q, axis=1)
+    lam, amp = np.exp(log_lam), np.abs(spec)
+    s = np.sum(lam * (spec.real ** 2 + spec.imag ** 2), axis=1)
+    t = np.sum(np.abs(q), axis=1) * np.sum(lam * amp, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(s), np.log10(t / s)
+
+
+# --------------------------------------------------------------------------
 # norms, inner products, marginals
 # --------------------------------------------------------------------------
 
@@ -380,23 +449,32 @@ def squared_norm(psi: CoherentSuperposition) -> float:
 
 
 def normalization_mismatch(psi: CoherentSuperposition) -> float | None:
-    """<psi|psi> if the pair sum measures it off 1, else None.
+    """<psi|psi> if it measures off 1, else None.
 
-    A pair sum that loses ``lost`` digits to cancellation errs by about
-    eps 10^lost times a factor that grows with the terms and amplitudes (up
-    to 60 on the conditioned states of `kerrcat condition` at N = 200 and
-    400, X in [-25, 25], which lose up to 7.8 digits), so a norm within
-    1e-12 10^lost of 1, or within 1e-9, matches.  A norm that loses more
-    than ``_DIGITS_BUDGET`` digits is not measured and matches too.  Raises
-    DegenerateStateError on a null state.
+    A ring's norm is measured by :func:`_spectral_norms`, any other state's
+    by the pair sum.  A sum that loses ``lost`` digits to cancellation errs
+    by about eps 10^lost times a factor that grows with the terms and
+    amplitudes (up to 60 for the pair sum on the conditioned states of
+    `kerrcat condition` at N = 200 and 400, X in [-25, 25], which lose up
+    to 7.8 digits), so a norm within 1e-12 10^lost of 1, or within 1e-9,
+    matches.  A norm that loses more than ``_DIGITS_BUDGET`` digits is not
+    measured and matches too.  Raises DegenerateStateError on a null state.
     """
-    res, lost = _pair_sum_log(*_log_polar(psi.coeffs), psi.amps)
-    if res.log_magnitude < _LOG_DEGENERATE:
+    lc, ac = _log_polar(psi.coeffs)
+    spectrum = _ring_spectrum(psi.amps)
+    if spectrum is None:
+        res, lost = _pair_sum_log(lc, ac, psi.amps)
+        log_norm = res.log_magnitude
+    else:
+        top, q = _scale_all(lc, ac)
+        (log_norm,), (lost,) = _spectral_norms(q[None], spectrum)
+        log_norm += 2.0 * top
+    if log_norm < _LOG_DEGENERATE:
         raise DegenerateStateError(
-            f"state is numerically null (log squared norm {res.log_magnitude:.1f})")
+            f"state is numerically null (log squared norm {log_norm:.1f})")
     if lost > _DIGITS_BUDGET:
         return None
-    norm = math.exp(res.log_magnitude)
+    norm = math.exp(log_norm)
     return norm if abs(norm - 1.0) > max(1e-9, 1e-12 * 10.0 ** lost) else None
 
 
@@ -413,18 +491,112 @@ _MARGINAL_BLOCK = 1 << 16
 
 def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
     """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, b_n = ``amps`` (P uses
-    -i psi.amps: <P|b> = <X = P|-i b>), ``_MARGINAL_BLOCK`` terms at a time."""
+    -i psi.amps: <P|b> = <X = P|-i b>).
+
+    A ring b_n = b_0 w^n with more components than the photon numbers its
+    Poisson weights reach is summed over those photon numbers
+    (:func:`_fock_densities`), any other state over its components
+    (:func:`_direct_densities`).  Both compute every cell on its own, so a
+    grid cell equals the one-point call bit for bit.
+    """
     lc, ac = _log_polar(psi.coeffs)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(values)):
         raise ValueError("quadrature values must be finite")
+    ring = _ring_weights(amps)
+    # a cell costs k_1 + 1 recurrence steps on the Fock route, N terms on the other
+    if ring is not None and len(amps) > ring[0][-1] + 1:
+        return _fock_densities(*_fock_amplitudes(lc, ac, amps, *ring), values)
+    return _direct_densities(lc, ac, amps, values)
+
+
+def _direct_densities(log_c, arg_c, amps, values) -> np.ndarray:
+    """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, summed over the
+    components with :func:`_scale`'s cut, ``_MARGINAL_BLOCK`` terms at a time."""
     out = np.empty(len(values))
-    step = max(1, _MARGINAL_BLOCK // len(lc))
+    step = max(1, _MARGINAL_BLOCK // len(log_c))
     for start in range(0, len(values), step):
-        top, q = _scale(*_project(lc, ac, amps, values[start:start + step, None]))
+        top, q = _scale(*_project(log_c, arg_c, amps, values[start:start + step, None]))
         with np.errstate(divide="ignore"):
             log_amp = top + np.log(np.abs(np.sum(q, axis=1)))
         out[start:start + step] = np.exp(np.minimum(2.0 * log_amp, 700.0))
+    return out
+
+
+def _fock_amplitudes(log_c, arg_c, amps, k, weights):
+    """(top, a) with a_m e^top = <m|psi>, m = 0, 1, ..., max k, the number-basis
+    amplitudes of psi = sum_n c_n |b_n> on the ring b_n = b_0 w^n whose
+    :func:`_ring_weights` are (k, weights).
+
+    <m|b_0 w^n> = e^{-|b_0|^2/2} b_0^m / sqrt(m!) w^{nm}, so
+    a_m = sqrt(p_m) e^{i m arg b_0} C_{m mod N}: p_m the weights at unit total
+    mass, and C_j = sum_n c_n e^{-top} w^{nj} one FFT of the scaled
+    coefficients.  sum_m |a_m|^2 = sum_j lam_j |C_j|^2 is the spectral squared
+    norm of :func:`_spectral_norms`.  a_m = 0 below the first k.
+    """
+    top, c = _scale_all(log_c, arg_c)
+    spec = len(c) * np.fft.ifft(c)
+    a = np.zeros(k[-1] + 1, dtype=complex)
+    a[k] = np.sqrt(weights / np.sum(weights)) * np.exp(1j * np.angle(amps[0]) * k) \
+        * spec[k % len(c)]
+    return float(top), a
+
+
+#: Recurrence steps between two rescales of a cell in :func:`_fock_densities`.
+_RESCALE_STEPS = 16
+#: log of half the smallest positive double: a density below it rounds to 0.
+_LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
+
+
+def _fock_densities(top, a, values) -> np.ndarray:
+    """|e^top sum_m a_m psi_m(v)|^2 at each of ``values``, psi_m the real
+    Hermite functions.
+
+    Each cell runs the recurrence h_0 = 1, h_1 = sqrt2 v,
+    h_{m+1} = sqrt(2/(m+1)) v h_m - sqrt(m/(m+1)) h_{m-1} for
+    h_m = psi_m(v) / psi_0(v), and keeps psi_0(v) = pi^{-1/4} e^{-v^2/2} as a
+    log, since past |v| ~ 37.6 it underflows and h_m overflows.  Every
+    ``_RESCALE_STEPS`` steps a cell divides h_m, h_{m-1} and its partial sum
+    by the power of two 2^e of its larger |h|, exactly, and adds e to its
+    exponent.  Between two rescales |h| grows at most (sqrt2 |v| + 1)^16, so
+    nothing overflows below |v| ~ 1e19; cells that the same bound
+    |h_m| <= (sqrt2 |v| + 1)^m puts below the smallest double are 0.  Every
+    operation is elementwise: a cell's bits do not depend on the others.
+    """
+    m_max = len(a) - 1
+    log_psi0 = top + LOG_PI_QUARTER - 0.5 * values * values
+    with np.errstate(divide="ignore"):
+        bound = log_psi0 + m_max * np.log1p(SQRT2 * np.abs(values)) + np.log(np.sum(np.abs(a)))
+    dead = 2.0 * bound < _LOG_ROUNDS_TO_ZERO
+    v = np.where(dead, 0.0, values)
+    # per-step factors as 0-d arrays and the (re, im) of a_m as (2, 1) rows:
+    # a step's cost is its ufunc calls more than their cells
+    steps = np.arange(1.0, m_max + 1.0)
+    up = [np.array(f) for f in np.sqrt(2.0 / steps)]
+    back = [np.array(f) for f in np.sqrt((steps - 1.0) / steps)]
+    parts = list(np.stack((a.real, a.imag), axis=1)[:, :, None])
+    prev, cur, step = np.zeros(len(v)), np.ones(len(v)), np.empty(len(v))
+    total, term = parts[0] * cur, np.empty((2, len(v)))
+    exponent = np.zeros(len(v))
+    for m, (up_m, back_m, part) in enumerate(zip(up, back, parts[1:]), 1):
+        np.multiply(cur, v, step)
+        np.multiply(step, up_m, step)
+        np.multiply(prev, back_m, prev)
+        np.subtract(step, prev, prev)
+        prev, cur = cur, prev                        # cur = h_m
+        np.multiply(part, cur, term)
+        np.add(total, term, total)
+        if m % _RESCALE_STEPS == 0:
+            e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+            scale = np.ldexp(1.0, -e)
+            prev *= scale
+            cur *= scale
+            total *= scale
+            exponent += e
+    with np.errstate(divide="ignore"):
+        log_amp = log_psi0 + exponent * math.log(2.0) + np.log(np.hypot(*total))
+    out = np.exp(np.minimum(2.0 * log_amp, 700.0))
+    out[dead] = 0.0
     return out
 
 

@@ -281,9 +281,9 @@ class TestConditionAndFidelity:
         assert code == 0
         assert direct_out.splitlines()[-1] == loaded_out.splitlines()[-1]
 
-    def test_flagged_state_with_unmeasurable_norm(self, capsys, tmp_path):
-        # a loaded state's norm is a pair sum, which loses 13 digits on the
-        # N = 1024 ring at X = 1: the flag cannot be checked and is trusted
+    def test_flagged_large_ring_round_trip(self, capsys, tmp_path):
+        # the pair sum loses 13 digits on the N = 1024 ring at X = 1; a ring's
+        # norm is measured by the spectral sum instead, which loses 4.97
         state = tmp_path / "s.json"
         args = ["--n", "1024", "--x", "1"]
         assert run(["condition", *args, "--output", str(state)], capsys)[0] == 0
@@ -292,6 +292,19 @@ class TestConditionAndFidelity:
         code, loaded_out, err = run(["fidelity", "--n", "1024", "--state", str(state)], capsys)
         assert code == 0, err
         assert direct_out.splitlines()[-1] == loaded_out.splitlines()[-1]
+
+    def test_flagged_large_ring_off_norm_rejected(self, capsys, tmp_path):
+        # the same file with every coefficient doubled: squared norm 4
+        state = tmp_path / "s.json"
+        assert run(["condition", "--n", "1024", "--x", "1", "--output", str(state)],
+                   capsys)[0] == 0
+        doc = json.loads(state.read_text())
+        for comp in doc["components"]:
+            comp["coeff_re"], comp["coeff_im"] = 2.0 * comp["coeff_re"], 2.0 * comp["coeff_im"]
+        state.write_text(json.dumps(doc))
+        code, out, err = run(["fidelity", "--n", "1024", "--state", str(state)], capsys)
+        assert code == 1
+        assert out == "" and "marked normalized but has squared norm 4.0000000000" in err
 
     def _fidelity_of_file(self, capsys, tmp_path, coeff, normalized=False):
         """fidelity --state on coeff (|i b> + |-i b>), b = 20 / sqrt2."""
@@ -364,7 +377,7 @@ class TestCurvesAndWindows:
         assert 0.0 < prob < 0.5
         rows = list(csv.reader(rep.read_text().splitlines()))
         assert rows[0] == ["n", "alpha_i", "f_min", "window_intervals", "probability"]
-        assert float(rows[1][4]) == pytest.approx(prob, rel=1e-12)
+        assert float(rows[1][4]) == pytest.approx(prob, rel=1e-12, abs=0)
 
     def test_window_csv(self, capsys, tmp_path):
         out = tmp_path / "w.csv"

@@ -1,6 +1,8 @@
 """Fidelity maximization, curves, windows, success probabilities, distributions."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from kerrcat.cli import _grid
 from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def random_complex(rng, scale):
@@ -332,9 +335,23 @@ class TestDistributions:
         self._assert_cells_match_points(psi, rows)
 
     def test_large_ring_grid_matches_per_point(self):
-        # N = 1024 at X = 1: 64 grid points per block, 19 blocks
-        rows = conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05))
-        self._assert_cells_match_points(metrics.condition_at(20.0, 1024, 1.0), rows)
+        # N = 1024 at X = 1 takes the Fock route: every cell equals the
+        # one-point call bit for bit, and bench/refs' 60-digit reference at
+        # the same grid points to the bench's large-N tolerance, with no
+        # known-cell envelope
+        sys.path.insert(0, BENCH)
+        try:
+            import check
+            import workloads
+        finally:
+            sys.path.remove(BENCH)
+        with open(os.path.join(BENCH, "refs", "pdist_post_n1024_x1.csv"), encoding="utf-8") as fh:
+            ref = {float(p): float(d) for p, d in check.parse_table(fh.read())[1:]}
+        peak = max(ref.values())
+        psi = metrics.condition_at(20.0, 1024, 1.0)
+        for p, got in conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05)):
+            assert got == p_marginal_density(psi, p), p
+            assert check.within(got, ref[p], workloads.DENSITY_LARGE_N, peak), p
 
     @staticmethod
     def _assert_cells_match_points(psi, rows):

@@ -79,7 +79,7 @@ maybe_zero = st.one_of(st.just(0j), complex_unit)
 def test_max_phi_not_below_dense_scan(A, B, cross):
     fid, phi = _max_phi(A, B, cross)
     assert 0.0 <= phi <= 2.0 * math.pi
-    assert fid == pytest.approx(float(_phi_objective(A, B, cross, phi)), rel=1e-14)
+    assert fid == pytest.approx(float(_phi_objective(A, B, cross, phi)), rel=1e-14, abs=0)
     scan = _scan_max(A, B, cross)
     assert fid >= scan - 1e-13 * scan
 

@@ -26,8 +26,19 @@ from kerrcat import (
     x_amplitude,
     x_marginal_density,
 )
-from kerrcat.metrics import condition_at
-from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays, normalization_mismatch
+from kerrcat.cli import _grid
+from kerrcat.metrics import condition_at, precondition_p_distribution
+from kerrcat.states import (
+    _direct_densities,
+    _fock_amplitudes,
+    _fock_densities,
+    _log_polar,
+    _marginal_densities,
+    _ring_weights,
+    _scale,
+    _x_amplitude_log_arrays,
+    normalization_mismatch,
+)
 
 PI_QUARTER = math.pi ** -0.25
 SQRT2 = math.sqrt(2.0)
@@ -84,7 +95,7 @@ class TestCoherentOverlap:
             if abs(plain) < 1e-280:
                 continue
             checked += 1
-            assert coherent_overlap_log(b1, b2).to_complex() == pytest.approx(plain, rel=1e-12)
+            assert coherent_overlap_log(b1, b2).to_complex() == pytest.approx(plain, rel=1e-12, abs=0)
 
     def test_deep_underflow_regime(self):
         lg = coherent_overlap_log(30.0, -30.0)
@@ -236,6 +247,13 @@ class TestNormalizationMismatch:
         with pytest.raises(DegenerateStateError):
             normalization_mismatch(superposition([0.0], [1.0], normalized=True))
 
+    def test_ring_norm_measured_spectrally(self):
+        # N = 1024, X = 1: the pair sum loses 13 digits, the spectral sum 4.97
+        psi = condition_at(20.0, 1024, 1.0)
+        assert normalization_mismatch(psi) is None
+        doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
+        assert normalization_mismatch(doubled) == pytest.approx(4.0, rel=1e-10, abs=0)
+
 
 class TestMarginals:
     def test_vacuum_marginals(self):
@@ -335,6 +353,66 @@ class TestScaleCut:
         assert np.count_nonzero(scaled) < 0.5 * scaled.size
         err = np.abs(np.sum(scaled, axis=1) - np.sum(dense, axis=1))
         assert np.all(err <= (n + 1) * self.EPS * np.sum(np.abs(dense), axis=1))
+
+
+def _fock_terms(amps):
+    """Photon numbers the Fock route sums over for a ring of amplitudes ``amps``."""
+    return _ring_weights(amps)[0][-1] + 1
+
+
+class TestFockRoute:
+    """Rings with more components than photon numbers in reach take
+    _fock_densities; every other state takes _direct_densities."""
+
+    @pytest.mark.parametrize("x", [0.3, 2.0])
+    def test_matches_number_basis_oracle(self, x):
+        # alpha = 5, N = 512: the split ring reaches 355 photon numbers.  Both
+        # routes are within 5e-11 of the peak here; one tolerance for both
+        psi = condition_at(5.0, 512, x)
+        assert len(psi) > _fock_terms(psi.amps)
+        vec, _ = oracles.condition_fock(5.0, 512, x, 150)
+        grid = np.arange(-150, 151) * 0.1
+        lc, ac = _log_polar(psi.coeffs)
+        for amps, oracle in ((psi.amps, oracles.x_density_fock),
+                             (-1j * psi.amps, oracles.p_density_fock)):
+            fock = _fock_densities(*_fock_amplitudes(lc, ac, amps, *_ring_weights(amps)), grid)
+            assert np.array_equal(_marginal_densities(psi, grid, amps), fock)
+            want = np.array([oracle(vec, v) for v in grid])
+            tol = 1e-10 * want.max()
+            assert np.max(np.abs(fock - want)) <= tol
+            assert np.max(np.abs(_direct_densities(lc, ac, amps, grid) - want)) <= tol
+
+    def test_cells_past_underflow_keep_their_values(self):
+        # alpha = 30, N = 4096 before the split: 2301 photon numbers, and P
+        # out to 50.4, where pi^(-1/4) e^{-P^2/2} underflows past |P| ~ 37.6;
+        # an unscaled recurrence prints 0 there (3.3e-28 at P = 40)
+        psi = kerr_decompose(30.0, 4096).state
+        assert len(psi) > _fock_terms(-1j * psi.amps)
+        span = SQRT2 * 30.0 + 8.0
+        grid = _grid(-span, span, 0.05)
+        got = np.array([d for _, d in precondition_p_distribution(30.0, 4096, grid)])
+        want = _direct_densities(*_log_polar(psi.coeffs), -1j * psi.amps, grid)
+        assert np.all(np.abs(got - want) <= 1e-8 * want + 1e-11 * want.max())
+
+    def test_cells_beyond_every_term_are_zero(self):
+        # the bound (sqrt2 |P| + 1)^m on psi_m / psi_0 puts these below the
+        # smallest double; they are 0, with no overflow on the way
+        psi = kerr_decompose(30.0, 4096).state
+        with np.errstate(over="raise", invalid="raise"):
+            assert [p_marginal_density(psi, p) for p in (1e6, -1e30)] == [0.0, 0.0]
+
+    def test_both_kernels_on_a_ring_within_reach(self):
+        # N = 200 at X = 0 (fig4): 966 photon numbers, so several share a
+        # residue class mod N and the grid takes the direct route
+        psi = condition_at(20.0, 200, 0.0)
+        amps = -1j * psi.amps
+        assert len(psi) <= _fock_terms(amps)
+        lc, ac = _log_polar(psi.coeffs)
+        grid = np.arange(-300, 301) * 0.1
+        direct = _direct_densities(lc, ac, amps, grid)
+        assert np.array_equal(_marginal_densities(psi, grid, amps), direct)
+        fock = _fock_densities(*_fock_amplitudes(lc, ac, amps, *_ring_weights(amps)), grid)
+        assert np.all(np.abs(fock - direct) <= 1e-8 * direct + 1e-11 * direct.max())
 
 
 class TestConstructionAndJson:
