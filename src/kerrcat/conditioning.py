@@ -30,11 +30,10 @@ from .states import (
     _LOG_DEGENERATE,
     _log_polar,
     _log_squared_norm,
-    _pair_sum_log,
+    _norms,
     _project,
     _ring_spectrum,
-    _scale_all,
-    _spectral_norms,
+    _scale,
     superposition,
 )
 
@@ -90,14 +89,14 @@ class _Collapse(NamedTuple):
     """Unnormalized collapsed states sum_n q_gn |b_n e^{i u_g}>, q_gn = c_n <X_g|b_n e^{i u_g}>.
 
     One row g per outcome X_g and ring rotation u_g (0 unturned), scaled by
-    :func:`_scale_all`: ``q`` holds every q_gn e^{-top_g}, none cut (they
-    are the collapsed states' coefficients), ``top`` the row scales
+    :func:`_scale`: ``q`` holds every q_gn e^{-top_g} (they are the
+    collapsed states' coefficients), ``top`` the row scales
     top_g = max_n log|q_gn| and ``amps`` the one unturned ring b_n.
     ``log_norm`` holds the log squared norms sum_{m,n} conj(q_gm) q_gn <b_m|b_n>,
     the outcome densities p(X_g), and ``digits_lost`` the digits each of
     those sums loses to cancellation, as measured by the route that computed
-    it: on a ring the spectral sum within the budget and the sum over lags
-    past it, on any other state the pair sum.
+    it: :func:`_norms`, and on a ring the sum over lags for rows past the
+    budget there.
     """
 
     x: np.ndarray
@@ -169,15 +168,12 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
     projects on the turned ring b_n e^{i u_g}, which has the Gram matrix of
     the unturned one; ``x`` and ``rotation`` broadcast to one row per outcome.
-    Each row is scaled once by :func:`_scale_all`, not cut by
-    :func:`_scale`: its entries become the collapsed state's coefficients,
-    and a later sum (a P cell) may weight an entry below the cut far more
-    than the row's largest.  Every route below sums that row over the
-    unturned ring.  On a ring the densities of all rows
-    come from :func:`_spectral_norms`, and rows that lose more than
-    ``_DIGITS_BUDGET`` digits there are summed again over lags by
-    :func:`_lag_norm`, which also measures their digits lost.  Every row of a
-    state that is not a ring is summed by ``_pair_sum_log``.  Raises
+    Each row is scaled once by :func:`_scale`, and its entries become the
+    collapsed state's coefficients.  Every route below sums that row over
+    the unturned ring.  :func:`_norms` gives the densities of all rows:
+    spectral on a ring, pair sums on any other state.  Ring rows that lose
+    more than ``_DIGITS_BUDGET`` digits there are summed again over lags by
+    :func:`_lag_norm`, which also measures their digits lost.  Raises
     ValueError unless every outcome and rotation is finite.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -188,17 +184,10 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
         raise ValueError("measurement outcome must be finite")
     turned = amps if rotation is None else amps * np.exp(1j * u)[:, None]  # unturned: one shared row
     lq, aq = _project(log_c, arg_c, turned, x[:, None])
-    top, q = _scale_all(lq, aq)
-    if spectrum is None:
-        log_norm, lost = np.full(len(x), -math.inf), np.full(len(x), math.inf)
-    else:
-        log_norm, lost = _spectral_norms(q, spectrum)
-    for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
-        if spectrum is None:
-            # the row is passed scaled, so the pair sum's own scale is 0
-            norm, lost[g] = _pair_sum_log(lq[g] - top[g], aq[g], amps)
-            log_norm[g] = norm.log_magnitude
-        else:
+    top, q = _scale(lq, aq)
+    log_norm, lost = _norms(q, amps, spectrum)
+    if spectrum is not None:
+        for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
             log_norm[g], lost[g] = _lag_norm(q[g], amps)
     return _Collapse(x, u, top, q, amps, 2.0 * top + log_norm, lost)
 

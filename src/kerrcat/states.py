@@ -11,22 +11,20 @@ P = sqrt(2) Im(beta).
 Amplitudes up to |beta| ~ 30 are supported: pairwise Gaussian overlaps reach
 exp(-1800), far below double-precision underflow.  Coefficients therefore
 stay in log-polar form until a sum needs them, and every sum over components
-follows one rule, written once in :func:`_scale` (and, without its cut, in
-:func:`_scale_all`): shift the logs by their
+follows one rule, written once in :func:`_scale`: shift the logs by their
 largest value, exponentiate, sum, and add the shift back to the log of the
 sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
-term is 1.  Terms below eps/n of the largest of the n terms of a sum are not
-computed: together they move that sum by less than one ulp of its largest
-term, inside its own rounding error.  The cut holds only for the sum it is
-made in, and only when that sum's largest term comes from the largest
-entry: coefficients that outlive a sum (a conditioned state's) and the two
-sides of an inner product are never cut.
+term is 1.  Only the direct marginal kernel (:func:`_direct_densities`)
+skips terms: a cell there is one sum whose largest term is its largest
+entry, so the terms below eps/n of it move the cell by less than one ulp of
+that term, inside its own rounding error (:func:`_scale_cut`).
 
 Rings b_n = b_0 w^n, w = e^{2 i pi / N}, are recognized
 (:func:`_ring_weights`): their Gram matrix is circulant, so their squared
-norms are spectral (:func:`_spectral_norms`), and when N exceeds the photon
-numbers their Poisson weights reach, their marginal densities are summed
-over those photon numbers with the Hermite-function recurrence
+norms are spectral (:func:`_spectral_norms`) where every other state's are
+pair sums (:func:`_norms` is the one place that picks), and when N exceeds
+the photon numbers their Poisson weights reach, their marginal densities
+are summed over those photon numbers with the Hermite-function recurrence
 (:func:`_fock_densities`) instead of over their N components.
 """
 
@@ -286,62 +284,28 @@ def _top(log_c):
 
 def _scale(log_c, arg_c):
     """(M, c e^{-M}) for c = e^{log_c + i arg_c}, with M = :func:`_top`, the
-    largest log|c| along the last axis, for the terms of one sum per row.
+    largest log|c| along the last axis.
 
     The one shift every component sum in the package makes before it
-    exponentiates: the largest scaled entry has magnitude 1.  Only entries
-    of magnitude at least eps/n are computed, n the length of the last axis;
-    the rest are exactly 0.  Together they are below n * eps/n = eps, one ulp
-    of the largest term, while summing n terms already errs by up to
-    (n - 1) u sum|terms|, u = eps/2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 4.2).  In a squared norm's pair sum
-    of n^2 terms, whose largest diagonal term is 1, the cut moves at most
-    2 n eps, against (n^2 - 1) u.  So the cut stays inside the rounding of
-    the sum the row is scaled for, and the digits-lost measures keep their
-    meaning.  It does not hold for any other sum over the same entries, nor
-    for a sum whose largest term need not come from the largest entry:
-    those take :func:`_scale_all`.
+    exponentiates: the largest scaled entry has magnitude 1.  Every entry is
+    computed, so a scaled row serves any later sum over it (a collapsed
+    row's norm, and its P cells as a conditioned state's coefficients).
     """
-    top = _top(log_c)
-    shifted = np.ravel(log_c - top)
-    live = shifted >= math.log(_EPS / log_c.shape[-1])
-    # np.exp(shifted) * np.exp(1j * arg_c) on the live entries, bit for bit,
-    # in place: a P block may be all live, and each temporary is a block
-    mag = shifted[live]
-    del shifted
-    np.exp(mag, out=mag)
-    term = 1j * np.ravel(arg_c)[live]
-    np.exp(term, out=term)
-    np.multiply(mag, term, out=term)
-    del mag
-    scaled = np.zeros(log_c.size, dtype=complex)
-    scaled[live] = term
-    return top[..., 0], scaled.reshape(log_c.shape)
-
-
-def _scale_all(log_c, arg_c):
-    """:func:`_scale` with every entry computed, for entries that outlive one
-    sum (a conditioned state's coefficients) and for sums whose largest term
-    need not come from the largest entry (an inner product)."""
     top = _top(log_c)
     return top[..., 0], np.exp(log_c - top) * np.exp(1j * arg_c)
 
 
-def _pair_sum_log(log_c, arg_c, amps, *, right=None) -> tuple[LogComplex, float]:
-    """sum_{m,n} conj(c_m) d_n <a_m|b_n> in log-complex form, and the digits
-    it loses to cancellation, log10(sum |terms| / |sum terms|): 0 with no
-    terms, inf when they cancel exactly.
+def _pair_sum(c, amps, d=None, amps_d=None) -> tuple[complex, float]:
+    """sum_{m,n} conj(c_m) d_n <a_m|b_n> over the rows c on amplitudes a and
+    d on b (by default c on a: the squared norm), and the digits it loses to
+    cancellation, log10(sum |terms| / |sum terms|): 0 with no terms, inf
+    when they cancel exactly.
 
-    The right-hand terms (log d, arg d, b) default to the left ones, which
-    gives the squared norm.  Both sides are scaled, so no term exceeds 1
-    (|<a|b>| = e^{-|a - b|^2 / 2}), and the terms are summed directly,
-    ``_CHUNK`` rows at a time.  A squared norm's largest term is a diagonal
-    one, 1, so its sides take :func:`_scale`'s cut; an inner product's
-    largest term may pair two small entries, so its sides are scaled in full.
+    Both rows come scaled by :func:`_scale`, so no term exceeds 1
+    (|<a|b>| = e^{-|a - b|^2 / 2}); the terms are summed directly,
+    ``_CHUNK`` rows at a time.
     """
-    log_d, arg_d, amps_d = (log_c, arg_c, amps) if right is None else right
-    scale = _scale if right is None else _scale_all
-    (top_c, c), (top_d, d) = scale(log_c, arg_c), scale(log_d, arg_d)
+    d, amps_d = (c, amps) if d is None else (d, amps_d)
     s, mass = 0j, 0.0
     for start in range(0, len(amps), _CHUNK):
         rows = slice(start, start + _CHUNK)
@@ -349,21 +313,7 @@ def _pair_sum_log(log_c, arg_c, amps, *, right=None) -> tuple[LogComplex, float]
         terms = np.conj(c[rows])[:, None] * d * overlap
         s += np.sum(terms)
         mass += float(np.sum(np.abs(terms)))
-    res = LogComplex.from_complex(s)
-    lost = math.log10(mass / abs(s)) if s else (math.inf if mass else 0.0)
-    return LogComplex(res.log_magnitude + float(top_c + top_d), res.phase), lost
-
-
-def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
-    """log <psi|psi>; raises ArithmeticError past ``_DIGITS_BUDGET`` digits lost."""
-    lc, ac = _log_polar(coeffs)
-    res, lost = _pair_sum_log(lc, ac, amps)
-    if res.log_magnitude == -math.inf:
-        return -math.inf
-    if lost > _DIGITS_BUDGET:
-        raise ArithmeticError(
-            f"squared norm loses {lost:.2f} digits to cancellation (budget {_DIGITS_BUDGET:g})")
-    return res.log_magnitude
+    return s, math.log10(mass / abs(s)) if s else (math.inf if mass else 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -428,9 +378,39 @@ def _spectral_norms(q, log_lam):
         return np.log(s), np.log10(t / s)
 
 
+def _norms(q, amps, spectrum):
+    """(log squared norm, digits lost) of sum_n q_gn |b_n>, b = ``amps``, for
+    each row g of q scaled by :func:`_scale`: :func:`_spectral_norms` on a
+    ring (``spectrum`` its :func:`_ring_spectrum`), the pair sum on any
+    other state (``spectrum`` None)."""
+    if spectrum is not None:
+        return _spectral_norms(q, spectrum)
+    sums = [_pair_sum(row, amps) for row in q]
+    return (np.array([math.log(abs(s)) if s else -math.inf for s, _ in sums]),
+            np.array([lost for _, lost in sums]))
+
+
 # --------------------------------------------------------------------------
 # norms, inner products, marginals
 # --------------------------------------------------------------------------
+
+def _measured_norm(coeffs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
+    """(log <psi|psi>, digits lost) of psi = sum_n c_n |b_n> by :func:`_norms`."""
+    top, c = _scale(*_log_polar(coeffs))
+    (log_norm,), (lost,) = _norms(c[None], amps, _ring_spectrum(amps))
+    return 2.0 * float(top) + log_norm, lost
+
+
+def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
+    """log <psi|psi>; raises ArithmeticError past ``_DIGITS_BUDGET`` digits lost."""
+    log_norm, lost = _measured_norm(coeffs, amps)
+    if log_norm == -math.inf:
+        return -math.inf
+    if lost > _DIGITS_BUDGET:
+        raise ArithmeticError(
+            f"squared norm loses {lost:.2f} digits to cancellation (budget {_DIGITS_BUDGET:g})")
+    return log_norm
+
 
 def squared_norm(psi: CoherentSuperposition) -> float:
     """<psi|psi> = sum_{m,n} conj(c_m) c_n <beta_m|beta_n>.
@@ -451,24 +431,16 @@ def squared_norm(psi: CoherentSuperposition) -> float:
 def normalization_mismatch(psi: CoherentSuperposition) -> float | None:
     """<psi|psi> if it measures off 1, else None.
 
-    A ring's norm is measured by :func:`_spectral_norms`, any other state's
-    by the pair sum.  A sum that loses ``lost`` digits to cancellation errs
-    by about eps 10^lost times a factor that grows with the terms and
-    amplitudes (up to 60 for the pair sum on the conditioned states of
-    `kerrcat condition` at N = 200 and 400, X in [-25, 25], which lose up
-    to 7.8 digits), so a norm within 1e-12 10^lost of 1, or within 1e-9,
-    matches.  A norm that loses more than ``_DIGITS_BUDGET`` digits is not
-    measured and matches too.  Raises DegenerateStateError on a null state.
+    The norm is measured by :func:`_norms`.  A sum that loses ``lost``
+    digits to cancellation errs by about eps 10^lost times a factor that
+    grows with the terms and amplitudes (up to 7.6 on the conditioned states
+    of `kerrcat condition` at N = 200 and 400, X = -25, -24, ..., 25, whose
+    spectral norms lose up to 5.5 digits), so a norm within 1e-12 10^lost of
+    1, or within 1e-9, matches.  A norm that loses more than
+    ``_DIGITS_BUDGET`` digits is not measured and matches too.  Raises
+    DegenerateStateError on a null state.
     """
-    lc, ac = _log_polar(psi.coeffs)
-    spectrum = _ring_spectrum(psi.amps)
-    if spectrum is None:
-        res, lost = _pair_sum_log(lc, ac, psi.amps)
-        log_norm = res.log_magnitude
-    else:
-        top, q = _scale_all(lc, ac)
-        (log_norm,), (lost,) = _spectral_norms(q[None], spectrum)
-        log_norm += 2.0 * top
+    log_norm, lost = _measured_norm(psi.coeffs, psi.amps)
     if log_norm < _LOG_DEGENERATE:
         raise DegenerateStateError(
             f"state is numerically null (log squared norm {log_norm:.1f})")
@@ -480,9 +452,10 @@ def normalization_mismatch(psi: CoherentSuperposition) -> float | None:
 
 def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> complex:
     """<psi|chi>; conjugate-symmetric in its arguments."""
-    lc, ac = _log_polar(psi.coeffs)
-    res, _ = _pair_sum_log(lc, ac, psi.amps, right=(*_log_polar(chi.coeffs), chi.amps))
-    return res.to_complex()
+    (top_c, c), (top_d, d) = _scale(*_log_polar(psi.coeffs)), _scale(*_log_polar(chi.coeffs))
+    s, _ = _pair_sum(c, psi.amps, d, chi.amps)
+    res = LogComplex.from_complex(s)
+    return LogComplex(res.log_magnitude + float(top_c + top_d), res.phase).to_complex()
 
 
 #: (value, component) terms per block of a marginal-density grid.
@@ -512,15 +485,43 @@ def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
 
 def _direct_densities(log_c, arg_c, amps, values) -> np.ndarray:
     """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, summed over the
-    components with :func:`_scale`'s cut, ``_MARGINAL_BLOCK`` terms at a time."""
+    components with :func:`_scale_cut`'s cut, ``_MARGINAL_BLOCK`` terms at a
+    time."""
     out = np.empty(len(values))
     step = max(1, _MARGINAL_BLOCK // len(log_c))
     for start in range(0, len(values), step):
-        top, q = _scale(*_project(log_c, arg_c, amps, values[start:start + step, None]))
+        top, q = _scale_cut(*_project(log_c, arg_c, amps, values[start:start + step, None]))
         with np.errstate(divide="ignore"):
             log_amp = top + np.log(np.abs(np.sum(q, axis=1)))
         out[start:start + step] = np.exp(np.minimum(2.0 * log_amp, 700.0))
     return out
+
+
+def _scale_cut(log_c, arg_c):
+    """:func:`_scale` for the rows of :func:`_direct_densities`, each the n
+    terms of one cell, computing only the entries of at least eps/n; the
+    rest are exactly 0.
+
+    A cell's largest term is its row's largest entry, 1 after the shift, so
+    the cut terms sum to below n * eps/n = eps, one ulp of it, while summing
+    n terms already errs by up to (n - 1) u sum|terms|, u = eps/2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2).
+    """
+    top = _top(log_c)
+    shifted = np.ravel(log_c - top)
+    live = shifted >= math.log(_EPS / log_c.shape[-1])
+    # np.exp(shifted) * np.exp(1j * arg_c) on the live entries, bit for bit,
+    # in place: a P block may be all live, and each temporary is a block
+    mag = shifted[live]
+    del shifted
+    np.exp(mag, out=mag)
+    term = 1j * np.ravel(arg_c)[live]
+    np.exp(term, out=term)
+    np.multiply(mag, term, out=term)
+    del mag
+    scaled = np.zeros(log_c.size, dtype=complex)
+    scaled[live] = term
+    return top[..., 0], scaled.reshape(log_c.shape)
 
 
 def _fock_amplitudes(log_c, arg_c, amps, k, weights):
@@ -534,7 +535,7 @@ def _fock_amplitudes(log_c, arg_c, amps, k, weights):
     coefficients.  sum_m |a_m|^2 = sum_j lam_j |C_j|^2 is the spectral squared
     norm of :func:`_spectral_norms`.  a_m = 0 below the first k.
     """
-    top, c = _scale_all(log_c, arg_c)
+    top, c = _scale(log_c, arg_c)
     spec = len(c) * np.fft.ifft(c)
     a = np.zeros(k[-1] + 1, dtype=complex)
     a[k] = np.sqrt(weights / np.sum(weights)) * np.exp(1j * np.angle(amps[0]) * k) \

@@ -293,6 +293,22 @@ class TestConditionAndFidelity:
         assert code == 0, err
         assert direct_out.splitlines()[-1] == loaded_out.splitlines()[-1]
 
+    def test_unflagged_large_ring_round_trip(self, capsys, tmp_path):
+        # the same file marked unnormalized is renormalized by its spectral
+        # norm (4.97 digits lost), not refused for the pair sum's 13
+        state = tmp_path / "s.json"
+        args = ["--n", "1024", "--x", "1"]
+        assert run(["condition", *args, "--output", str(state)], capsys)[0] == 0
+        doc = json.loads(state.read_text())
+        doc["normalized"] = False
+        state.write_text(json.dumps(doc))
+        code, direct_out, _ = run(["fidelity", *args], capsys)
+        assert code == 0
+        code, loaded_out, err = run(["fidelity", "--n", "1024", "--state", str(state)], capsys)
+        assert code == 0, err
+        got, want = (float(out.split("fidelity=")[1].split()[0]) for out in (loaded_out, direct_out))
+        assert abs(got - want) <= 1e-9  # the bench's FIDELITY tolerance
+
     def test_flagged_large_ring_off_norm_rejected(self, capsys, tmp_path):
         # the same file with every coefficient doubled: squared norm 4
         state = tmp_path / "s.json"

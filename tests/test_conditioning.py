@@ -26,15 +26,15 @@ from kerrcat import (
     vacuum_state,
     x_outcome_density,
 )
-from kerrcat.conditioning import (
-    _DIGITS_BUDGET,
-    _collapse,
-    _lag_norm,
-    _ring_spectrum,
-    _spectral_norms,
-)
+from kerrcat.conditioning import _DIGITS_BUDGET, _collapse, _lag_norm, _ring_spectrum
 from kerrcat.metrics import _BLOCK, _branch_terms, _pipeline
-from kerrcat.states import _log_polar, _pair_sum_log, _x_amplitude_log_arrays
+from kerrcat.states import (
+    _log_polar,
+    _norms,
+    _scale,
+    _spectral_norms,
+    _x_amplitude_log_arrays,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -293,8 +293,9 @@ def _log_route(log_c, arg_c, rows, g):
     coefficients and X_g, then summed by the pair sum: (log density, digits lost)."""
     amps = rows.amps * np.exp(1j * rows.u[g])
     wl, wp = _x_amplitude_log_arrays(rows.x[g], amps)
-    norm, lost = _pair_sum_log(log_c + wl, arg_c + wp, amps)
-    return norm.log_magnitude, lost
+    top, q = _scale(log_c + wl, arg_c + wp)
+    (log_norm,), (lost,) = _norms(q[None], amps, None)
+    return 2.0 * float(top) + log_norm, lost
 
 
 def _lag_route(rows, g):
@@ -464,11 +465,18 @@ class TestDigitsLostBudget:
 class TestSquaredNormBudget:
     """squared_norm shares the outcome densities' digits-lost budget."""
 
-    @pytest.mark.parametrize("n,x", [(200, 24.0), (1024, -3.0)])
+    @pytest.mark.parametrize("n,x", [(200, 24.0), (1024, -3.0), (1024, 1.0)])
     def test_accepts_conditioned_state(self, n, x):
-        # these pair sums lose ~6 digits; the old absolute 1e-12 bound on the
-        # imaginary residue rejected both
+        # these rings' norms are spectral and lose 1.5, 3.0 and 5.0 digits
+        # (the pair sums 6.1, 7.3 and 13.0, past the budget at X = 1); the
+        # old absolute 1e-12 bound on the imaginary residue rejected the
+        # first two
         assert condition_at(20.0, n, x).squared_norm() == pytest.approx(1.0, abs=1e-8)
+
+    def test_rejects_big_ring_past_budget(self):
+        # the N = 4096 ring's spectral norm loses 15.25 digits at X = 1
+        with pytest.raises(ArithmeticError, match="digits to cancellation"):
+            condition_at(20.0, 4096, 1.0).squared_norm()
 
     def test_rejects_past_budget(self):
         # the norm, 1 + a^2 - 2 a e^{-|b|^2 / 2} with a = 1 - 1e-10, is ~1e-10

@@ -28,7 +28,7 @@ from kerrcat import (
     window_from_threshold,
 )
 from kerrcat.cli import _grid
-from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
+from kerrcat.states import _log_polar, _scale_cut, _x_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -362,7 +362,7 @@ class TestDistributions:
             # one point at a time in the log domain, as the grid was summed
             # before it was blocked; <P|b> = <X = P|-i b>
             wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
-            top, terms = _scale(lc + wl, ac + wp)
+            top, terms = _scale_cut(lc + wl, ac + wp)
             want = math.exp(min(2.0 * (top + math.log(abs(np.sum(terms)))), 700.0))
             assert abs(got - want) <= 1e-13 * want, p
             assert got == p_marginal_density(psi, p), p

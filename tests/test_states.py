@@ -34,8 +34,11 @@ from kerrcat.states import (
     _fock_densities,
     _log_polar,
     _marginal_densities,
+    _norms,
+    _ring_spectrum,
     _ring_weights,
     _scale,
+    _scale_cut,
     _x_amplitude_log_arrays,
     normalization_mismatch,
 )
@@ -255,6 +258,25 @@ class TestNormalizationMismatch:
         assert normalization_mismatch(doubled) == pytest.approx(4.0, rel=1e-10, abs=0)
 
 
+class TestNormRoutes:
+    """A ring's squared norm is spectral, any other state's a pair sum."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("n", [2, 5, 20, 60])
+    def test_spectral_matches_pair_sum(self, alpha, n):
+        # kerrcat verify's rings, unsplit and as the two-mode norm sums them
+        # (sqrt2 b_n), and the split arm b_n; worst 1.2e-14 times 10^lost
+        psi = kerr_decompose(alpha, n).state
+        arm = beamsplit_with_vacuum(psi).amps
+        _, c = _scale(*_log_polar(psi.coeffs))
+        for amps in (psi.amps, SQRT2 * arm, arm):
+            spectrum = _ring_spectrum(amps)
+            assert spectrum is not None
+            (spectral,), _ = _norms(c[None], amps, spectrum)
+            (pair,), (lost,) = _norms(c[None], amps, None)
+            assert abs(spectral - pair) <= 1e-12 * 10.0 ** lost
+
+
 class TestMarginals:
     def test_vacuum_marginals(self):
         for x in (0.0, 0.7, -2.1):
@@ -301,7 +323,7 @@ class TestMarginals:
 
 
 class TestScaleCut:
-    """_scale computes only the entries of at least eps/n of their row's largest."""
+    """_scale_cut computes only the entries of at least eps/n of their row's largest."""
 
     EPS = np.finfo(float).eps
 
@@ -313,7 +335,7 @@ class TestScaleCut:
         log_c[1, ::3] = -math.inf          # exact zeros
         log_c[2] = -math.inf               # an all-zero row scales by 0
         log_c[3, 7] = log_c[3].max() + math.log(self.EPS / n)  # exactly on the cut
-        top, scaled = _scale(log_c, arg_c)
+        top, scaled = _scale_cut(log_c, arg_c)
         want_top = np.where(np.isfinite(log_c).any(axis=1), log_c.max(axis=1), 0.0)
         assert np.array_equal(top, want_top)
         shifted = log_c - want_top[:, None]
@@ -322,13 +344,10 @@ class TestScaleCut:
         assert live[3, 7] and 0 < live.sum() < 0.75 * live.size
         assert np.all(scaled[~live] == 0)
         assert np.array_equal(scaled[live], dense[live])  # bit for bit
-        # the 1-D form (pair sums) cuts the same way
-        top1, row = _scale(log_c[0], arg_c[0])
-        assert top1 == top[0] and np.array_equal(row, scaled[0])
 
     def test_p_cells_within_rounding_of_dense_sum(self):
-        # N = 1024, X = 1.  The collapse is rebuilt here without _scale: every
-        # conditioned coefficient must be kept (a P cell may weight one far
+        # N = 1024, X = 1.  The collapse is rebuilt here without the library:
+        # every conditioned coefficient must be kept (a P cell may weight one far
         # below the cut by e^200 more than the largest), and every P cell's
         # cut sum must stay within the rounding bound (n + 1) eps sum|terms|
         # of the dense sum over those coefficients
@@ -346,7 +365,7 @@ class TestScaleCut:
         p = np.arange(-600, 601)[:, None] * 0.05
         wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
         log_c, arg_c = lc + wl, ac + wp
-        _, scaled = _scale(log_c, arg_c)
+        _, scaled = _scale_cut(log_c, arg_c)
         top = log_c.max(axis=1, keepdims=True)
         with np.errstate(under="ignore"):
             dense = np.exp(log_c - top) * np.exp(1j * arg_c)
