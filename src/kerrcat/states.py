@@ -14,18 +14,16 @@ stay in log-polar form until a sum needs them, and every sum over components
 follows one rule, written once in :func:`_scale`: shift the logs by their
 largest value, exponentiate, sum, and add the shift back to the log of the
 sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
-term is 1.  Only the direct marginal kernel (:func:`_direct_densities`)
-skips terms: a cell there is one sum whose largest term is its largest
-entry, so the terms below eps/n of it move the cell by less than one ulp of
-that term, inside its own rounding error (:func:`_scale_cut`).
+term is 1.  Every term is computed; no sum skips any.
 
 Rings b_n = b_0 w^n, w = e^{2 i pi / N}, are recognized
 (:func:`_ring_weights`): their Gram matrix is circulant, so their squared
 norms are spectral (:func:`_spectral_norms`) where every other state's are
-pair sums (:func:`_norms` is the one place that picks), and when N exceeds
-the photon numbers their Poisson weights reach, their marginal densities
-are summed over those photon numbers with the Hermite-function recurrence
-(:func:`_fock_densities`) instead of over their N components.
+pair sums (:func:`_norms` is the one place that picks), and when N
+components cost more than the photon numbers their Poisson weights reach,
+their marginal densities are summed over those photon numbers with the
+Hermite-function recurrence (:func:`_fock_densities`) instead of over their
+N components.
 """
 
 from __future__ import annotations
@@ -254,7 +252,6 @@ def _x_amplitude_log_arrays(X, amps: np.ndarray):
 # --------------------------------------------------------------------------
 
 _CHUNK = 512
-_EPS = float(np.finfo(float).eps)
 
 
 def _log_polar(z: np.ndarray):
@@ -274,24 +271,17 @@ def _project(log_c, arg_c, amps, x):
     return lq, aq
 
 
-def _top(log_c):
-    """Largest log_c along the last axis, kept as a length-1 axis; 0 where
-    every entry is -inf (all zero)."""
-    top = np.max(log_c, axis=-1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    return top
-
-
 def _scale(log_c, arg_c):
-    """(M, c e^{-M}) for c = e^{log_c + i arg_c}, with M = :func:`_top`, the
-    largest log|c| along the last axis.
+    """(M, c e^{-M}) for c = e^{log_c + i arg_c}, with M the largest log|c|
+    along the last axis (0 where every entry is -inf, all zero).
 
     The one shift every component sum in the package makes before it
     exponentiates: the largest scaled entry has magnitude 1.  Every entry is
     computed, so a scaled row serves any later sum over it (a collapsed
     row's norm, and its P cells as a conditioned state's coefficients).
     """
-    top = _top(log_c)
+    top = np.max(log_c, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
     return top[..., 0], np.exp(log_c - top) * np.exp(1j * arg_c)
 
 
@@ -466,62 +456,38 @@ def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
     """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, b_n = ``amps`` (P uses
     -i psi.amps: <P|b> = <X = P|-i b>).
 
-    A ring b_n = b_0 w^n with more components than the photon numbers its
-    Poisson weights reach is summed over those photon numbers
-    (:func:`_fock_densities`), any other state over its components
-    (:func:`_direct_densities`).  Both compute every cell on its own, so a
-    grid cell equals the one-point call bit for bit.
+    A ring b_n = b_0 w^n is summed over the photon numbers its Poisson
+    weights reach (:func:`_fock_densities`) when that costs less than a sum
+    over its N components (:func:`_direct_densities`); any other state is
+    summed over its components.  The route depends on the state alone, and
+    both compute every cell on its own, so a grid cell equals the one-point
+    call bit for bit.
     """
     lc, ac = _log_polar(psi.coeffs)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(values)):
         raise ValueError("quadrature values must be finite")
     ring = _ring_weights(amps)
-    # a cell costs k_1 + 1 recurrence steps on the Fock route, N terms on the other
-    if ring is not None and len(amps) > ring[0][-1] + 1:
-        return _fock_densities(*_fock_amplitudes(lc, ac, amps, *ring), values)
+    if ring is not None and _STEPS_PER_TERM * len(amps) > ring[0][-1] + 1:
+        top, a = _fock_amplitudes(lc, ac, amps, *ring)
+        # one value runs on Python floats: a ufunc call costs more than a cell
+        cells = float(values[0]) if len(values) == 1 else values
+        return np.atleast_1d(_fock_densities(top, a, cells))
     return _direct_densities(lc, ac, amps, values)
 
 
 def _direct_densities(log_c, arg_c, amps, values) -> np.ndarray:
     """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, summed over the
-    components with :func:`_scale_cut`'s cut, ``_MARGINAL_BLOCK`` terms at a
-    time."""
+    components, each cell scaled by :func:`_scale`, ``_MARGINAL_BLOCK``
+    terms at a time."""
     out = np.empty(len(values))
     step = max(1, _MARGINAL_BLOCK // len(log_c))
     for start in range(0, len(values), step):
-        top, q = _scale_cut(*_project(log_c, arg_c, amps, values[start:start + step, None]))
+        top, q = _scale(*_project(log_c, arg_c, amps, values[start:start + step, None]))
         with np.errstate(divide="ignore"):
             log_amp = top + np.log(np.abs(np.sum(q, axis=1)))
         out[start:start + step] = np.exp(np.minimum(2.0 * log_amp, 700.0))
     return out
-
-
-def _scale_cut(log_c, arg_c):
-    """:func:`_scale` for the rows of :func:`_direct_densities`, each the n
-    terms of one cell, computing only the entries of at least eps/n; the
-    rest are exactly 0.
-
-    A cell's largest term is its row's largest entry, 1 after the shift, so
-    the cut terms sum to below n * eps/n = eps, one ulp of it, while summing
-    n terms already errs by up to (n - 1) u sum|terms|, u = eps/2 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2).
-    """
-    top = _top(log_c)
-    shifted = np.ravel(log_c - top)
-    live = shifted >= math.log(_EPS / log_c.shape[-1])
-    # np.exp(shifted) * np.exp(1j * arg_c) on the live entries, bit for bit,
-    # in place: a P block may be all live, and each temporary is a block
-    mag = shifted[live]
-    del shifted
-    np.exp(mag, out=mag)
-    term = 1j * np.ravel(arg_c)[live]
-    np.exp(term, out=term)
-    np.multiply(mag, term, out=term)
-    del mag
-    scaled = np.zeros(log_c.size, dtype=complex)
-    scaled[live] = term
-    return top[..., 0], scaled.reshape(log_c.shape)
 
 
 def _fock_amplitudes(log_c, arg_c, amps, k, weights):
@@ -543,15 +509,21 @@ def _fock_amplitudes(log_c, arg_c, amps, k, weights):
     return float(top), a
 
 
+#: Recurrence steps of :func:`_fock_densities` that cost as much per cell as
+#: one term of :func:`_direct_densities`.  On 3,001-cell P grids of rings at
+#: alpha = 20 (2-core x86-64, Python 3.11, numpy 2.4) a direct term took
+#: 89-154 ns and a recurrence step 5.7-8.6 ns; the routes cost the same near
+#: N = 60-70, 966 steps.
+_STEPS_PER_TERM = 14
 #: Recurrence steps between two rescales of a cell in :func:`_fock_densities`.
 _RESCALE_STEPS = 16
 #: log of half the smallest positive double: a density below it rounds to 0.
 _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 
 
-def _fock_densities(top, a, values) -> np.ndarray:
-    """|e^top sum_m a_m psi_m(v)|^2 at each of ``values``, psi_m the real
-    Hermite functions.
+def _fock_densities(top, a, values):
+    """|e^top sum_m a_m psi_m(v)|^2 at each of ``values`` (an array, or one
+    float), psi_m the real Hermite functions.
 
     Each cell runs the recurrence h_0 = 1, h_1 = sqrt2 v,
     h_{m+1} = sqrt(2/(m+1)) v h_m - sqrt(m/(m+1)) h_{m-1} for
@@ -562,43 +534,40 @@ def _fock_densities(top, a, values) -> np.ndarray:
     exponent.  Between two rescales |h| grows at most (sqrt2 |v| + 1)^16, so
     nothing overflows below |v| ~ 1e19; cells that the same bound
     |h_m| <= (sqrt2 |v| + 1)^m puts below the smallest double are 0.  Every
-    operation is elementwise: a cell's bits do not depend on the others.
+    operation is elementwise, written once for an array and a float: a
+    cell's bits do not depend on the others, nor on whether it runs alone.
     """
     m_max = len(a) - 1
     log_psi0 = top + LOG_PI_QUARTER - 0.5 * values * values
     with np.errstate(divide="ignore"):
         bound = log_psi0 + m_max * np.log1p(SQRT2 * np.abs(values)) + np.log(np.sum(np.abs(a)))
-    dead = 2.0 * bound < _LOG_ROUNDS_TO_ZERO
-    v = np.where(dead, 0.0, values)
-    # per-step factors as 0-d arrays and the (re, im) of a_m as (2, 1) rows:
-    # a step's cost is its ufunc calls more than their cells
+    live = 2.0 * bound >= _LOG_ROUNDS_TO_ZERO
+    if isinstance(values, float):
+        # numpy's frexp and maximum would turn the cell into numpy scalars
+        v, frexp, ldexp, larger = (values if live else 0.0), math.frexp, math.ldexp, max
+    else:
+        v, frexp, ldexp, larger = np.where(live, values, 0.0), np.frexp, np.ldexp, np.maximum
     steps = np.arange(1.0, m_max + 1.0)
-    up = [np.array(f) for f in np.sqrt(2.0 / steps)]
-    back = [np.array(f) for f in np.sqrt((steps - 1.0) / steps)]
-    parts = list(np.stack((a.real, a.imag), axis=1)[:, :, None])
-    prev, cur, step = np.zeros(len(v)), np.ones(len(v)), np.empty(len(v))
-    total, term = parts[0] * cur, np.empty((2, len(v)))
-    exponent = np.zeros(len(v))
-    for m, (up_m, back_m, part) in enumerate(zip(up, back, parts[1:]), 1):
-        np.multiply(cur, v, step)
-        np.multiply(step, up_m, step)
-        np.multiply(prev, back_m, prev)
-        np.subtract(step, prev, prev)
-        prev, cur = cur, prev                        # cur = h_m
-        np.multiply(part, cur, term)
-        np.add(total, term, total)
+    up, back = np.sqrt(2.0 / steps).tolist(), np.sqrt((steps - 1.0) / steps).tolist()
+    a = a.tolist()
+    prev, cur, total, exponent = 0.0, 1.0, a[0], 0
+    for m, (up_m, back_m, a_m) in enumerate(zip(up, back, a[1:]), 1):
+        step = cur * v
+        step *= up_m
+        prev *= back_m
+        step -= prev
+        prev, cur = cur, step                        # cur = h_m
+        total += a_m * cur
         if m % _RESCALE_STEPS == 0:
-            e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
-            scale = np.ldexp(1.0, -e)
+            e = frexp(larger(abs(prev), abs(cur)))[1]
+            scale = ldexp(1.0, -e)
             prev *= scale
             cur *= scale
             total *= scale
             exponent += e
     with np.errstate(divide="ignore"):
-        log_amp = log_psi0 + exponent * math.log(2.0) + np.log(np.hypot(*total))
-    out = np.exp(np.minimum(2.0 * log_amp, 700.0))
-    out[dead] = 0.0
-    return out
+        log_amp = log_psi0 + exponent * math.log(2.0) + np.log(np.hypot(total.real, total.imag))
+    return np.where(live, np.exp(np.minimum(2.0 * log_amp, 700.0)), 0.0)
 
 
 def x_marginal_density(psi: CoherentSuperposition, X: float) -> float:

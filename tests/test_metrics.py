@@ -28,7 +28,7 @@ from kerrcat import (
     window_from_threshold,
 )
 from kerrcat.cli import _grid
-from kerrcat.states import _log_polar, _scale_cut, _x_amplitude_log_arrays
+from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
 
 SQRT2 = math.sqrt(2.0)
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -36,6 +36,22 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def random_complex(rng, scale):
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def bench_reference(name, tol):
+    """within(p, got): whether ``got`` is within bench/workloads' tolerance
+    ``tol`` of the 60-digit reference density at P = p in bench/refs/``name``,
+    with no known-cell envelope."""
+    sys.path.insert(0, BENCH)
+    try:
+        import check
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    with open(os.path.join(BENCH, "refs", name), encoding="utf-8") as fh:
+        ref = {float(p): float(d) for p, d in check.parse_table(fh.read())[1:]}
+    peak = max(ref.values())
+    return lambda p, got: check.within(got, ref[p], getattr(workloads, tol), peak)
 
 
 class TestCatState:
@@ -332,40 +348,42 @@ class TestDistributions:
         else:
             rows = precondition_p_distribution(20.0, n, grid)
             psi = kerr_decompose(20.0, n).state
-        self._assert_cells_match_points(psi, rows)
+        # fig4 takes the Fock route and is checked against the 60-digit
+        # reference: 1e-13 against the sum over the components would compare
+        # two double-precision sums, which differ by 1.8e-13 at P = -29.98
+        # and in the trough near P = 1.6 are both rounding noise (direct
+        # 6.7e-174, Fock 8.0e-31, reference 2.3e-28)
+        within = bench_reference("fig4.csv", "DENSITY") if n == 200 else None
+        self._assert_cells_match_points(psi, rows, within)
 
     def test_large_ring_grid_matches_per_point(self):
         # N = 1024 at X = 1 takes the Fock route: every cell equals the
         # one-point call bit for bit, and bench/refs' 60-digit reference at
         # the same grid points to the bench's large-N tolerance, with no
         # known-cell envelope
-        sys.path.insert(0, BENCH)
-        try:
-            import check
-            import workloads
-        finally:
-            sys.path.remove(BENCH)
-        with open(os.path.join(BENCH, "refs", "pdist_post_n1024_x1.csv"), encoding="utf-8") as fh:
-            ref = {float(p): float(d) for p, d in check.parse_table(fh.read())[1:]}
-        peak = max(ref.values())
+        within = bench_reference("pdist_post_n1024_x1.csv", "DENSITY_LARGE_N")
         psi = metrics.condition_at(20.0, 1024, 1.0)
         for p, got in conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05)):
             assert got == p_marginal_density(psi, p), p
-            assert check.within(got, ref[p], workloads.DENSITY_LARGE_N, peak), p
+            assert within(p, got), p
 
     @staticmethod
-    def _assert_cells_match_points(psi, rows):
-        """Every grid cell equals the one-point call bit for bit, and the
-        one-point log-domain sum to 1e-13."""
+    def _assert_cells_match_points(psi, rows, within=None):
+        """Every grid cell equals the one-point call bit for bit, and is
+        ``within`` the bench reference or, by default, the one-point
+        log-domain sum over the components to 1e-13."""
         lc, ac = _log_polar(psi.coeffs)
         for p, got in rows:
+            assert got == p_marginal_density(psi, p), p
+            if within is not None:
+                assert within(p, got), p
+                continue
             # one point at a time in the log domain, as the grid was summed
             # before it was blocked; <P|b> = <X = P|-i b>
             wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
-            top, terms = _scale_cut(lc + wl, ac + wp)
+            top, terms = _scale(lc + wl, ac + wp)
             want = math.exp(min(2.0 * (top + math.log(abs(np.sum(terms)))), 700.0))
             assert abs(got - want) <= 1e-13 * want, p
-            assert got == p_marginal_density(psi, p), p
 
     def test_large_ring_peak_positions_regression(self):
         # at n = 200 each branch is a ~7-component cluster whose coefficient

@@ -38,7 +38,6 @@ from kerrcat.states import (
     _ring_spectrum,
     _ring_weights,
     _scale,
-    _scale_cut,
     _x_amplitude_log_arrays,
     normalization_mismatch,
 )
@@ -254,6 +253,18 @@ class TestNormalizationMismatch:
         # N = 1024, X = 1: the pair sum loses 13 digits, the spectral sum 4.97
         psi = condition_at(20.0, 1024, 1.0)
         assert normalization_mismatch(psi) is None
+        # every conditioned coefficient is kept, to 4 eps of the collapse
+        # rebuilt here without the library; a P cell may weight one far
+        # below eps/N of the largest by e^200 more than the largest
+        two = beamsplit_with_vacuum(kerr_decompose(20.0, 1024).state)
+        lc, ac = _log_polar(two.coeffs)
+        wl, wp = _x_amplitude_log_arrays(1.0, two.amps)
+        lq, aq = lc + wl, ac + wp
+        q = np.exp(lq - lq.max()) * np.exp(1j * aq)
+        assert np.all(q != 0)
+        big = np.argmax(np.abs(q))
+        eps = np.finfo(float).eps
+        assert np.allclose(psi.coeffs, q * (psi.coeffs[big] / q[big]), rtol=4 * eps, atol=0)
         doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
         assert normalization_mismatch(doubled) == pytest.approx(4.0, rel=1e-10, abs=0)
 
@@ -322,66 +333,15 @@ class TestMarginals:
             assert val == pytest.approx(1.0, abs=1e-6)
 
 
-class TestScaleCut:
-    """_scale_cut computes only the entries of at least eps/n of their row's largest."""
-
-    EPS = np.finfo(float).eps
-
-    def test_cut_and_live_entries(self):
-        rng = np.random.default_rng(13)
-        n = 300
-        log_c = rng.uniform(-80.0, 5.0, (4, n))
-        arg_c = rng.uniform(-math.pi, math.pi, (4, n))
-        log_c[1, ::3] = -math.inf          # exact zeros
-        log_c[2] = -math.inf               # an all-zero row scales by 0
-        log_c[3, 7] = log_c[3].max() + math.log(self.EPS / n)  # exactly on the cut
-        top, scaled = _scale_cut(log_c, arg_c)
-        want_top = np.where(np.isfinite(log_c).any(axis=1), log_c.max(axis=1), 0.0)
-        assert np.array_equal(top, want_top)
-        shifted = log_c - want_top[:, None]
-        dense = np.exp(shifted) * np.exp(1j * arg_c)
-        live = shifted >= math.log(self.EPS / n)
-        assert live[3, 7] and 0 < live.sum() < 0.75 * live.size
-        assert np.all(scaled[~live] == 0)
-        assert np.array_equal(scaled[live], dense[live])  # bit for bit
-
-    def test_p_cells_within_rounding_of_dense_sum(self):
-        # N = 1024, X = 1.  The collapse is rebuilt here without the library:
-        # every conditioned coefficient must be kept (a P cell may weight one far
-        # below the cut by e^200 more than the largest), and every P cell's
-        # cut sum must stay within the rounding bound (n + 1) eps sum|terms|
-        # of the dense sum over those coefficients
-        two = beamsplit_with_vacuum(kerr_decompose(20.0, 1024).state)
-        lc, ac = _log_polar(two.coeffs)
-        wl, wp = _x_amplitude_log_arrays(1.0, two.amps)
-        lq, aq = lc + wl, ac + wp
-        q = np.exp(lq - lq.max()) * np.exp(1j * aq)
-        assert np.all(q != 0)
-        psi = condition_at(20.0, 1024, 1.0)
-        n = len(psi)
-        big = np.argmax(np.abs(q))
-        assert np.allclose(psi.coeffs, q * (psi.coeffs[big] / q[big]), rtol=4 * self.EPS, atol=0)
-        lc, ac = _log_polar(psi.coeffs)
-        p = np.arange(-600, 601)[:, None] * 0.05
-        wl, wp = _x_amplitude_log_arrays(p, -1j * psi.amps)
-        log_c, arg_c = lc + wl, ac + wp
-        _, scaled = _scale_cut(log_c, arg_c)
-        top = log_c.max(axis=1, keepdims=True)
-        with np.errstate(under="ignore"):
-            dense = np.exp(log_c - top) * np.exp(1j * arg_c)
-        assert np.count_nonzero(scaled) < 0.5 * scaled.size
-        err = np.abs(np.sum(scaled, axis=1) - np.sum(dense, axis=1))
-        assert np.all(err <= (n + 1) * self.EPS * np.sum(np.abs(dense), axis=1))
-
-
 def _fock_terms(amps):
     """Photon numbers the Fock route sums over for a ring of amplitudes ``amps``."""
     return _ring_weights(amps)[0][-1] + 1
 
 
 class TestFockRoute:
-    """Rings with more components than photon numbers in reach take
-    _fock_densities; every other state takes _direct_densities."""
+    """Rings whose N component terms cost more than the recurrence over the
+    photon numbers in reach take _fock_densities; every other state takes
+    _direct_densities."""
 
     @pytest.mark.parametrize("x", [0.3, 2.0])
     def test_matches_number_basis_oracle(self, x):
@@ -396,6 +356,8 @@ class TestFockRoute:
                              (-1j * psi.amps, oracles.p_density_fock)):
             fock = _fock_densities(*_fock_amplitudes(lc, ac, amps, *_ring_weights(amps)), grid)
             assert np.array_equal(_marginal_densities(psi, grid, amps), fock)
+            if oracle is oracles.x_density_fock:
+                assert [x_marginal_density(psi, v) for v in grid] == fock.tolist()
             want = np.array([oracle(vec, v) for v in grid])
             tol = 1e-10 * want.max()
             assert np.max(np.abs(fock - want)) <= tol
@@ -404,7 +366,8 @@ class TestFockRoute:
     def test_cells_past_underflow_keep_their_values(self):
         # alpha = 30, N = 4096 before the split: 2301 photon numbers, and P
         # out to 50.4, where pi^(-1/4) e^{-P^2/2} underflows past |P| ~ 37.6;
-        # an unscaled recurrence prints 0 there (3.3e-28 at P = 40)
+        # an unscaled recurrence prints 0 there (3.3e-28 at P = 40).  A
+        # one-point call, which rescales Python floats, equals its grid cell
         psi = kerr_decompose(30.0, 4096).state
         assert len(psi) > _fock_terms(-1j * psi.amps)
         span = SQRT2 * 30.0 + 8.0
@@ -412,6 +375,9 @@ class TestFockRoute:
         got = np.array([d for _, d in precondition_p_distribution(30.0, 4096, grid)])
         want = _direct_densities(*_log_polar(psi.coeffs), -1j * psi.amps, grid)
         assert np.all(np.abs(got - want) <= 1e-8 * want + 1e-11 * want.max())
+        far = np.flatnonzero(np.abs(grid) > 37.6)[::8]
+        assert len(far) > 50
+        assert [p_marginal_density(psi, p) for p in grid[far]] == got[far].tolist()
 
     def test_cells_beyond_every_term_are_zero(self):
         # the bound (sqrt2 |P| + 1)^m on psi_m / psi_0 puts these below the
@@ -420,17 +386,19 @@ class TestFockRoute:
         with np.errstate(over="raise", invalid="raise"):
             assert [p_marginal_density(psi, p) for p in (1e6, -1e30)] == [0.0, 0.0]
 
-    def test_both_kernels_on_a_ring_within_reach(self):
-        # N = 200 at X = 0 (fig4): 966 photon numbers, so several share a
-        # residue class mod N and the grid takes the direct route
-        psi = condition_at(20.0, 200, 0.0)
+    @pytest.mark.parametrize("n,fock_route", [(200, True), (69, False)])
+    def test_both_kernels_on_a_ring_within_reach(self, n, fock_route):
+        # X = 0: 966 photon numbers, so several share a residue class mod N.
+        # fig4's N = 200 (14 N > 966) takes the Fock route, and N = 69, the
+        # largest with 14 N <= 966, the direct one
+        psi = condition_at(20.0, n, 0.0)
         amps = -1j * psi.amps
         assert len(psi) <= _fock_terms(amps)
         lc, ac = _log_polar(psi.coeffs)
         grid = np.arange(-300, 301) * 0.1
         direct = _direct_densities(lc, ac, amps, grid)
-        assert np.array_equal(_marginal_densities(psi, grid, amps), direct)
         fock = _fock_densities(*_fock_amplitudes(lc, ac, amps, *_ring_weights(amps)), grid)
+        assert np.array_equal(_marginal_densities(psi, grid, amps), fock if fock_route else direct)
         assert np.all(np.abs(fock - direct) <= 1e-8 * direct + 1e-11 * direct.max())
 
 
