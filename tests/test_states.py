@@ -253,18 +253,6 @@ class TestNormalizationMismatch:
         # N = 1024, X = 1: the pair sum loses 13 digits, the spectral sum 4.97
         psi = condition_at(20.0, 1024, 1.0)
         assert normalization_mismatch(psi) is None
-        # every conditioned coefficient is kept, to 4 eps of the collapse
-        # rebuilt here without the library; a P cell may weight one far
-        # below eps/N of the largest by e^200 more than the largest
-        two = beamsplit_with_vacuum(kerr_decompose(20.0, 1024).state)
-        lc, ac = _log_polar(two.coeffs)
-        wl, wp = _x_amplitude_log_arrays(1.0, two.amps)
-        lq, aq = lc + wl, ac + wp
-        q = np.exp(lq - lq.max()) * np.exp(1j * aq)
-        assert np.all(q != 0)
-        big = np.argmax(np.abs(q))
-        eps = np.finfo(float).eps
-        assert np.allclose(psi.coeffs, q * (psi.coeffs[big] / q[big]), rtol=4 * eps, atol=0)
         doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
         assert normalization_mismatch(doubled) == pytest.approx(4.0, rel=1e-10, abs=0)
 
@@ -331,6 +319,44 @@ class TestMarginals:
             span = SQRT2 * 20 + 10
             val, _ = quad(lambda x: x_marginal_density(psi, x), -span, span, limit=400)
             assert val == pytest.approx(1.0, abs=1e-6)
+
+
+class TestScaleCut:
+    """No sum cuts a term: the retired eps/n cut would drop most of a large
+    ring's P-cell terms, and every one of them is kept."""
+
+    EPS = np.finfo(float).eps
+
+    def test_p_cells_within_rounding_of_dense_sum(self):
+        # N = 1024, X = 1.  The collapse is rebuilt here without the library:
+        # every conditioned coefficient must be kept (a P cell may weight one
+        # far below eps/n of the largest by e^200 more than the largest), and
+        # every P cell of the direct kernel must stay within the rounding bound
+        # (n + 1) eps sum|terms| of the dense sum over those coefficients
+        two = beamsplit_with_vacuum(kerr_decompose(20.0, 1024).state)
+        lc, ac = _log_polar(two.coeffs)
+        wl, wp = _x_amplitude_log_arrays(1.0, two.amps)
+        lq, aq = lc + wl, ac + wp
+        q = np.exp(lq - lq.max()) * np.exp(1j * aq)
+        assert np.all(q != 0)
+        psi = condition_at(20.0, 1024, 1.0)
+        n = len(psi)
+        big = np.argmax(np.abs(q))
+        assert np.allclose(psi.coeffs, q * (psi.coeffs[big] / q[big]), rtol=4 * self.EPS, atol=0)
+        lc, ac = _log_polar(psi.coeffs)
+        p = np.arange(-600, 601) * 0.05
+        wl, wp = _x_amplitude_log_arrays(p[:, None], -1j * psi.amps)
+        log_c, arg_c = lc + wl, ac + wp
+        top = log_c.max(axis=1, keepdims=True)
+        with np.errstate(under="ignore"):
+            dense = np.exp(log_c - top) * np.exp(1j * arg_c)
+        # most terms lie below eps/n of their cell's largest, where the
+        # retired cut dropped them; here every one is summed
+        assert np.count_nonzero(log_c - top >= math.log(self.EPS / n)) < 0.5 * log_c.size
+        got = np.sqrt(_direct_densities(lc, ac, -1j * psi.amps, p)) * np.exp(-top[:, 0])
+        want = np.abs(np.sum(dense, axis=1))
+        err = np.abs(got - want)
+        assert np.all(err <= (n + 1) * self.EPS * np.sum(np.abs(dense), axis=1) + 4 * self.EPS * want)
 
 
 def _fock_terms(amps):
