@@ -259,6 +259,41 @@ class _Pipeline:
             A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), rows_c.amps, *targets)
         return A, B, degenerate
 
+    @cached_property
+    def _bound_terms(self):
+        """(g, c): g_n = |<bt|b_n>| + |<pt|b_n>| and c = N lam_min (2 - 2|<bt|pt>|),
+        the constants of :meth:`fidelity_bound`; c = 0 off a ring or where
+        lam_min underflows."""
+        bt, pt, cross = self.target
+        amps = self.two_mode.amps
+        g = np.exp(_overlap_exponent(bt, amps).real) + np.exp(_overlap_exponent(pt, amps).real)
+        lam_min = 0.0 if self.spectrum is None else math.exp(np.min(self.spectrum))
+        return g, len(amps) * lam_min * (2.0 - 2.0 * abs(cross))
+
+    def fidelity_bound(self, x):
+        """Upper bound on the phi-maximised fidelity at each outcome in ``x``:
+        (sum_n |q_gn| g_n)^2 / (c sum_n |q_gn|^2) with g and c from
+        :meth:`_bound_terms`, +inf where c = 0.
+
+        Needs only the magnitudes |q_gn| of the collapsed rows (real
+        exponentials, no phases), ``_BLOCK`` rows at a time.  The bound is
+        scale-free in each row, so constant factors drop out and each row is
+        shifted by its own largest log|q_gn| before it is exponentiated.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        g, c = self._bound_terms
+        if c == 0.0:
+            return np.full(len(x), np.inf)
+        re = self.two_mode.amps.real
+        bound = np.empty(len(x))
+        for start in range(0, len(x), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            lq = self.log_c - 0.5 * (x[rows, None] - SQRT2 * re) ** 2  # log|q_gn| + const
+            mag = np.exp(lq - np.max(lq, axis=1, keepdims=True))
+            with np.errstate(over="ignore"):  # a denormal lam_min: the bound is +inf
+                bound[rows] = (mag @ g) ** 2 / (c * np.sum(mag * mag, axis=1))
+        return bound
+
     def fidelity(self, x):
         """(F, phi_max, degenerate) at each outcome; F = phi_max = 0 where degenerate."""
         A, B, degenerate = self.fidelity_terms(x)
@@ -303,16 +338,30 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
                           scan_step: float = 0.01) -> AcceptanceWindow:
     """Outcome region {X : F(X) >= f_min}, scanned over [-(alpha_i+5), alpha_i+5].
 
+    Only the scan points whose :meth:`_Pipeline.fidelity_bound` is not below
+    f_min / 2 are scored; every other point is below threshold by proof.  On a
+    ring with unit-mass Gram spectrum lam and collapsed row q (squared norm
+    s = sum_j lam_j |Q_j|^2, Q its transform),
+    F <= (|A| + |B|)^2 / (2 - 2|<bt|pt>|) with
+    |A| + |B| <= sum_n |q_n| (|<bt|b_n>| + |<pt|b_n>|) / sqrt(s), and by
+    Parseval s >= N lam_min sum_n |q_n|^2.  The computed F exceeds that
+    bound by rounding alone (under 2e-13 relative), so the margin of a
+    factor 2 keeps every row that could reach f_min.  Off a ring, or where
+    lam_min underflows, the bound is +inf and every point is scored.
+
     Threshold crossings are refined by bisection to 1e-6, all crossings
     together.  May be empty.
     """
     if not (0.0 < f_min < 1.0):
         raise ValueError("f_min must lie strictly between 0 and 1")
-    if not (scan_step > 0):
-        raise ValueError("scan_step must be positive")
+    if not (0.0 < scan_step < math.inf):
+        raise ValueError("scan_step must be positive and finite")
     lo, hi = -(alpha_i + 5.0), alpha_i + 5.0
     xs = np.arange(lo, hi + 0.5 * scan_step, scan_step)
-    above = np.array([p.fidelity >= f_min for p in fidelity_curve(alpha_i, n, xs)])
+    pipe = _pipeline(alpha_i, n)
+    scored = np.flatnonzero(~(pipe.fidelity_bound(xs) < 0.5 * f_min))  # NaN bounds are scored
+    above = np.zeros(len(xs), dtype=bool)
+    above[scored] = [p.fidelity >= f_min for p in fidelity_curve(alpha_i, n, xs[scored])]
     runs = np.diff(np.concatenate(([0], above.astype(int), [0])))
     first, last = np.flatnonzero(runs == 1), np.flatnonzero(runs == -1) - 1
     rise, fall = first[first > 0], last[last < len(xs) - 1]
@@ -321,7 +370,6 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
     a = np.concatenate((xs[rise - 1], xs[fall]))
     b = np.concatenate((xs[rise], xs[fall + 1]))
     high_at_b = np.arange(len(a)) < len(rise)
-    pipe = _pipeline(alpha_i, n)
     while (live := np.flatnonzero(b - a > 1e-6)).size:
         m = 0.5 * (a[live] + b[live])
         to_b = (pipe.fidelity(m)[0] >= f_min) == high_at_b[live]

@@ -274,6 +274,53 @@ class TestWindowsAndSuccess:
             AcceptanceWindow(((0.0, 1.0), (0.5, 2.0)))
         with pytest.raises(ValueError):
             window_from_threshold(20.0, 20, 1.5)
+        for step in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scan_step must be positive and finite"):
+                window_from_threshold(20.0, 20, 0.9, scan_step=step)
+
+
+class TestFidelityBound:
+    """The phase-free bound that screens window scans, and the screen itself."""
+
+    @pytest.mark.parametrize("alpha,n", [(2.0, 1), (5.0, 2), (20.0, 2), (3.0, 3), (30.0, 5),
+                                         (5.0, 12), (20.0, 20), (20.0, 60), (30.0, 100),
+                                         (10.0, 200)])
+    def test_bounds_fidelity(self, alpha, n):
+        pipe = metrics._pipeline(alpha, n)
+        xs = np.arange(-(alpha + 5.0), alpha + 5.0, 0.05)
+        bound = pipe.fidelity_bound(xs)
+        fid, _, degenerate = pipe.fidelity(xs)
+        assert np.isfinite(bound).all()
+        ok = ~degenerate
+        assert ok.sum() > len(xs) // 4
+        assert (bound[ok] >= fid[ok] * (1.0 - 1e-12)).all()
+
+    def test_infinite_where_smallest_eigenvalue_underflows(self):
+        pipe = metrics._pipeline(3.0, 512)
+        assert np.exp(np.min(pipe.spectrum)) == 0.0
+        assert (pipe.fidelity_bound(np.linspace(-8.0, 8.0, 9)) == np.inf).all()
+
+    @pytest.mark.parametrize("alpha,n,f_min", [(20.0, 20, 0.99999), (20.0, 40, 0.99),
+                                               (20.0, 60, 0.9), (5.0, 12, 0.5),
+                                               (30.0, 100, 0.9)])
+    def test_screen_moves_no_window(self, monkeypatch, alpha, n, f_min):
+        screened = window_from_threshold(alpha, n, f_min)
+        for fill in (np.inf, np.nan):
+            monkeypatch.setattr(metrics._Pipeline, "fidelity_bound",
+                                lambda self, x, fill=fill: np.full(len(x), fill))
+            assert window_from_threshold(alpha, n, f_min) == screened
+        assert screened.intervals
+
+    def test_screen_stays_on(self, monkeypatch):
+        scored = []
+
+        def counting_curve(alpha_i, n, x_grid):
+            scored.append(len(x_grid))
+            return fidelity_curve(alpha_i, n, x_grid)
+
+        monkeypatch.setattr(metrics, "fidelity_curve", counting_curve)
+        window_from_threshold(20.0, 20, 0.99999)
+        assert len(scored) == 1 and 0 < scored[0] < 1000
 
 
 class TestDistributions:
