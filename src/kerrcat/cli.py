@@ -357,16 +357,11 @@ def _cmd_reproduce(args) -> int:
         rows = [(p, dpre, dpost) for (p, dpre), (_, dpost) in zip(pre, post)]
         header = ("p", "density_before_split", "density_conditioned_x0")
     elif args.what == "fig3":
-        grid = _grid(-3.0, 3.0, 0.01)
-        series = {n: fidelity_curve(20.0, n, grid) for n in (20, 40, 60)}
-        header = ("x",
-                  "fidelity_n20", "phi_max_n20",
-                  "fidelity_n40", "phi_max_n40",
-                  "fidelity_n60", "phi_max_n60")
-        rows = [(pt20.x, pt20.fidelity, pt20.phi_max,
-                 pt40.fidelity, pt40.phi_max,
-                 pt60.fidelity, pt60.phi_max)
-                for pt20, pt40, pt60 in zip(series[20], series[40], series[60])]
+        grid, ns = _grid(-3.0, 3.0, 0.01), (20, 40, 60)
+        series = [fidelity_curve(20.0, n, grid) for n in ns]
+        header = ("x", *(f"{q}_n{n}" for n in ns for q in ("fidelity", "phi_max")))
+        rows = [(pts[0].x, *(v for pt in pts for v in (pt.fidelity, pt.phi_max)))
+                for pts in zip(*series)]
     elif args.what == "fig4":
         grid = _grid(-30.0, 30.0, 0.02)
         rows = conditioned_p_distribution(20.0, 200, 0.0, grid)
@@ -377,19 +372,13 @@ def _cmd_reproduce(args) -> int:
         rows = zip(sigmas, *avg)
         header = ("sigma", "avg_fidelity_n20", "avg_fidelity_n40", "avg_fidelity_n60")
     else:  # table1
-        rows = []
-        w20 = window_from_threshold(20.0, 20, 0.99999)
-        rows.append(("success_prob_n20_fmin0.99999", success_probability(20.0, 20, w20)))
-        w40 = window_from_threshold(20.0, 40, 0.99)
-        rows.append(("success_prob_n40_fmin0.99", success_probability(20.0, 40, w40)))
-        w60 = window_from_threshold(20.0, 60, 0.9)
-        rows.append(("success_prob_n60_fmin0.9", success_probability(20.0, 60, w60)))
+        rows = [(f"success_prob_n{n}_fmin{f_min:g}",
+                 success_probability(20.0, n, window_from_threshold(20.0, n, f_min)))
+                for n, f_min in ((20, 0.99999), (40, 0.99), (60, 0.9))]
         grid = _grid(-3.0, 3.0, 0.01)
         rows.append(("max_fidelity_n60",
                      max(p.fidelity for p in fidelity_curve(20.0, 60, grid))))
-        pk = cat_fidelity(condition_at(20.0, 20, 0.0),
-                          default_target_beta(kerr_decompose(20.0, 20), 0.0))
-        rows.append(("peak_fidelity_n20_x0", pk.fidelity))
+        rows.append(("peak_fidelity_n20_x0", fidelity_curve(20.0, 20, [0.0])[0].fidelity))
         for loss in (0.10, 0.30, 0.60):
             rows.append((f"lossy_fidelity_n20_x0_loss{loss:g}",
                          lossy_fidelity(20.0, 20, 0.0, NoiseParams(loss_prob=loss))))

@@ -176,10 +176,8 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     :func:`_lag_norm`, which also measures their digits lost.  Raises
     ValueError unless every outcome and rotation is finite.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.zeros(len(x))
-    if rotation is not None:
-        x, u = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
+    x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                               np.asarray(0.0 if rotation is None else rotation, dtype=float))
     if not np.isfinite(x + u).all():
         raise ValueError("measurement outcome must be finite")
     turned = amps if rotation is None else amps * np.exp(1j * u)[:, None]  # unturned: one shared row
@@ -192,13 +190,14 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
     return _Collapse(x, u, top, q, amps, 2.0 * top + log_norm, lost)
 
 
-def x_outcome_density(two_mode: TwoModeProductSuperposition, X: float) -> float:
-    """Homodyne outcome density Tr[rho_1 |X><X|]; integrates to 1 over X.
+def x_outcome_density(two_mode: TwoModeProductSuperposition, X) -> float:
+    """Homodyne outcome density Tr[rho_1 |X><X|] at X, a number or a
+    :class:`HomodyneOutcome`; integrates to 1 over X.
 
     Raises ArithmeticError if the density loses more than ``_DIGITS_BUDGET``
     digits to cancellation.
     """
-    return float(_collapse(*_log_polar(two_mode.coeffs), two_mode.amps, float(X),
+    return float(_collapse(*_log_polar(two_mode.coeffs), two_mode.amps, _as_outcome(X),
                            _ring_spectrum(two_mode.amps)).densities()[0])
 
 

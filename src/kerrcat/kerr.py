@@ -190,15 +190,14 @@ def verify_phase_identity(n: int) -> float:
 
     Expanding sum_m C_m |-e^{2 i pi m / n}> onto the number basis must return
     the Kerr phases: max_k | sum_m C_m (-e^{2 i pi m / n})^k - e^{-i pi k^2 / n} |
-    over k = 0..n-1.  Exact coefficients give residuals at machine precision.
+    over k = 0..n-1, the sums (-1)^k n times one inverse FFT of C_n, C_1, ...,
+    C_{n-1} and k^2 reduced mod 2n in integers.  Exact coefficients give
+    residuals at machine precision.
     """
     n = _validate_n(n)
-    coeffs = kerr_coefficients(n)
-    m = np.arange(1, n + 1)
-    base = -np.exp(2j * np.pi * m / n)
-    k = np.arange(n)
-    lhs = (coeffs[None, :] * base[None, :] ** k[:, None]).sum(axis=1)
-    rhs = np.exp(-1j * np.pi * k.astype(float) ** 2 / n)
+    k = np.arange(n, dtype=np.int64)
+    lhs = np.where(k % 2 == 0, n, -n) * np.fft.ifft(np.roll(kerr_coefficients(n), 1))
+    rhs = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
     return float(np.max(np.abs(lhs - rhs)))
 
 

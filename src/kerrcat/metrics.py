@@ -38,7 +38,7 @@ from .states import (
     _marginal_densities,
     _overlap_exponent,
     _ring_spectrum,
-    _x_amplitude_log_arrays,
+    _x_log_magnitude,
     coherent_overlap,
     superposition,
 )
@@ -197,8 +197,7 @@ def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
     -i alpha_i / sqrt2).
     """
     split = decomp.state.amps / SQRT2
-    logmag, _ = _x_amplitude_log_arrays(float(X), split)
-    return complex(split[int(np.argmax(logmag))])
+    return complex(split[int(np.argmax(_x_log_magnitude(float(X), split)))])
 
 
 # --------------------------------------------------------------------------
@@ -284,11 +283,10 @@ class _Pipeline:
         g, c = self._bound_terms
         if c == 0.0:
             return np.full(len(x), np.inf)
-        re = self.two_mode.amps.real
         bound = np.empty(len(x))
         for start in range(0, len(x), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            lq = self.log_c - 0.5 * (x[rows, None] - SQRT2 * re) ** 2  # log|q_gn| + const
+            lq = self.log_c + _x_log_magnitude(x[rows, None], self.two_mode.amps)  # log|q_gn|
             mag = np.exp(lq - np.max(lq, axis=1, keepdims=True))
             with np.errstate(over="ignore"):  # a denormal lam_min: the bound is +inf
                 bound[rows] = (mag @ g) ** 2 / (c * np.sum(mag * mag, axis=1))
@@ -362,25 +360,18 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
     scored = np.flatnonzero(~(pipe.fidelity_bound(xs) < 0.5 * f_min))  # NaN bounds are scored
     above = np.zeros(len(xs), dtype=bool)
     above[scored] = [p.fidelity >= f_min for p in fidelity_curve(alpha_i, n, xs[scored])]
-    runs = np.diff(np.concatenate(([0], above.astype(int), [0])))
-    first, last = np.flatnonzero(runs == 1), np.flatnonzero(runs == -1) - 1
-    rise, fall = first[first > 0], last[last < len(xs) - 1]
-
-    # invariant: exactly one end of each bracket (a, b) is above threshold
-    a = np.concatenate((xs[rise - 1], xs[fall]))
-    b = np.concatenate((xs[rise], xs[fall + 1]))
-    high_at_b = np.arange(len(a)) < len(rise)
+    # one bracket (a, b) per change of side between neighbouring scan points:
+    # exactly one of its ends is above threshold
+    t = np.flatnonzero(above[1:] != above[:-1])
+    a, b, high_at_b = xs[t], xs[t + 1], above[t + 1]
     while (live := np.flatnonzero(b - a > 1e-6)).size:
         m = 0.5 * (a[live] + b[live])
         to_b = (pipe.fidelity(m)[0] >= f_min) == high_at_b[live]
         b[live[to_b]] = m[to_b]
         a[live[~to_b]] = m[~to_b]
-    edges = 0.5 * (a + b)
-
-    left, right = xs[first], xs[last]
-    left[first > 0] = edges[:len(rise)]
-    right[last < len(xs) - 1] = edges[len(rise):]
-    return AcceptanceWindow(tuple((float(x0), float(x1)) for x0, x1 in zip(left, right)
+    # interval ends in order: the scan's ends where they are above threshold
+    ends = np.concatenate((xs[:1][above[:1]], 0.5 * (a + b), xs[-1:][above[-1:]]))
+    return AcceptanceWindow(tuple((float(x0), float(x1)) for x0, x1 in zip(ends[::2], ends[1::2])
                                   if x0 < x1))
 
 

@@ -66,11 +66,9 @@ class NoiseParams:
     def flip_probability(self, alpha_i: float) -> float:
         if self.direct_flip:
             return float(self.loss_prob)
-        if self.loss_prob is not None and self.gamma_tau is not None:
-            mu = -math.log1p(-self.loss_prob)
-        else:
-            mu = self.mean_lost_photons(alpha_i)
-        return odd_loss_probability(mu)
+        if self.loss_prob is None:
+            return odd_loss_probability(self.mean_lost_photons(alpha_i))
+        return odd_loss_probability(-math.log1p(-self.loss_prob))
 
     def decayed_alpha(self, alpha_i: float) -> float:
         mu = self.mean_lost_photons(alpha_i)
@@ -126,10 +124,10 @@ def lossy_fidelity(alpha_i: float, n: int, X: float, noise: NoiseParams) -> floa
     """
     final = lossy_final_state(alpha_i, n, X, noise)
     bt, pt, cross = _pipeline(final.decayed_alpha, n).target
-    (a_plus, b_plus), (a_minus, b_minus) = (_branch_terms(psi.coeffs, psi.amps, bt, pt)
-                                            for psi in (final.branch_plus, final.branch_minus))
-    f_plus, phi_max = map(float, _max_phi(a_plus, b_plus, cross))
-    f_minus = float(_phi_objective(a_minus, b_minus, cross, phi_max))
+    coeffs = np.stack((final.branch_plus.coeffs, final.branch_minus.coeffs))
+    A, B = _branch_terms(coeffs, final.branch_plus.amps, bt, pt)  # both branches share amps
+    f_plus, phi_max = map(float, _max_phi(A[0], B[0], cross))
+    f_minus = float(_phi_objective(A[1], B[1], cross, phi_max))
     return (1.0 - final.p_flip) * f_plus + final.p_flip * f_minus
 
 

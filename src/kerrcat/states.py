@@ -238,13 +238,16 @@ def p_amplitude(P: float, beta: complex) -> complex:
     return x_amplitude(P, -1j * complex(beta))
 
 
+def _x_log_magnitude(X, amps: np.ndarray):
+    """log|<X|b>| = log pi^{-1/4} - (X - sqrt2 Re b)^2 / 2 for each b in ``amps``
+    (X and ``amps`` broadcast)."""
+    return LOG_PI_QUARTER - 0.5 * (X - SQRT2 * amps.real) ** 2
+
+
 def _x_amplitude_log_arrays(X, amps: np.ndarray):
-    """(log-magnitude, phase) arrays of <X|amps> for a scalar X."""
-    re = amps.real
-    im = amps.imag
-    logmag = LOG_PI_QUARTER - 0.5 * (X - SQRT2 * re) ** 2
-    phase = SQRT2 * X * im - re * im
-    return logmag, phase
+    """(log-magnitude, phase) arrays of <X|amps> (X and ``amps`` broadcast)."""
+    re, im = amps.real, amps.imag
+    return _x_log_magnitude(X, amps), SQRT2 * X * im - re * im
 
 
 # --------------------------------------------------------------------------

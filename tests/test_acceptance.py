@@ -45,7 +45,7 @@ def test_criterion_01_phase_identity():
     start = time.perf_counter()
     worst = max(verify_phase_identity(n) for n in list(range(1, 65)) + [200, 256])
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-12 and elapsed < 1.0
+    ok = worst < 1e-14 and elapsed < 1.0
     assert report(1, ok, f"max residual {worst:.2e} over N=1..64,200,256 in {elapsed:.2f}s")
 
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from kerrcat import cli
 from kerrcat.cli import main
 from kerrcat.metrics import condition_at, outcome_density
 
@@ -252,6 +253,16 @@ class TestConditionAndFidelity:
         doc = json.loads(out.read_text())
         assert doc["measurement"] == {"quadrature": "X", "value": 0.7}
         assert doc["normalized"] is True
+
+    def test_condition_csv_matches_json(self, capsys, tmp_path):
+        args = ["condition", "--alpha", "20", "--n", "20", "--x", "0.7"]
+        assert run(args + ["--format", "csv", "--output", str(tmp_path / "s.csv")], capsys)[0] == 0
+        assert run(args + ["--output", str(tmp_path / "s.json")], capsys)[0] == 0
+        with open(tmp_path / "s.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        comps = json.loads((tmp_path / "s.json").read_text())["components"]
+        assert len(rows) == len(comps) == 20
+        assert [{k: float(v) for k, v in r.items()} for r in rows] == comps
 
     def test_condition_degenerate_exit_code(self, capsys):
         code, _, err = run(["condition", "--alpha", "20", "--n", "20",
@@ -505,6 +516,13 @@ class TestReproduceAndVerify:
         assert code == 0
         assert out.count("ok  ") == 3
         assert "FAIL" not in out
+
+    def test_verify_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_phase_identity", lambda n: 1.0)
+        code, out, _ = run(["verify", "--fast"], capsys)
+        assert code == 3
+        assert out.startswith("FAIL ring-coefficient exactness identity max residual 1.00e+00\n")
+        assert out.count("ok  ") == 2
 
     def test_summary_commands_document_output(self, capsys):
         code, out, _ = run(["window", "--help"], capsys)

@@ -100,10 +100,13 @@ class TestConditionOnX:
         assert SQRT2 * top.real == pytest.approx(20.0, abs=1e-9)
 
     def test_accepts_outcome_object(self):
-        tm = split(3.0, 4)
-        a = condition_on_x(tm, 0.4)
-        b = condition_on_x(tm, HomodyneOutcome(0.4))
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        # both one-shots take a HomodyneOutcome as they take its float, bit for bit
+        for tm, x in ((split(3.0, 4), 0.4), (split(20.0, 20), 0.5)):
+            a = condition_on_x(tm, x)
+            b = condition_on_x(tm, HomodyneOutcome(x))
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+            np.testing.assert_array_equal(a.amps, b.amps)
+            assert x_outcome_density(tm, HomodyneOutcome(x)) == x_outcome_density(tm, x)
 
     def test_rejects_nonfinite_outcome(self):
         with pytest.raises(ValueError):

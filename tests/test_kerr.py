@@ -18,6 +18,7 @@ from kerrcat import (
     recommended_cutoff,
     verify_phase_identity,
 )
+from kerrcat import kerr
 from kerrcat.kerr import coefficient_rows, decomposition_norm_check, ring_amplitudes
 from kerrcat.states import _merge_duplicates
 
@@ -170,9 +171,22 @@ class TestPhaseIdentity:
     def test_two_components(self):
         assert verify_phase_identity(2) < 1e-14
 
-    @pytest.mark.parametrize("n", [20, 40, 60, 200])
+    @pytest.mark.parametrize("n", [*range(1, 65), 200, 256, 4096])
     def test_working_range(self, n):
-        assert verify_phase_identity(n) < 1e-12
+        assert verify_phase_identity(n) < 1e-14
+
+    @pytest.mark.parametrize("n,moved", [(1, 0), (20, 7), (4096, 4095)])
+    def test_catches_a_wrong_coefficient(self, monkeypatch, n, moved):
+        exact = kerr.kerr_coefficients
+
+        def wrong(m):
+            c = exact(m).copy()
+            c[moved] += 1e-9
+            return c
+
+        monkeypatch.setattr(kerr, "kerr_coefficients", wrong)
+        assert verify_phase_identity(n) > 1e-12
+        assert verify_phase_identity(n) == pytest.approx(1e-9, rel=1e-3)
 
 
 class TestMediumLength:

@@ -267,6 +267,28 @@ class TestWindowsAndSuccess:
         mass = sum(outcome_density(20.0, 20, x) for x in xs) * 0.02
         assert mass == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("alpha,n,f_min,count", [(2.0, 10, 0.1, 2), (2.0, 3, 0.2, 1)])
+    def test_window_matches_brute_force_scan(self, alpha, n, f_min, count):
+        # windows that start at the scan start (N = 10) or end at its end (N = 3)
+        win = window_from_threshold(alpha, n, f_min)
+        xs = np.arange(-(alpha + 5.0), alpha + 5.0 + 0.005, 0.01)
+        above = np.array([p.fidelity >= f_min for p in fidelity_curve(alpha, n, xs)])
+        assert len(win.intervals) == count
+        if n == 10:
+            assert win.intervals[0][0] == xs[0] == -7.0
+        else:
+            assert win.intervals[-1][1] == xs[-1]
+            assert xs[-1] == pytest.approx(7.0, abs=1e-12) and xs[-1] < 7.0
+        inside = np.zeros(len(xs), dtype=bool)
+        for lo, hi in win.intervals:
+            inside |= (lo <= xs) & (xs <= hi)
+        np.testing.assert_array_equal(inside, above)
+        interior = [e for iv in win.intervals for e in iv if e not in (xs[0], xs[-1])]
+        assert len(interior) == np.count_nonzero(above[1:] != above[:-1])
+        for e in interior:  # bisected to 1e-6: F - f_min changes sign within it
+            near = fidelity_curve(alpha, n, [e - 1e-6, e + 1e-6])
+            assert (near[0].fidelity >= f_min) != (near[1].fidelity >= f_min), e
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             AcceptanceWindow(((1.0, 0.5),))

@@ -29,16 +29,20 @@ from kerrcat import (
 from kerrcat.cli import _grid
 from kerrcat.metrics import condition_at, precondition_p_distribution
 from kerrcat.states import (
+    _DIGITS_BUDGET,
     _direct_densities,
     _fock_amplitudes,
     _fock_densities,
     _log_polar,
     _marginal_densities,
+    _measured_norm,
     _norms,
     _ring_spectrum,
     _ring_weights,
     _scale,
     _x_amplitude_log_arrays,
+    dump_state,
+    load_state,
     normalization_mismatch,
 )
 
@@ -248,6 +252,14 @@ class TestNormalizationMismatch:
     def test_null_state_raises(self):
         with pytest.raises(DegenerateStateError):
             normalization_mismatch(superposition([0.0], [1.0], normalized=True))
+
+    def test_norm_past_the_budget_not_measured(self):
+        # N = 4096, X = 1: the spectral sum loses 15.25 digits
+        psi = condition_at(20.0, 4096, 1.0)
+        assert _measured_norm(psi.coeffs, psi.amps)[1] > _DIGITS_BUDGET
+        doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
+        assert normalization_mismatch(psi) is None
+        assert normalization_mismatch(doubled) is None
 
     def test_ring_norm_measured_spectrally(self):
         # N = 1024, X = 1: the pair sum loses 13 digits, the spectral sum 4.97
@@ -463,6 +475,15 @@ class TestConstructionAndJson:
         assert list(doc["components"][0]) == ["coeff_re", "coeff_im", "amp_re", "amp_im"]
         back, mx = state_from_json_dict(doc)
         assert mx == 0.75
+        assert back.is_normalized
+        np.testing.assert_array_equal(back.coeffs, psi.coeffs)
+        np.testing.assert_array_equal(back.amps, psi.amps)
+
+    def test_dump_load_round_trip_exact(self, tmp_path):
+        psi = condition_at(20.0, 20, 0.7)
+        dump_state(psi, tmp_path / "s.json", measurement_x=0.7)
+        back, mx = load_state(tmp_path / "s.json")
+        assert mx == 0.7
         assert back.is_normalized
         np.testing.assert_array_equal(back.coeffs, psi.coeffs)
         np.testing.assert_array_equal(back.amps, psi.amps)
