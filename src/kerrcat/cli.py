@@ -75,14 +75,33 @@ def _write(path: str | None, emit) -> None:
     print(f"wrote {path}")
 
 
+def _row_template(kinds) -> str | None:
+    """'%'-template that writes a row of these cell types as csv.writer writes
+    it after :func:`_fmt`, or None unless every cell is a float or an int."""
+    fields = ["%.17g" if issubclass(k, float) else "%d" if k is int else None for k in kinds]
+    return None if None in fields else ",".join(fields) + "\n"
+
+
 def _write_csv(path: str | None, header, rows) -> None:
-    """Write CSV to path (or stdout); floats at 17 significant digits."""
+    """Write CSV to path (or stdout); floats at 17 significant digits.
+
+    Rows with the first row's cell types go through one '%'-template built
+    from those types; any other row, and every row of a table whose first
+    row holds a str (quoted as needed), goes through csv.writer.
+    """
 
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        kinds = template = None
+        for row in map(tuple, rows):
+            if kinds is None:
+                kinds = tuple(map(type, row))
+                template = _row_template(kinds)
+            if template is not None and tuple(map(type, row)) == kinds:
+                fh.write(template % row)
+            else:
+                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
     _write(path, emit)
 

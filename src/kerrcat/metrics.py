@@ -34,6 +34,8 @@ from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
     SQRT2,
+    _DIGITS_BUDGET,
+    _LOG_DEGENERATE,
     _log_polar,
     _marginal_densities,
     _overlap_exponent,
@@ -214,6 +216,8 @@ class _Pipeline:
     Holds the decomposition, its split, the split coefficients' log-polar form
     and the spectrum of the ring's Gram matrix <b_m|b_n> (rotation invariant,
     so it also serves rotated rings), and builds the target cat on first use.
+    Outcome rows are scored by :meth:`fidelity_terms`; rotated rows by
+    :meth:`ring_step_terms`, N ring steps per collapsed row.
     """
 
     def __init__(self, alpha_i: float, n: int):
@@ -235,28 +239,73 @@ class _Pipeline:
     def conditioned(self, x: float, rotation: float | None = None) -> CoherentSuperposition:
         return self.collapse(x, rotation).state()
 
-    def fidelity_terms(self, x, rotation=None):
+    def fidelity_terms(self, x):
         """(A, B, degenerate): the target branch amplitudes (<bt|psi_g>, <pt|psi_g>)
-        of each conditioned state, A = B = 0 on degenerate rows.
-
-        ``x`` and ``rotation`` broadcast as in ``_collapse``; rows are
-        collapsed ``_BLOCK`` at a time.
-        """
+        of the state conditioned on each outcome in ``x``, A = B = 0 on
+        degenerate rows; rows are collapsed ``_BLOCK`` at a time."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if rotation is not None:
-            x, rotation = np.broadcast_arrays(x, np.asarray(rotation, dtype=float))
         A, B = np.zeros(len(x), dtype=complex), np.zeros(len(x), dtype=complex)
         degenerate = np.zeros(len(x), dtype=bool)
         bt, pt, _ = self.target
         for start in range(0, len(x), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            rows_c = self.collapse(x[rows], None if rotation is None else rotation[rows])
+            rows_c = self.collapse(x[rows])
             degenerate[rows] = rows_c.degenerate()
             ok = np.flatnonzero(~degenerate[rows])
-            turn = np.exp(-1j * rows_c.u[ok])[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
-            targets = (bt, pt) if rotation is None else (bt * turn, pt * turn)
-            A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), rows_c.amps, *targets)
+            A[start + ok], B[start + ok] = _branch_terms(rows_c.coeffs(ok), rows_c.amps, bt, pt)
         return A, B, degenerate
+
+    def ring_step_terms(self, x: float, rotation):
+        """(A, B, degenerate), each (len(rotation), N): the target branch
+        amplitudes of the state conditioned on outcome ``x`` with the ring
+        turned by u_g + 2 pi k / N (row g of ``rotation``, column k), A = B = 0
+        where degenerate.
+
+        A turn by one ring step 2 pi / N moves component b_n onto b_{n+1},
+        and the Kerr coefficients obey c_{n-1} = c_n (-e^{-i pi (2n+1) / N})
+        (n = 0 .. N-1, indices mod N).
+        So the row collapsed at u_g + 2 pi k / N is, up to a global phase,
+        w^{-nk} q_gn on the ring turned by u_g (w = e^{2 i pi / N}, q_g the
+        row collapsed at u_g): its transform is Q_g,j-k, its squared norm
+        p_gk = sum_j lam_{j+k} |Q_gj|^2 and its branch amplitudes one FFT over
+        n of q_gn <t e^{-i u_g}|b_n> per target branch t, divided by
+        sqrt(p_gk).  The digits each p_gk loses are measured as in
+        ``_spectral_norms``; past ``_DIGITS_BUDGET`` ArithmeticError is
+        raised.  Rows are collapsed ``_BLOCK`` at a time, and lam_{j+k} is
+        read ``_BLOCK`` shifts k at a time from one doubled spectrum.
+        """
+        u = np.atleast_1d(np.asarray(rotation, dtype=float))
+        n, circulant = len(self.two_mode.amps), self._circulant_spectrum
+        targets = np.array(self.target[:2])[:, None, None]
+        AB, degenerate = np.zeros((2, len(u), n), dtype=complex), np.zeros((len(u), n), dtype=bool)
+        for start in range(0, len(u), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            rows_c = self.collapse(float(x), u[rows])
+            q = rows_c.q
+            mag = np.abs(n * np.fft.ifft(q, axis=1))
+            sums = np.concatenate((mag * mag, mag))  # |Q_gj|^2 and |Q_gj|, summed against lam_{j+k}
+            p, t = np.concatenate([sums @ circulant[k:k + _BLOCK].T for k in range(0, n, _BLOCK)],
+                                  axis=1).reshape(2, len(q), n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lost = np.log10(np.sum(np.abs(q), axis=1)[:, None] * t / p)
+            if (over := np.argwhere(~(lost <= _DIGITS_BUDGET))).size:
+                g, k = over[0]
+                raise ArithmeticError(
+                    f"phase-noise row at X = {float(x):g}, rotation "
+                    f"{rows_c.u[g] + 2.0 * np.pi * k / n:g} loses {lost[g, k]:.2f} digits "
+                    f"to cancellation (budget {_DIGITS_BUDGET:g})")
+            degenerate[rows] = 2.0 * rows_c.top[:, None] + np.log(p) < _LOG_DEGENERATE
+            turn = np.exp(-1j * rows_c.u)[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
+            terms = q * np.exp(_overlap_exponent(targets * turn, rows_c.amps))
+            AB[:, rows] = np.where(degenerate[rows], 0.0, 1.0 / np.sqrt(p)) * np.fft.fft(terms)
+        return AB[0], AB[1], degenerate
+
+    @cached_property
+    def _circulant_spectrum(self):
+        """lam_{j+k} at [k, j], k and j mod N: an (N, N) view of one doubled
+        Gram spectrum, O(N) memory."""
+        lam = np.exp(self.spectrum)
+        return np.lib.stride_tricks.sliding_window_view(np.concatenate((lam, lam[:-1])), len(lam))
 
     @cached_property
     def _bound_terms(self):

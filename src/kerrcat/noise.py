@@ -13,7 +13,10 @@ branch rotated by pi.
 Phase model: a fluctuation dphi rotates every ring component,
 |-a e^{i(2 n pi / N + dphi)}/sqrt2>, before the homodyne projection; the
 reported figure of merit is the Gaussian average over dphi of the fidelity to
-the unperturbed target cat at its own maximizing relative phase.
+the unperturbed target cat at its own maximizing relative phase.  Kerr
+evolution commutes with rotation, so a turn by one ring step 2 pi / N only
+relabels the components: the average samples whole ring turns and scores N
+of its rotations from each collapsed row.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ def phase_noise_state(alpha_i: float, n: int, X: float,
     return _pipeline(float(alpha_i), int(n)).conditioned(float(X), rotation=float(delta_phi))
 
 
-#: Rotation nodes of the phase-noise average: doubled from the first count, at most the cap.
+#: Rotation nodes of the phase-noise average: at least this many at first, doubled
+#: until converged; no doubling starts at or past the cap.
 _FIRST_NODES, _MAX_NODES = 64, 8192
 
 
@@ -153,33 +157,42 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
     2 pi-periodic and analytic: it is sampled on M equispaced rotations and
     the result is sum_m h_m e^{-sigma^2 m^2 / 2} over the Fourier coefficients
     h_m of its trigonometric interpolant (the periodic trapezoid rule with
-    wrapped-Gaussian weights; h(0) at sigma = 0).  M doubles from 64 on nested
-    nodes until every sigma agrees to 1e-8 with the previous M; past 8192
-    nodes ArithmeticError is raised.  ``sigma`` is a number or a 1-D array;
-    the result has its shape.
+    wrapped-Gaussian weights; h(0) at sigma = 0).  M = N 2^k, first the
+    smallest such count of at least 64, so the nodes are M / N rotations in
+    [0, 2 pi / N), each scored at all N ring steps from one collapsed row
+    (:meth:`_Pipeline.ring_step_terms`).  M doubles on nested nodes until
+    every sigma agrees to 1e-8 with the previous M; ArithmeticError is raised
+    when that takes a doubling from 8192 nodes or more, or when a rotated row
+    loses more than ``_DIGITS_BUDGET`` digits to cancellation.  ``sigma`` is
+    a number or a 1-D array; the result has its shape.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigma) & (sigma >= 0)):
         raise ValueError("sigma must be finite and nonnegative")
-    pipe = _pipeline(float(alpha_i), int(n))
+    n = int(n)
+    pipe = _pipeline(float(alpha_i), n)
     psi = pipe.conditioned(float(X))
     bt, pt, cross = pipe.target
     _, phi_max = _max_phi(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross)
 
-    def sample(u):
-        A, B, _ = pipe.fidelity_terms(float(X), rotation=u)  # A = B = 0 where degenerate
-        return _phi_objective(A, B, cross, phi_max)
+    def sample(offset, m):
+        """h at the m nodes 2 pi (i + offset) / m, in order of i."""
+        base = 2.0 * np.pi * (np.arange(m // n) + offset) / m  # node i = g + (m / n) k
+        A, B, _ = pipe.ring_step_terms(float(X), base)  # A = B = 0 where degenerate
+        return _phi_objective(A, B, cross, phi_max).T.ravel()
 
     def average(h):
         coeff = np.fft.rfft(h).real / len(h)
-        coeff[1:len(h) // 2] *= 2.0  # +m and -m, below the Nyquist term (len(h) is even)
+        coeff[1:(len(h) + 1) // 2] *= 2.0  # +m and -m, below the Nyquist term of an even len(h)
         return np.exp(-0.5 * np.multiply.outer(sigma ** 2, np.arange(len(coeff)) ** 2)) @ coeff
 
-    h = sample(2.0 * np.pi * np.arange(_FIRST_NODES) / _FIRST_NODES)
+    m = n
+    while m < _FIRST_NODES:
+        m *= 2
+    h = sample(0.0, m)
     prev = average(h)
     while len(h) < _MAX_NODES:
-        between = sample(2.0 * np.pi * (np.arange(len(h)) + 0.5) / len(h))
-        h = np.stack((h, between), axis=-1).ravel()
+        h = np.stack((h, sample(0.5, len(h))), axis=-1).ravel()
         cur = average(h)
         if np.all(np.abs(cur - prev) <= 1e-8):
             return float(cur) if cur.ndim == 0 else cur

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, determinism, round trips, file formats."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kerrcat import cli
@@ -468,6 +470,36 @@ class TestDistributionsAndNoise:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["sigma", "avg_fidelity"]
         assert len(rows) == 4
+
+
+class TestCsvWriter:
+    @staticmethod
+    def reference(header, rows):
+        """csv.writer on every row, floats through _fmt."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) if isinstance(v, float) else v for v in row])
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 0.1, -0.0), (2, math.inf, -math.nan), (3, 5e-324, 2.0 / 3.0)],
+        [(np.float64(0.1), np.float64(-1.5e300), 1e22)],
+        # a float where the first row has an int, and the reverse: no %d on 2.5
+        [(1, 0.5, 0.25), (2.5, 0.5, 0.25), (3, 7, 0.25), (4, 0.5)],
+        # a str in the first row or a later one: csv.writer quotes it
+        [("a,b", 0.1, 1), ('q"uote', 2.0, 3)],
+        [(0.5, 0.25, 1), (0.5, "x y,z", 1)],
+        # bools and numpy ints print as csv.writer prints them
+        [(True, 0.5, 1), (np.int64(3), 0.25, 1)],
+        [[1.0, 2, 0.5]],
+        [],
+    ], ids=["ints-floats", "numpy-floats", "changed-types", "str-first", "str-later",
+            "bool-numpy-int", "list-rows", "empty"])
+    def test_same_bytes_as_csv_writer(self, capsys, rows):
+        cli._write_csv(None, ("a", "b", "c"), iter(rows))
+        assert capsys.readouterr().out == self.reference(("a", "b", "c"), rows)
 
 
 class TestReproduceAndVerify:

@@ -52,6 +52,15 @@ class TestRingCoefficients:
                                    oracles.closed_form_ring_coefficients(n),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("n", [*range(1, 65), 200, 4096])
+    def test_one_ring_step_is_a_phase_ramp(self, n):
+        # turning the ring by 2 pi / n relabels its components; the phase-noise
+        # average scores n turns of one collapsed row on c_{m-1} = c_m (-e^{-i pi (2m+1)/n})
+        c = kerr_coefficients(n)
+        m = np.arange(n)
+        ramp = c * -np.exp(-1j * np.pi * (2 * m + 1) / n)
+        assert np.max(np.abs(np.roll(c, 1) - ramp)) <= 1e-14 * np.max(np.abs(c))
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             kerr_coefficients(0)

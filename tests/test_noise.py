@@ -24,6 +24,7 @@ from kerrcat import (
 )
 from kerrcat import noise
 from kerrcat.cli import main
+from kerrcat.metrics import _branch_terms, _pipeline
 
 
 class TestOddLossProbability:
@@ -235,9 +236,60 @@ class TestPhaseNoiseAverage:
             phase_noise_avg_fidelity(20.0, 20, 0.0, sigma)
 
     def test_unconverged_average_raises(self, monkeypatch, capsys):
-        # N=20 needs 2048 rotation nodes to reach 1e-8
+        # N=20 needs 2,560 rotation nodes to reach 1e-8
         monkeypatch.setattr(noise, "_MAX_NODES", 1024)
         with pytest.raises(ArithmeticError, match="not converged"):
             phase_noise_avg_fidelity(20.0, 20, 0.0, 0.1)
         assert main(["noise-phase", "--n", "20", "--sigma-max", "0.1"]) == 2
         assert "not converged" in capsys.readouterr().err
+
+
+class TestRingSteps:
+    @pytest.mark.parametrize("alpha,n,x", [(20.0, 20, 0.0), (20.0, 60, 0.5), (4.0, 4, 0.3),
+                                           (20.0, 7, 0.5), (20.0, 65, 0.0)])
+    def test_every_node_matches_its_rotated_state(self, alpha, n, x):
+        # the first rule's M = N 2^k >= 64 nodes u_g + 2 pi k / N against the
+        # state conditioned on the turned ring; a ring step multiplies the
+        # branch amplitudes by a global phase, so |A|, |B| and conj(A) B are compared
+        m = n * 2 ** max(0, math.ceil(math.log2(64 / n)))
+        base = 2.0 * np.pi * np.arange(m // n) / m
+        pipe = _pipeline(alpha, n)
+        A, B, degenerate = pipe.ring_step_terms(x, base)
+        assert not degenerate.any()
+        for g, u in enumerate(base):
+            for k in range(n):
+                psi = phase_noise_state(alpha, n, x, u + 2.0 * np.pi * k / n)
+                a, b = _branch_terms(psi.coeffs, psi.amps, *pipe.target[:2])
+                got = (abs(A[g, k]), abs(B[g, k]), np.conj(A[g, k]) * B[g, k])
+                assert np.max(np.abs(np.subtract(got, (abs(a), abs(b), np.conj(a) * b)))) \
+                    <= 1e-12, (g, k)
+
+    @pytest.mark.parametrize("n,want,tol", [
+        (20, (0.9999999999999984, 0.44706305805494273, 0.20306502341948568), 1e-13),
+        (65, (0.8689981856114531, 0.3780673036523112, 0.37595595842699525), 1e-10),
+        (200, (0.332350087437252, 0.17473018109555435, 0.21419255061809792), 1e-13),
+        (512, (0.425746035908502, 0.4162862181810621, 0.35858629945910775), 1e-8),
+    ])
+    def test_matches_the_rule_on_powers_of_two(self, n, want, tol):
+        # want: sigma = 0, 0.1, 0.3 on nodes 64 2^k, the rule before ring steps;
+        # N = 65 starts on 65 nodes, an odd count, and N = 512 converges on
+        # other nodes than 64 2^k
+        got = phase_noise_avg_fidelity(20.0, n, 0.0, np.array([0.0, 0.1, 0.3]))
+        assert np.max(np.abs(got - want)) <= tol
+
+    def test_odd_first_count_is_exact(self, monkeypatch):
+        # N = 65 starts on 65 nodes; at sigma = 0 the rule returns the
+        # interpolant at u = 0, h(0), on any node count, so the first doubling
+        # converges only if the odd count keeps every term +m and -m
+        monkeypatch.setattr(noise, "_MAX_NODES", 130)
+        noiseless = cat_fidelity(condition_at(20.0, 65, 0.0),
+                                 default_target_beta(kerr_decompose(20.0, 65), 0.0))
+        assert phase_noise_avg_fidelity(20.0, 65, 0.0, 0.0) == pytest.approx(
+            noiseless.fidelity, abs=1e-12)
+
+    def test_rows_past_the_budget_raise(self, capsys):
+        # N = 1024 rows lose up to 14.4 digits; N = 512 at most 3.3
+        with pytest.raises(ArithmeticError, match="digits to cancellation"):
+            phase_noise_avg_fidelity(20.0, 1024, 0.0, 0.1)
+        assert main(["noise-phase", "--n", "1024"]) == 2
+        assert "digits to cancellation" in capsys.readouterr().err
