@@ -160,21 +160,15 @@ def _lag_norm(q, amps):
         return np.log(s), np.log10(mass / s)
 
 
-def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
-              rotation=None) -> _Collapse:
-    """Project the first arm of sum_n c_n |b_n> (x) |b_n> on each outcome in ``x``.
+def _scaled_rows(log_c, arg_c, amps, x, rotation=None):
+    """(x, u, top, q) of :class:`_Collapse`: the first arm of
+    sum_n c_n |b_n> (x) |b_n> projected on each outcome in ``x``, each row
+    scaled once by :func:`_scale`.
 
-    ``log_c``/``arg_c`` are the log-polar coefficients and ``spectrum`` the
-    ring's :func:`_ring_spectrum`, if it is a ring.  Given ``rotation``, row g
-    projects on the turned ring b_n e^{i u_g}, which has the Gram matrix of
-    the unturned one; ``x`` and ``rotation`` broadcast to one row per outcome.
-    Each row is scaled once by :func:`_scale`, and its entries become the
-    collapsed state's coefficients.  Every route below sums that row over
-    the unturned ring.  :func:`_norms` gives the densities of all rows:
-    spectral on a ring, pair sums on any other state.  Ring rows that lose
-    more than ``_DIGITS_BUDGET`` digits there are summed again over lags by
-    :func:`_lag_norm`, which also measures their digits lost.  Raises
-    ValueError unless every outcome and rotation is finite.
+    ``log_c``/``arg_c`` are the log-polar coefficients.  Given ``rotation``,
+    row g projects on the turned ring b_n e^{i u_g}; ``x`` and ``rotation``
+    broadcast to one row per outcome.  Raises ValueError unless every outcome
+    and rotation is finite.
     """
     x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                np.asarray(0.0 if rotation is None else rotation, dtype=float))
@@ -182,7 +176,23 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
         raise ValueError("measurement outcome must be finite")
     turned = amps if rotation is None else amps * np.exp(1j * u)[:, None]  # unturned: one shared row
     lq, aq = _project(log_c, arg_c, turned, x[:, None])
-    top, q = _scale(lq, aq)
+    return (x, u, *_scale(lq, aq))
+
+
+def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
+              rotation=None) -> _Collapse:
+    """Project the first arm of sum_n c_n |b_n> (x) |b_n> on each outcome in ``x``.
+
+    The rows are built by :func:`_scaled_rows` (``rotation`` as there), and
+    their entries become the collapsed states' coefficients.  ``spectrum`` is
+    the ring's :func:`_ring_spectrum`, if it is a ring; a turned ring has the
+    Gram matrix of the unturned one, so every route below sums the rows over
+    the unturned ring.  :func:`_norms` gives the densities of all rows:
+    spectral on a ring, pair sums on any other state.  Ring rows that lose
+    more than ``_DIGITS_BUDGET`` digits there are summed again over lags by
+    :func:`_lag_norm`, which also measures their digits lost.
+    """
+    x, u, top, q = _scaled_rows(log_c, arg_c, amps, x, rotation)
     log_norm, lost = _norms(q, amps, spectrum)
     if spectrum is not None:
         for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .conditioning import _collapse, beamsplit_with_vacuum
+from .conditioning import _collapse, _lag_norm, _scaled_rows, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
@@ -40,6 +40,7 @@ from .states import (
     _marginal_densities,
     _overlap_exponent,
     _ring_spectrum,
+    _spectral_norms,
     _x_log_magnitude,
     coherent_overlap,
     superposition,
@@ -209,6 +210,9 @@ def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
 #: Outcome rows collapsed and scored together; bounds the (rows, N) work arrays.
 _BLOCK = 256
 
+#: Cells of the (rows, shifts, N) products ``_Pipeline.ring_step_terms`` forms at once.
+_SHIFT_CELLS = 1 << 16
+
 
 class _Pipeline:
     """Per-(alpha_i, n) cache of the decompose -> split chain for conditioning.
@@ -269,43 +273,45 @@ class _Pipeline:
         row collapsed at u_g): its transform is Q_g,j-k, its squared norm
         p_gk = sum_j lam_{j+k} |Q_gj|^2 and its branch amplitudes one FFT over
         n of q_gn <t e^{-i u_g}|b_n> per target branch t, divided by
-        sqrt(p_gk).  The digits each p_gk loses are measured as in
-        ``_spectral_norms``; past ``_DIGITS_BUDGET`` ArithmeticError is
-        raised.  Rows are collapsed ``_BLOCK`` at a time, and lam_{j+k} is
-        read ``_BLOCK`` shifts k at a time from one doubled spectrum.
+        sqrt(p_gk).  ``_spectral_norms`` gives p_gk and its digits lost
+        against the shifted spectra lam_{j+k}; as in ``_collapse``, rows that
+        lose more than ``_DIGITS_BUDGET`` digits there are summed again over
+        lags by ``_lag_norm``, and ArithmeticError is raised if they lose more
+        there too.  Rows are collapsed ``_BLOCK`` at a time and scored against
+        as many shifts k at a time as keep each product under
+        ``_SHIFT_CELLS`` cells.
         """
         u = np.atleast_1d(np.asarray(rotation, dtype=float))
-        n, circulant = len(self.two_mode.amps), self._circulant_spectrum
+        amps, log_circulant = self.two_mode.amps, self._circulant_spectrum
+        n = len(amps)
         targets = np.array(self.target[:2])[:, None, None]
         AB, degenerate = np.zeros((2, len(u), n), dtype=complex), np.zeros((len(u), n), dtype=bool)
         for start in range(0, len(u), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            rows_c = self.collapse(float(x), u[rows])
-            q = rows_c.q
-            mag = np.abs(n * np.fft.ifft(q, axis=1))
-            sums = np.concatenate((mag * mag, mag))  # |Q_gj|^2 and |Q_gj|, summed against lam_{j+k}
-            p, t = np.concatenate([sums @ circulant[k:k + _BLOCK].T for k in range(0, n, _BLOCK)],
-                                  axis=1).reshape(2, len(q), n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lost = np.log10(np.sum(np.abs(q), axis=1)[:, None] * t / p)
-            if (over := np.argwhere(~(lost <= _DIGITS_BUDGET))).size:
-                g, k = over[0]
-                raise ArithmeticError(
-                    f"phase-noise row at X = {float(x):g}, rotation "
-                    f"{rows_c.u[g] + 2.0 * np.pi * k / n:g} loses {lost[g, k]:.2f} digits "
-                    f"to cancellation (budget {_DIGITS_BUDGET:g})")
-            degenerate[rows] = 2.0 * rows_c.top[:, None] + np.log(p) < _LOG_DEGENERATE
-            turn = np.exp(-1j * rows_c.u)[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
-            terms = q * np.exp(_overlap_exponent(targets * turn, rows_c.amps))
-            AB[:, rows] = np.where(degenerate[rows], 0.0, 1.0 / np.sqrt(p)) * np.fft.fft(terms)
+            _, u_g, top, q = _scaled_rows(self.log_c, self.arg_c, amps, float(x), u[rows])
+            step = max(1, _SHIFT_CELLS // q.size)
+            norms = [_spectral_norms(q, log_circulant[k:k + step]) for k in range(0, n, step)]
+            log_p, lost = (np.concatenate(part, axis=1) for part in zip(*norms))
+            for g, k in np.argwhere(~(lost <= _DIGITS_BUDGET)):
+                ramp = np.exp(-2j * np.pi * (np.arange(n) * k % n) / n)  # w^{-nk}
+                log_p[g, k], lost[g, k] = _lag_norm(q[g] * ramp, amps)
+                if not lost[g, k] <= _DIGITS_BUDGET:
+                    raise ArithmeticError(
+                        f"phase-noise row at X = {float(x):g}, rotation "
+                        f"{u_g[g] + 2.0 * np.pi * k / n:g} loses {lost[g, k]:.2f} digits "
+                        f"to cancellation (budget {_DIGITS_BUDGET:g})")
+            degenerate[rows] = 2.0 * top[:, None] + log_p < _LOG_DEGENERATE
+            turn = np.exp(-1j * u_g)[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
+            terms = q * np.exp(_overlap_exponent(targets * turn, amps))
+            AB[:, rows] = np.where(degenerate[rows], 0.0, np.exp(-0.5 * log_p)) * np.fft.fft(terms)
         return AB[0], AB[1], degenerate
 
     @cached_property
     def _circulant_spectrum(self):
-        """lam_{j+k} at [k, j], k and j mod N: an (N, N) view of one doubled
-        Gram spectrum, O(N) memory."""
-        lam = np.exp(self.spectrum)
-        return np.lib.stride_tricks.sliding_window_view(np.concatenate((lam, lam[:-1])), len(lam))
+        """log lam_{j+k} at [k, j], k and j mod N: an (N, N) view of one
+        doubled log Gram spectrum, O(N) memory."""
+        return np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((self.spectrum, self.spectrum[:-1])), len(self.spectrum))
 
     @cached_property
     def _bound_terms(self):

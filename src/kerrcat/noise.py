@@ -162,9 +162,10 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
     [0, 2 pi / N), each scored at all N ring steps from one collapsed row
     (:meth:`_Pipeline.ring_step_terms`).  M doubles on nested nodes until
     every sigma agrees to 1e-8 with the previous M; ArithmeticError is raised
-    when that takes a doubling from 8192 nodes or more, or when a rotated row
-    loses more than ``_DIGITS_BUDGET`` digits to cancellation.  ``sigma`` is
-    a number or a 1-D array; the result has its shape.
+    when that takes a doubling from 8192 nodes or more, or when a rotated
+    row's norm loses more than ``_DIGITS_BUDGET`` digits to cancellation in
+    both its spectral and its lag sum.  ``sigma`` is a number or a 1-D array;
+    the result has its shape.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigma) & (sigma >= 0)):

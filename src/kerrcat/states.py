@@ -354,7 +354,8 @@ def _ring_spectrum(amps: np.ndarray) -> np.ndarray | None:
 
 def _spectral_norms(q, log_lam):
     """(log squared norm, digits lost) of each row of q on a ring with Gram
-    log-eigenvalues ``log_lam`` (:func:`_ring_spectrum`).
+    log-eigenvalues ``log_lam`` (:func:`_ring_spectrum`), shape (G,); or,
+    given a (K, N) stack of log-spectra, of each row against each, (G, K).
 
     With the transform Q_gj = sum_n q_gn w^{jn}, the squared norm is
     sum_j lam_j |Q_gj|^2.  The transform errs by about eps sum_n |q_gn| in
@@ -363,10 +364,12 @@ def _spectral_norms(q, log_lam):
     Every reduction runs along its own row: a row's bits do not depend on
     the rows batched with it.
     """
-    spec = q.shape[1] * np.fft.ifft(q, axis=1)
+    if np.ndim(log_lam) == 2:
+        q = q[:, None]
+    spec = q.shape[-1] * np.fft.ifft(q, axis=-1)
     lam, amp = np.exp(log_lam), np.abs(spec)
-    s = np.sum(lam * (spec.real ** 2 + spec.imag ** 2), axis=1)
-    t = np.sum(np.abs(q), axis=1) * np.sum(lam * amp, axis=1)
+    s = np.sum(lam * (spec.real ** 2 + spec.imag ** 2), axis=-1)
+    t = np.sum(np.abs(q), axis=-1) * np.sum(lam * amp, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(s), np.log10(t / s)
 

@@ -22,7 +22,7 @@ from kerrcat import (
     phase_noise_state,
     squared_norm,
 )
-from kerrcat import noise
+from kerrcat import metrics, noise
 from kerrcat.cli import main
 from kerrcat.metrics import _branch_terms, _pipeline
 
@@ -288,8 +288,30 @@ class TestRingSteps:
             noiseless.fidelity, abs=1e-12)
 
     def test_rows_past_the_budget_raise(self, capsys):
-        # N = 1024 rows lose up to 14.4 digits; N = 512 at most 3.3
+        # N = 1024 rows lose up to 14.4 digits in the lag sum; N = 512 at most 3.3
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
             phase_noise_avg_fidelity(20.0, 1024, 0.0, 0.1)
         assert main(["noise-phase", "--n", "1024"]) == 2
         assert "digits to cancellation" in capsys.readouterr().err
+
+    def test_refused_row_is_measured_by_the_lag_sum(self):
+        # the first N = 1024 ring step past the spectral budget loses 8.02
+        # digits there; it is refused for the 14.2 its lag sum loses
+        with pytest.raises(ArithmeticError, match=r"rotation 2\.20893 loses 14\.\d\d digits"):
+            _pipeline(20.0, 1024).ring_step_terms(0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha,n,x", [(20.0, 20, 0.5), (4.0, 4, 0.3), (20.0, 7, 0.0)])
+    def test_lag_sums_score_every_shift(self, monkeypatch, alpha, n, x):
+        # with every spectral sum reported past the budget, each shift's norm
+        # comes from _lag_norm on the ramped row w^{-nk} q_gn instead
+        base = 2.0 * np.pi * np.arange(3) / (3 * n)
+        pipe = _pipeline(alpha, n)
+        want = pipe.ring_step_terms(x, base)
+        spectral = metrics._spectral_norms
+        monkeypatch.setattr(metrics, "_spectral_norms",
+                            lambda q, log_lam: (spectral(q, log_lam)[0], np.full(
+                                (len(q), len(log_lam)), np.inf)))
+        got = pipe.ring_step_terms(x, base)
+        assert np.array_equal(got[2], want[2])
+        for g, w in zip(got[:2], want[:2]):
+            assert np.max(np.abs(g - w)) <= 1e-12
