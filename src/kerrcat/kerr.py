@@ -213,9 +213,10 @@ def coefficient_rows(n: int):
     """Rows (k, re, im, magnitude, zeta_k) for CSV emission; zeta in (-pi, pi]."""
     coeffs = kerr_coefficients(n)
     zeta = _wrap_phase(np.angle(coeffs))
-    # Python's abs per element: np.abs differs from it in the last bit
-    return [(k, c.real, c.imag, abs(c), float(z))
-            for k, (c, z) in enumerate(zip(coeffs, zeta), start=1)]
+    # np.hypot matches Python's abs of each coefficient bit for bit
+    re, im = coeffs.real, coeffs.imag
+    return list(zip(range(1, n + 1), re.tolist(), im.tolist(), np.hypot(re, im).tolist(),
+                    zeta.tolist()))
 
 
 def decomposition_norm_check(decomp: KerrDecomposition) -> float:

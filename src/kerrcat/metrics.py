@@ -383,8 +383,58 @@ def fidelity_curve(alpha_i: float, n: int, x_grid) -> list[FidelityCurvePoint]:
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     fid, phi, degenerate = _pipeline(alpha_i, n).fidelity(xs)
-    return [FidelityCurvePoint(float(x), float(f), float(p), bool(d))
-            for x, f, p, d in zip(xs, fid, phi, degenerate)]
+    return list(map(FidelityCurvePoint, xs.tolist(), fid.tolist(), phi.tolist(),
+                    degenerate.tolist()))
+
+
+#: Growth 4 h R of the log fidelity bound over one coarse step h of a window screen.
+_SCREEN_GROWTH = 8.0
+
+#: Halvings per bisection round: 2^4 - 1 = 15 midpoints per bracket, scored at once.
+_ROUND_HALVINGS = 4
+
+
+def _screen(pipe: _Pipeline, xs: np.ndarray, step: float, f_min: float) -> np.ndarray:
+    """Indices of the scan points ``xs`` (spaced ``step``) whose fidelity bound
+    is not below f_min / 2, bounding every k-th point first (see
+    window_from_threshold)."""
+    rate = 4.0 * SQRT2 * np.max(np.abs(pipe.two_mode.amps.real))  # 4 R
+    # k steps of 4 R step each grow the bound by about e^_SCREEN_GROWTH; k <= len(xs)
+    stride = max(1, int(_SCREEN_GROWTH / max(rate * step, _SCREEN_GROWTH / len(xs))))
+    coarse = np.append(np.arange(0, len(xs) - 1, stride), len(xs) - 1)
+    bound = np.zeros(len(xs))  # 0 on the points a screened gap skips
+    bound[coarse] = pipe.fidelity_bound(xs[coarse])
+    ends = np.where(bound[coarse] >= np.finfo(float).tiny, bound[coarse], np.inf)
+    with np.errstate(over="ignore"):
+        grown = np.exp(rate * np.diff(xs[coarse])) * np.minimum(ends[:-1], ends[1:])
+    inner = np.append(np.repeat(~(grown < 0.5 * f_min), np.diff(coarse)), False)
+    inner[coarse] = False
+    bound[inner] = pipe.fidelity_bound(xs[inner])
+    return np.flatnonzero(~(bound < 0.5 * f_min))  # NaN bounds are scored
+
+
+def _bisect(pipe: _Pipeline, f_min: float, a, b, high_at_b) -> None:
+    """Halve each bracket (a, b) in place while b - a > 1e-6, keeping its end
+    on the side given by ``high_at_b``; ``_ROUND_HALVINGS`` halvings a round."""
+    while (live := np.flatnonzero(b - a > 1e-6)).size:
+        k = len(live)
+        lo, hi, mids, wide = a[live, None], b[live, None], [], []
+        for _ in range(_ROUND_HALVINGS):  # one level of the bracket tree, left to right
+            m = 0.5 * (lo + hi)
+            mids.append(m)
+            wide.append(hi - lo > 1e-6)
+            lo, hi = np.stack((lo, m), -1).reshape(k, -1), np.stack((m, hi), -1).reshape(k, -1)
+        mids, wide = np.concatenate(mids, axis=1), np.concatenate(wide, axis=1)
+        high = np.zeros(mids.shape, dtype=bool)
+        high[wide] = pipe.fidelity(mids[wide])[0] >= f_min
+        rows, node, a_l, b_l = np.arange(k), np.zeros(k, dtype=int), a[live], b[live]
+        for _ in range(_ROUND_HALVINGS):  # node i has children 2i + 1 (a, m) and 2i + 2 (m, b)
+            at = (rows, node)
+            to_b = high[at] == high_at_b[live]
+            a_l = np.where(wide[at] & ~to_b, mids[at], a_l)
+            b_l = np.where(wide[at] & to_b, mids[at], b_l)
+            node = 2 * node + 2 - to_b
+        a[live], b[live] = a_l, b_l
 
 
 def window_from_threshold(alpha_i: float, n: int, f_min: float,
@@ -402,8 +452,21 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
     factor 2 keeps every row that could reach f_min.  Off a ring, or where
     lam_min underflows, the bound is +inf and every point is scored.
 
+    The bound B is first evaluated at every k-th scan point.  Since
+    |<X + t|b_n>| = e^{t sqrt2 Re b_n} |<X|b_n>| up to a factor common to the
+    row, and B is scale-free in the row, B(X + t) <= e^{4 |t| R} B(X) with
+    R = sqrt2 max_n |Re b_n|; so the points between two coarse ends
+    X_j < X_{j+1} are skipped when e^{4 h R} min(B_j, B_{j+1}) < f_min / 2,
+    h = X_{j+1} - X_j, and bounded one by one otherwise.  k makes 4 h R about
+    ``_SCREEN_GROWTH``; an end that is NaN, zero or subnormal skips nothing.
+    The scored points are those a bound of every point would keep.
+
     Threshold crossings are refined by bisection to 1e-6, all crossings
-    together.  May be empty.
+    together, in rounds: one round scores, as one batch, the 15 midpoints of
+    the next ``_ROUND_HALVINGS`` halvings of every bracket still wider than
+    1e-6, then walks each bracket down its tree by the same side rule, so every
+    edge is bit for bit the one a midpoint-at-a-time bisection finds.  May be
+    empty.
     """
     if not (0.0 < f_min < 1.0):
         raise ValueError("f_min must lie strictly between 0 and 1")
@@ -412,18 +475,14 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
     lo, hi = -(alpha_i + 5.0), alpha_i + 5.0
     xs = np.arange(lo, hi + 0.5 * scan_step, scan_step)
     pipe = _pipeline(alpha_i, n)
-    scored = np.flatnonzero(~(pipe.fidelity_bound(xs) < 0.5 * f_min))  # NaN bounds are scored
+    scored = _screen(pipe, xs, scan_step, f_min)
     above = np.zeros(len(xs), dtype=bool)
     above[scored] = [p.fidelity >= f_min for p in fidelity_curve(alpha_i, n, xs[scored])]
     # one bracket (a, b) per change of side between neighbouring scan points:
     # exactly one of its ends is above threshold
     t = np.flatnonzero(above[1:] != above[:-1])
     a, b, high_at_b = xs[t], xs[t + 1], above[t + 1]
-    while (live := np.flatnonzero(b - a > 1e-6)).size:
-        m = 0.5 * (a[live] + b[live])
-        to_b = (pipe.fidelity(m)[0] >= f_min) == high_at_b[live]
-        b[live[to_b]] = m[to_b]
-        a[live[~to_b]] = m[~to_b]
+    _bisect(pipe, f_min, a, b, high_at_b)
     # interval ends in order: the scan's ends where they are above threshold
     ends = np.concatenate((xs[:1][above[:1]], 0.5 * (a + b), xs[-1:][above[-1:]]))
     return AcceptanceWindow(tuple((float(x0), float(x1)) for x0, x1 in zip(ends[::2], ends[1::2])

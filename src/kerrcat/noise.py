@@ -182,10 +182,16 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
         A, B, _ = pipe.ring_step_terms(float(X), base)  # A = B = 0 where degenerate
         return _phi_objective(A, B, cross, phi_max).T.ravel()
 
+    weights = np.zeros(sigma.shape + (0,))  # e^{-sigma^2 m^2 / 2} at [..., m]
+
     def average(h):
+        nonlocal weights
         coeff = np.fft.rfft(h).real / len(h)
         coeff[1:(len(h) + 1) // 2] *= 2.0  # +m and -m, below the Nyquist term of an even len(h)
-        return np.exp(-0.5 * np.multiply.outer(sigma ** 2, np.arange(len(coeff)) ** 2)) @ coeff
+        new = np.arange(weights.shape[-1], len(coeff))  # only the m not weighted yet
+        weights = np.concatenate(
+            (weights, np.exp(-0.5 * np.multiply.outer(sigma ** 2, new ** 2))), axis=-1)
+        return weights @ coeff
 
     m = n
     while m < _FIRST_NODES:

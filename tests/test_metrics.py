@@ -54,6 +54,27 @@ def bench_reference(name, tol):
     return lambda p, got: check.within(got, ref[p], getattr(workloads, tol), peak)
 
 
+def sequential_window(alpha, n, f_min, scan_step=0.01):
+    """(intervals, halvings): the window as found by a scan bounded point by
+    point and a bisection of one midpoint per bracket and call."""
+    xs = np.arange(-(alpha + 5.0), alpha + 5.0 + 0.5 * scan_step, scan_step)
+    pipe = metrics._pipeline(alpha, n)
+    scored = np.flatnonzero(~(pipe.fidelity_bound(xs) < 0.5 * f_min))
+    above = np.zeros(len(xs), dtype=bool)
+    above[scored] = pipe.fidelity(xs[scored])[0] >= f_min
+    t = np.flatnonzero(above[1:] != above[:-1])
+    a, b, high_at_b = xs[t], xs[t + 1], above[t + 1]
+    halvings = 0
+    while (live := np.flatnonzero(b - a > 1e-6)).size:
+        m = 0.5 * (a[live] + b[live])
+        to_b = (pipe.fidelity(m)[0] >= f_min) == high_at_b[live]
+        b[live[to_b]] = m[to_b]
+        a[live[~to_b]] = m[~to_b]
+        halvings += 1
+    ends = np.concatenate((xs[:1][above[:1]], 0.5 * (a + b), xs[-1:][above[-1:]]))
+    return tuple((float(x0), float(x1)) for x0, x1 in zip(ends[::2], ends[1::2]) if x0 < x1), halvings
+
+
 class TestCatState:
     def test_normalization_closed_form(self):
         cat = CatState(1.5, 0.8)
@@ -289,6 +310,24 @@ class TestWindowsAndSuccess:
             near = fidelity_curve(alpha, n, [e - 1e-6, e + 1e-6])
             assert (near[0].fidelity >= f_min) != (near[1].fidelity >= f_min), e
 
+    @pytest.mark.parametrize("alpha,n,f_min,step", [
+        (20.0, 20, 0.99999, 0.01), (20.0, 40, 0.99, 0.01), (20.0, 60, 0.9, 0.01),
+        (2.0, 10, 0.1, 0.01), (2.0, 3, 0.2, 0.01), (20.0, 20, 0.9, 0.05),
+        (20.0, 20, 0.99999, 0.013)])
+    def test_rounds_match_sequential_bisection(self, monkeypatch, alpha, n, f_min, step):
+        # table1's windows, the windows at the scan's ends, and brackets that
+        # need 16 halvings (four whole rounds) or 14 (the last round stops
+        # after two)
+        want, halvings = sequential_window(alpha, n, f_min, step)
+        calls = []
+        fidelity = metrics._Pipeline.fidelity
+        monkeypatch.setattr(metrics._Pipeline, "fidelity",
+                            lambda self, x: calls.append(len(x)) or fidelity(self, x))
+        win = window_from_threshold(alpha, n, f_min, scan_step=step)
+        assert win.intervals == want and want
+        assert halvings == (16 if step == 0.05 else 14)
+        assert len(calls) == 1 + math.ceil(halvings / metrics._ROUND_HALVINGS)
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             AcceptanceWindow(((1.0, 0.5),))
@@ -332,6 +371,43 @@ class TestFidelityBound:
                                 lambda self, x, fill=fill: np.full(len(x), fill))
             assert window_from_threshold(alpha, n, f_min) == screened
         assert screened.intervals
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 10.0, 20.0, 30.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 20, 40, 60, 100, 200])
+    def test_coarse_screen_keeps_what_the_bound_keeps(self, alpha, n):
+        pipe = metrics._pipeline(alpha, n)
+        rate = 4.0 * SQRT2 * np.max(np.abs(pipe.two_mode.amps.real))  # 4 R
+        for step in (0.01, 0.05):
+            xs = np.arange(-(alpha + 5.0), alpha + 5.0 + 0.5 * step, step)
+            bound = pipe.fidelity_bound(xs)
+            for f_min in (0.5, 0.9, 0.99999):
+                np.testing.assert_array_equal(metrics._screen(pipe, xs, step, f_min),
+                                              np.flatnonzero(~(bound < 0.5 * f_min)))
+            # the growth bound between neighbours, where the bound is a normal number
+            grown = np.exp(rate * np.diff(xs)) * (1.0 + 1e-12)
+            for near, far in ((bound[:-1], bound[1:]), (bound[1:], bound[:-1])):
+                normal = near >= np.finfo(float).tiny
+                assert (far[normal] <= grown[normal] * near[normal]).all()
+
+    def test_underflowed_coarse_end_screens_nothing(self):
+        # at alpha = 30, N = 3 the bound underflows to 0 next to points where
+        # it is subnormal, so a zero end would drop them at a tiny threshold
+        pipe = metrics._pipeline(30.0, 3)
+        xs = np.arange(-35.0, 35.005, 0.01)
+        bound = pipe.fidelity_bound(xs)
+        assert ((bound[:-1] == 0.0) & (bound[1:] > 0.0)).any()
+        f_min = 1e-323
+        np.testing.assert_array_equal(metrics._screen(pipe, xs, 0.01, f_min),
+                                      np.flatnonzero(~(bound < 0.5 * f_min)))
+
+    def test_table1_scans_bound_few_points(self, monkeypatch):
+        rows = []
+        bound = metrics._Pipeline.fidelity_bound
+        monkeypatch.setattr(metrics._Pipeline, "fidelity_bound",
+                            lambda self, x: rows.append(len(x)) or bound(self, x))
+        for n, f_min in ((20, 0.99999), (40, 0.99), (60, 0.9)):
+            window_from_threshold(20.0, n, f_min)
+        assert 0 < sum(rows) < 5000
 
     def test_screen_stays_on(self, monkeypatch):
         scored = []
