@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -151,18 +152,12 @@ def _add_common(sub, *, with_x=False, output="output file (default stdout)"):
     sub.add_argument("--output", default=None, help=output)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kerrcat",
-                     description="Cat states from weak Kerr nonlinearity, a 50-50 "
-                                 "beam splitter and homodyne conditioning.")
-    parser.add_argument("--version", action="version", version=f"kerrcat {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="ring decomposition at interaction phase pi/N")
+def _decompose_args(p):
     _add_common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("evolve-fock", help="number-basis evolution at arbitrary phase")
+
+def _evolve_fock_args(p):
     p.add_argument("--alpha", type=float, default=20.0)
     p.add_argument("--alpha-im", type=float, default=0.0,
                    help="imaginary part of the input amplitude")
@@ -171,11 +166,13 @@ def build_parser() -> _Parser:
                    help="number-basis cutoff (default |alpha|^2 + 10|alpha| + 20)")
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("condition", help="split on vacuum and condition on outcome X")
+
+def _condition_args(p):
     _add_common(p, with_x=True)
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("fidelity", help="phi-maximized cat fidelity of a conditioned state")
+
+def _fidelity_args(p):
     _add_common(p, with_x=True, output="also write x, fidelity and phi_max to this CSV "
                                        "file (the summary line is printed either way)")
     p.add_argument("--state", default=None,
@@ -183,33 +180,28 @@ def build_parser() -> _Parser:
     p.add_argument("--target-re", type=float, default=None)
     p.add_argument("--target-im", type=float, default=None)
 
-    p = sub.add_parser("fidelity-curve", help="fidelity against the measurement outcome")
+
+def _fidelity_curve_args(p):
     _add_common(p)
     p.add_argument("--x-min", type=float, default=-3.0)
     p.add_argument("--x-max", type=float, default=3.0)
     p.add_argument("--x-step", type=float, default=0.01)
 
-    for name, with_x, when in (("pdist-pre", False, "before the beam splitter"),
-                               ("pdist-post", True, "after conditioning")):
-        p = sub.add_parser(name, help=f"P distribution {when}")
-        _add_common(p, with_x=with_x)
-        p.add_argument("--p-min", type=float, default=None)
-        p.add_argument("--p-max", type=float, default=None)
-        p.add_argument("--p-step", type=float, default=0.05)
 
-    for name, what, output in (
-            ("success-prob", "probability of outcomes whose fidelity clears a threshold",
-             "also write the window and its probability to this CSV file "
-             "(the probability is printed either way)"),
-            ("window", "acceptance window {X : F(X) >= f_min}",
-             "also write the window's intervals to this CSV file "
-             "(they are printed either way)")):
-        p = sub.add_parser(name, help=what)
-        _add_common(p, output=output)
-        p.add_argument("--f-min", type=float, required=True)
-        p.add_argument("--scan-step", type=float, default=0.01)
+def _pdist_args(p, *, with_x):
+    _add_common(p, with_x=with_x)
+    p.add_argument("--p-min", type=float, default=None)
+    p.add_argument("--p-max", type=float, default=None)
+    p.add_argument("--p-step", type=float, default=0.05)
 
-    p = sub.add_parser("noise-loss", help="fidelity under final-stage photon loss")
+
+def _window_args(p, *, output):
+    _add_common(p, output=output)
+    p.add_argument("--f-min", type=float, required=True)
+    p.add_argument("--scan-step", type=float, default=0.01)
+
+
+def _noise_loss_args(p):
     _add_common(p, with_x=True, output="also write loss_prob and fidelity to this CSV file "
                                        "(one line per probability is printed either way)")
     p.add_argument("--loss-probs", default="0,0.1,0.2,0.3,0.4,0.5,0.6",
@@ -217,21 +209,22 @@ def build_parser() -> _Parser:
     p.add_argument("--direct-flip", action="store_true",
                    help="read each probability as the phase-flip probability itself")
 
-    p = sub.add_parser("noise-phase", help="Gaussian phase-fluctuation averaged fidelity")
+
+def _noise_phase_args(p):
     _add_common(p, with_x=True)
     p.add_argument("--sigma-max", type=float, default=0.3)
     p.add_argument("--sigma-step", type=float, default=0.01)
 
-    p = sub.add_parser("reproduce", help="emit the canonical figure/table data series")
+
+def _reproduce_args(p):
     p.add_argument("what", choices=("fig2", "fig3", "fig4", "fig5", "table1"))
     p.add_argument("--outdir", default="",
                    help=f"directory for the CSV files, under ${ENV_OUTDIR} if relative "
                         f"(default ${ENV_OUTDIR}, else the current directory)")
 
-    p = sub.add_parser("verify", help="run the exactness and oracle cross-checks")
-    p.add_argument("--fast", action="store_true", help="smaller verification grid")
 
-    return parser
+def _verify_args(p):
+    p.add_argument("--fast", action="store_true", help="smaller verification grid")
 
 
 # --------------------------------------------------------------------------
@@ -444,25 +437,69 @@ def _cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
+# name -> (help, argument builder, handler), in the order --help lists them
 _COMMANDS = {
-    "decompose": _cmd_decompose,
-    "evolve-fock": _cmd_evolve_fock,
-    "condition": _cmd_condition,
-    "fidelity": _cmd_fidelity,
-    "fidelity-curve": _cmd_fidelity_curve,
-    "pdist-pre": _cmd_pdist,
-    "pdist-post": _cmd_pdist,
-    "success-prob": _cmd_success_prob,
-    "window": _cmd_window,
-    "noise-loss": _cmd_noise_loss,
-    "noise-phase": _cmd_noise_phase,
-    "reproduce": _cmd_reproduce,
-    "verify": _cmd_verify,
+    "decompose": ("ring decomposition at interaction phase pi/N",
+                  _decompose_args, _cmd_decompose),
+    "evolve-fock": ("number-basis evolution at arbitrary phase",
+                    _evolve_fock_args, _cmd_evolve_fock),
+    "condition": ("split on vacuum and condition on outcome X",
+                  _condition_args, _cmd_condition),
+    "fidelity": ("phi-maximized cat fidelity of a conditioned state",
+                 _fidelity_args, _cmd_fidelity),
+    "fidelity-curve": ("fidelity against the measurement outcome",
+                       _fidelity_curve_args, _cmd_fidelity_curve),
+    "pdist-pre": ("P distribution before the beam splitter",
+                  functools.partial(_pdist_args, with_x=False), _cmd_pdist),
+    "pdist-post": ("P distribution after conditioning",
+                   functools.partial(_pdist_args, with_x=True), _cmd_pdist),
+    "success-prob": ("probability of outcomes whose fidelity clears a threshold",
+                     functools.partial(_window_args, output=(
+                         "also write the window and its probability to this CSV file "
+                         "(the probability is printed either way)")),
+                     _cmd_success_prob),
+    "window": ("acceptance window {X : F(X) >= f_min}",
+               functools.partial(_window_args, output=(
+                   "also write the window's intervals to this CSV file "
+                   "(they are printed either way)")),
+               _cmd_window),
+    "noise-loss": ("fidelity under final-stage photon loss", _noise_loss_args, _cmd_noise_loss),
+    "noise-phase": ("Gaussian phase-fluctuation averaged fidelity",
+                    _noise_phase_args, _cmd_noise_phase),
+    "reproduce": ("emit the canonical figure/table data series",
+                  _reproduce_args, _cmd_reproduce),
+    "verify": ("run the exactness and oracle cross-checks", _verify_args, _cmd_verify),
 }
 
 
+def build_parser(command: str | None = None) -> _Parser:
+    """The kerrcat parser: every subcommand, or ``command``'s alone.
+
+    A one-command parser lists every command in its usage line, so its usage
+    errors read as the full parser's.  :func:`main` builds it only when the
+    first word of argv is ``command``: an error about the command word itself
+    would name that argument by the list instead of "command".
+    """
+    parser = _Parser(prog="kerrcat",
+                     description="Cat states from weak Kerr nonlinearity, a 50-50 "
+                                 "beam splitter and homodyne conditioning.")
+    parser.add_argument("--version", action="version", version=f"kerrcat {__version__}")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one subparser when the first word names it: building all 13 costs
+    # about ten times as much as building one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if "n" in args:  # a ring command, built by _add_common
@@ -472,7 +509,7 @@ def main(argv=None) -> int:
             if getattr(args, dest, None) is not None:
                 setattr(args, dest, os.path.join(os.environ.get(ENV_OUTDIR, ""),
                                                  getattr(args, dest)))
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except SystemExit as exc:  # argparse --help/--version and usage errors
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 1)

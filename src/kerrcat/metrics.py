@@ -528,7 +528,7 @@ def outcome_density(alpha_i: float, n: int, X: float) -> float:
 
 def _density_on_grid(psi: CoherentSuperposition, p_grid) -> list[tuple[float, float]]:
     density = _marginal_densities(psi, p_grid, -1j * psi.amps)
-    return [(float(p), float(d)) for p, d in zip(p_grid, density)]
+    return list(zip(p_grid.tolist(), density.tolist()))
 
 
 def conditioned_p_distribution(alpha_i: float, n: int, X: float,

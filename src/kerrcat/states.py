@@ -531,48 +531,74 @@ def _fock_densities(top, a, values):
     """|e^top sum_m a_m psi_m(v)|^2 at each of ``values`` (an array, or one
     float), psi_m the real Hermite functions.
 
-    Each cell runs the recurrence h_0 = 1, h_1 = sqrt2 v,
-    h_{m+1} = sqrt(2/(m+1)) v h_m - sqrt(m/(m+1)) h_{m-1} for
-    h_m = psi_m(v) / psi_0(v), and keeps psi_0(v) = pi^{-1/4} e^{-v^2/2} as a
-    log, since past |v| ~ 37.6 it underflows and h_m overflows.  Every
-    ``_RESCALE_STEPS`` steps a cell divides h_m, h_{m-1} and its partial sum
+    psi_m(-v) = (-1)^m psi_m(v), so the recurrence runs once per distinct
+    |v| (u below) and keeps two partial sums, E = sum over even m and
+    O = sum over odd m of a_m psi_m(u); the cell at v gets E + O, or E - O
+    where v < 0.  This is exact, not an approximation: every step below is
+    odd in u for odd m and even for even m, and the rescales depend on |h|
+    alone, so h_m(-u) = (-1)^m h_m(u) bit for bit; only the association of
+    the final sum differs from summing the m in order.
+
+    Each |v| runs the recurrence h_0 = 1, h_1 = sqrt2 u,
+    h_{m+1} = sqrt(2/(m+1)) u h_m - sqrt(m/(m+1)) h_{m-1} for
+    h_m = psi_m(u) / psi_0(u), and keeps psi_0(u) = pi^{-1/4} e^{-u^2/2} as a
+    log, since past u ~ 37.6 it underflows and h_m overflows.  Every
+    ``_RESCALE_STEPS`` steps it divides h_m, h_{m-1} and both partial sums
     by the power of two 2^e of its larger |h|, exactly, and adds e to its
-    exponent.  Between two rescales |h| grows at most (sqrt2 |v| + 1)^16, so
-    nothing overflows below |v| ~ 1e19; cells that the same bound
-    |h_m| <= (sqrt2 |v| + 1)^m puts below the smallest double are 0.  Every
+    exponent.  Between two rescales |h| grows at most (sqrt2 u + 1)^16, so
+    nothing overflows below u ~ 1e19; cells that the same bound
+    |h_m| <= (sqrt2 u + 1)^m puts below the smallest double are 0.  Every
     operation is elementwise, written once for an array and a float: a
-    cell's bits do not depend on the others, nor on whether it runs alone.
+    cell's bits depend neither on the other cells nor on whether it runs
+    alone.
     """
     m_max = len(a) - 1
-    log_psi0 = top + LOG_PI_QUARTER - 0.5 * values * values
-    with np.errstate(divide="ignore"):
-        bound = log_psi0 + m_max * np.log1p(SQRT2 * np.abs(values)) + np.log(np.sum(np.abs(a)))
-    live = 2.0 * bound >= _LOG_ROUNDS_TO_ZERO
     if isinstance(values, float):
-        # numpy's frexp and maximum would turn the cell into numpy scalars
-        v, frexp, ldexp, larger = (values if live else 0.0), math.frexp, math.ldexp, max
+        u, inverse = abs(values), None
     else:
-        v, frexp, ldexp, larger = np.where(live, values, 0.0), np.frexp, np.ldexp, np.maximum
+        u, inverse = np.unique(np.abs(values), return_inverse=True)
+    log_psi0 = top + LOG_PI_QUARTER - 0.5 * u * u
+    with np.errstate(divide="ignore"):
+        bound = log_psi0 + m_max * np.log1p(SQRT2 * u) + np.log(np.sum(np.abs(a)))
+    live = 2.0 * bound >= _LOG_ROUNDS_TO_ZERO
+    a = a.tolist()
+    if inverse is None:
+        # numpy's frexp and maximum would turn the cell into numpy scalars
+        v, frexp, ldexp, larger = (u if live else 0.0), math.frexp, math.ldexp, max
+        even, odd = a[0], 0j
+    else:
+        v, frexp, ldexp, larger = np.where(live, u, 0.0), np.frexp, np.ldexp, np.maximum
+        even, odd = np.full(len(u), a[0]), np.zeros(len(u), dtype=complex)
     steps = np.arange(1.0, m_max + 1.0)
     up, back = np.sqrt(2.0 / steps).tolist(), np.sqrt((steps - 1.0) / steps).tolist()
-    a = a.tolist()
-    prev, cur, total, exponent = 0.0, 1.0, a[0], 0
+    prev, cur, exponent = 0.0, 1.0, 0
     for m, (up_m, back_m, a_m) in enumerate(zip(up, back, a[1:]), 1):
         step = cur * v
         step *= up_m
         prev *= back_m
         step -= prev
         prev, cur = cur, step                        # cur = h_m
-        total += a_m * cur
+        if m % 2:
+            odd += a_m * cur
+        else:
+            even += a_m * cur
         if m % _RESCALE_STEPS == 0:
             e = frexp(larger(abs(prev), abs(cur)))[1]
             scale = ldexp(1.0, -e)
             prev *= scale
             cur *= scale
-            total *= scale
+            even *= scale
+            odd *= scale
             exponent += e
+    log_scale = log_psi0 + exponent * math.log(2.0)
+    if inverse is None:
+        total = even - odd if values < 0 else even + odd
+    else:
+        log_scale, live, total = log_scale[inverse], live[inverse], odd[inverse]
+        np.negative(total, out=total, where=values < 0)
+        total += even[inverse]
     with np.errstate(divide="ignore"):
-        log_amp = log_psi0 + exponent * math.log(2.0) + np.log(np.hypot(total.real, total.imag))
+        log_amp = log_scale + np.log(np.hypot(total.real, total.imag))
     return np.where(live, np.exp(np.minimum(2.0 * log_amp, 700.0)), 0.0)
 
 

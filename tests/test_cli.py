@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, round trips, file formats."""
 
+import argparse
 import csv
 import io
 import json
@@ -48,7 +49,12 @@ class TestArgumentValidation:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 1
+        code, _, err = run(["frobnicate"], capsys)
+        assert code == 1
+        assert "error: argument command: invalid choice: 'frobnicate'" in err
+        code, _, err = run([], capsys)
+        assert code == 1
+        assert "error: the following arguments are required: command" in err
 
     CURVE = ["fidelity-curve", "--alpha", "2", "--n", "2", "--x-min", "0", "--x-max", "0.1"]
 
@@ -156,6 +162,36 @@ class TestArgumentValidation:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --magnitude-only" in err
+
+
+class TestParser:
+    """main builds only the subparser its first word names; every help text
+    and usage error is what the parser of all 13 commands gives."""
+
+    ARGV = [[], ["-h"], ["--help"], ["--version"], ["decompose", "-h"],
+            ["reproduce", "--help"], ["-h", "decompose"], ["frobnicate"],
+            ["window"], ["evolve-fock", "--alpha", "2"], ["reproduce", "fig9"],
+            ["decompose", "--alpha", "x"], ["decompose", "--bogus", "1"],
+            ["verify", "extra"]]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda a: " ".join(a) or "none")
+    def test_same_output_as_full_parser(self, capsys, monkeypatch, argv):
+        got = run(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == run(argv, capsys)
+
+    def test_one_command_parser(self, capsys, monkeypatch):
+        one, full = cli.build_parser("window"), cli.build_parser()
+        sub = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub[0].choices) == ["window"]
+        assert one.format_usage() == full.format_usage()
+        asked, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: asked.append(command) or build(command))
+        for argv in (["window", "-h"], ["-h"], ["frobnicate"]):
+            run(argv, capsys)
+        assert asked == ["window", None, None]
 
 
 class TestFileErrors:

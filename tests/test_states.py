@@ -29,7 +29,10 @@ from kerrcat import (
 from kerrcat.cli import _grid
 from kerrcat.metrics import condition_at, precondition_p_distribution
 from kerrcat.states import (
+    LOG_PI_QUARTER,
     _DIGITS_BUDGET,
+    _LOG_ROUNDS_TO_ZERO,
+    _RESCALE_STEPS,
     _direct_densities,
     _fock_amplitudes,
     _fock_densities,
@@ -438,6 +441,79 @@ class TestFockRoute:
         fock = _fock_densities(*_fock_amplitudes(lc, ac, amps, *_ring_weights(amps)), grid)
         assert np.array_equal(_marginal_densities(psi, grid, amps), fock if fock_route else direct)
         assert np.all(np.abs(fock - direct) <= 1e-8 * direct + 1e-11 * direct.max())
+
+
+def _interleaved_fock_densities(top, a, values):
+    """Reference for _fock_densities on a grid: every cell runs the recurrence
+    on its own v, and one partial sum takes the m in order, rescaled with the
+    same powers of two."""
+    m_max = len(a) - 1
+    log_psi0 = top + LOG_PI_QUARTER - 0.5 * values * values
+    with np.errstate(divide="ignore"):
+        bound = log_psi0 + m_max * np.log1p(SQRT2 * np.abs(values)) + np.log(np.sum(np.abs(a)))
+    live = 2.0 * bound >= _LOG_ROUNDS_TO_ZERO
+    v = np.where(live, values, 0.0)
+    steps = np.arange(1.0, m_max + 1.0)
+    up, back = np.sqrt(2.0 / steps).tolist(), np.sqrt((steps - 1.0) / steps).tolist()
+    a = a.tolist()
+    prev, cur, total, exponent = 0.0, 1.0, a[0], 0
+    for m, (up_m, back_m, a_m) in enumerate(zip(up, back, a[1:]), 1):
+        step = cur * v
+        step *= up_m
+        prev *= back_m
+        step -= prev
+        prev, cur = cur, step
+        total += a_m * cur
+        if m % _RESCALE_STEPS == 0:
+            e = np.frexp(np.maximum(abs(prev), abs(cur)))[1]
+            scale = np.ldexp(1.0, -e)
+            prev *= scale
+            cur *= scale
+            total *= scale
+            exponent += e
+    with np.errstate(divide="ignore"):
+        log_amp = log_psi0 + exponent * math.log(2.0) + np.log(np.hypot(total.real, total.imag))
+    return np.where(live, np.exp(np.minimum(2.0 * log_amp, 700.0)), 0.0)
+
+
+class TestFockParity:
+    """_fock_densities runs the recurrence once per |v| (psi_m(-v) =
+    (-1)^m psi_m(v)) and sums even and odd m apart: within rounding of the
+    interleaved sum, and still one cell at a time, bit for bit."""
+
+    @staticmethod
+    def _fock_args(alpha, n, x):
+        psi = condition_at(alpha, n, x)
+        amps = -1j * psi.amps
+        return _fock_amplitudes(*_log_polar(psi.coeffs), amps, *_ring_weights(amps))
+
+    # fig4's grid, and the grids of pdist-post --n 1024 --x 1 and --n 4096 --x 0
+    @pytest.mark.parametrize("n,x,grid", [
+        (200, 0.0, _grid(-30.0, 30.0, 0.02)),
+        (1024, 1.0, _grid(-SQRT2 * 20 - 8, SQRT2 * 20 + 8, 0.05)),
+        (4096, 0.0, _grid(-SQRT2 * 20 - 8, SQRT2 * 20 + 8, 0.05)),
+    ], ids=["fig4", "n1024-x1", "n4096-x0"])
+    def test_within_rounding_of_interleaved_sum(self, n, x, grid):
+        top, a = self._fock_args(20.0, n, x)
+        want = _interleaved_fock_densities(top, a, grid)
+        assert np.max(np.abs(_fock_densities(top, a, grid) - want)) <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("grid", [
+        np.append(np.arange(-60, 61) * 0.1, -0.0), _grid(-5.0, 7.5, 0.05)],
+        ids=["symmetric", "asymmetric"])
+    def test_grid_cells_equal_one_point_calls(self, grid):
+        # alpha = 5, N = 512, X = 0.3: 355 photon numbers, on the Fock route
+        psi = condition_at(5.0, 512, 0.3)
+        got = _marginal_densities(psi, grid, -1j * psi.amps)
+        assert got.tolist() == [p_marginal_density(psi, p) for p in grid]
+        assert np.array_equal(_fock_densities(*self._fock_args(5.0, 512, 0.3), grid), got)
+
+    def test_shuffled_grid_is_permuted(self):
+        top, a = self._fock_args(20.0, 200, 0.0)
+        grid = _grid(-30.0, 30.0, 0.02)
+        order = np.random.default_rng(7).permutation(len(grid))
+        assert np.array_equal(_fock_densities(top, a, grid[order]),
+                              _fock_densities(top, a, grid)[order])
 
 
 class TestConstructionAndJson:
