@@ -42,7 +42,9 @@ from .metrics import (
     condition_at,
     conditioned_p_distribution,
     default_target_beta,
+    fidelity_columns,
     fidelity_curve,
+    max_fidelity,
     outcome_density,
     partner_for,
     precondition_p_distribution,

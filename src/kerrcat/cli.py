@@ -35,7 +35,9 @@ from .metrics import (
     condition_at,
     conditioned_p_distribution,
     default_target_beta,
+    fidelity_columns,
     fidelity_curve,
+    max_fidelity,
     precondition_p_distribution,
     success_probability,
     window_from_threshold,
@@ -232,10 +234,9 @@ def _verify_args(p):
 # --------------------------------------------------------------------------
 
 def _cmd_decompose(args) -> int:
-    decomp = kerr_decompose(args.alpha, args.n)
     if args.format == "json":
-        _write_json(args.output, state_to_json_dict(decomp.state))
-    else:
+        _write_json(args.output, state_to_json_dict(kerr_decompose(args.alpha, args.n).state))
+    else:  # the coefficients alone: main has checked --alpha, and they check --n
         _write_csv(args.output, ("n", "re", "im", "magnitude", "zeta_n"),
                    coefficient_rows(args.n))
     return 0
@@ -370,10 +371,9 @@ def _cmd_reproduce(args) -> int:
         header = ("p", "density_before_split", "density_conditioned_x0")
     elif args.what == "fig3":
         grid, ns = _grid(-3.0, 3.0, 0.01), (20, 40, 60)
-        series = [fidelity_curve(20.0, n, grid) for n in ns]
+        columns = [c.tolist() for n in ns for c in fidelity_columns(20.0, n, grid)[:2]]
         header = ("x", *(f"{q}_n{n}" for n in ns for q in ("fidelity", "phi_max")))
-        rows = [(pts[0].x, *(v for pt in pts for v in (pt.fidelity, pt.phi_max)))
-                for pts in zip(*series)]
+        rows = zip(grid.tolist(), *columns)
     elif args.what == "fig4":
         grid = _grid(-30.0, 30.0, 0.02)
         rows = conditioned_p_distribution(20.0, 200, 0.0, grid)
@@ -387,9 +387,7 @@ def _cmd_reproduce(args) -> int:
         rows = [(f"success_prob_n{n}_fmin{f_min:g}",
                  success_probability(20.0, n, window_from_threshold(20.0, n, f_min)))
                 for n, f_min in ((20, 0.99999), (40, 0.99), (60, 0.9))]
-        grid = _grid(-3.0, 3.0, 0.01)
-        rows.append(("max_fidelity_n60",
-                     max(p.fidelity for p in fidelity_curve(20.0, 60, grid))))
+        rows.append(("max_fidelity_n60", max_fidelity(20.0, 60, _grid(-3.0, 3.0, 0.01))))
         rows.append(("peak_fidelity_n20_x0", fidelity_curve(20.0, 20, [0.0])[0].fidelity))
         for loss in (0.10, 0.30, 0.60):
             rows.append((f"lossy_fidelity_n20_x0_loss{loss:g}",

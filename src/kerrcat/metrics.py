@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +102,9 @@ class FidelityReport:
     target_beta: complex
 
 
-@dataclass(frozen=True)
-class FidelityCurvePoint:
+class FidelityCurvePoint(NamedTuple):
+    """One outcome of a fidelity curve: a tuple, so it indexes and unpacks."""
+
     x: float
     fidelity: float
     phi_max: float
@@ -375,6 +377,12 @@ def _pipeline(alpha_i: float, n: int) -> _Pipeline:
 # curves, windows, probabilities
 # --------------------------------------------------------------------------
 
+def fidelity_columns(alpha_i: float, n: int, x_grid):
+    """(fidelity, phi_max, degenerate): arrays over the outcomes in ``x_grid``,
+    the columns of :func:`fidelity_curve` (F = phi_max = 0 where degenerate)."""
+    return _pipeline(alpha_i, n).fidelity(np.atleast_1d(np.asarray(x_grid, dtype=float)))
+
+
 def fidelity_curve(alpha_i: float, n: int, x_grid) -> list[FidelityCurvePoint]:
     """Conditioned-state fidelity at each outcome in ``x_grid``.
 
@@ -382,9 +390,39 @@ def fidelity_curve(alpha_i: float, n: int, x_grid) -> list[FidelityCurvePoint]:
     there.  Degenerate outcomes are flagged and scored 0.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    fid, phi, degenerate = _pipeline(alpha_i, n).fidelity(xs)
-    return list(map(FidelityCurvePoint, xs.tolist(), fid.tolist(), phi.tolist(),
-                    degenerate.tolist()))
+    return list(map(FidelityCurvePoint, xs.tolist(),
+                    *(column.tolist() for column in fidelity_columns(alpha_i, n, xs))))
+
+
+#: Relative margin under a threshold at which a fidelity bound still keeps its
+#: point: the computed F exceeds the bound by rounding alone (under 1e-12
+#: relative), so a bound below (1 - margin) times the threshold proves F below it.
+_BOUND_MARGIN = 1e-6
+
+#: Outcomes of the largest bounds that :func:`max_fidelity` scores first.
+_MAX_FIRST = 64
+
+
+def max_fidelity(alpha_i: float, n: int, x_grid) -> float:
+    """Largest fidelity over the outcomes in ``x_grid``, bit for bit
+    ``max(fidelity_columns(alpha_i, n, x_grid)[0])``.
+
+    Every outcome is bounded by :meth:`_Pipeline.fidelity_bound`; the
+    ``_MAX_FIRST`` largest bounds are scored first, then every other outcome
+    whose bound is not below (1 - ``_BOUND_MARGIN``) times the best score
+    found (NaN and +inf bounds among them).  Each outcome dropped has
+    F < best, and a row's fidelity does not depend on the rows scored with it.
+    """
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    pipe = _pipeline(alpha_i, n)
+    bound = pipe.fidelity_bound(xs)
+    first = np.argsort(-bound)[:_MAX_FIRST]  # NaN bounds sort last: the second batch takes them
+    best = np.max(pipe.fidelity(xs[first])[0])  # ValueError on an empty grid
+    rest = ~(bound < (1.0 - _BOUND_MARGIN) * best)
+    rest[first] = False
+    if rest.any():
+        best = max(best, np.max(pipe.fidelity(xs[rest])[0]))
+    return float(best)
 
 
 #: Growth 4 h R of the log fidelity bound over one coarse step h of a window screen.
@@ -396,8 +434,9 @@ _ROUND_HALVINGS = 4
 
 def _screen(pipe: _Pipeline, xs: np.ndarray, step: float, f_min: float) -> np.ndarray:
     """Indices of the scan points ``xs`` (spaced ``step``) whose fidelity bound
-    is not below f_min / 2, bounding every k-th point first (see
-    window_from_threshold)."""
+    is not below (1 - ``_BOUND_MARGIN``) f_min, bounding every k-th point
+    first (see window_from_threshold)."""
+    keep = (1.0 - _BOUND_MARGIN) * f_min
     rate = 4.0 * SQRT2 * np.max(np.abs(pipe.two_mode.amps.real))  # 4 R
     # k steps of 4 R step each grow the bound by about e^_SCREEN_GROWTH; k <= len(xs)
     stride = max(1, int(_SCREEN_GROWTH / max(rate * step, _SCREEN_GROWTH / len(xs))))
@@ -407,10 +446,10 @@ def _screen(pipe: _Pipeline, xs: np.ndarray, step: float, f_min: float) -> np.nd
     ends = np.where(bound[coarse] >= np.finfo(float).tiny, bound[coarse], np.inf)
     with np.errstate(over="ignore"):
         grown = np.exp(rate * np.diff(xs[coarse])) * np.minimum(ends[:-1], ends[1:])
-    inner = np.append(np.repeat(~(grown < 0.5 * f_min), np.diff(coarse)), False)
+    inner = np.append(np.repeat(~(grown < keep), np.diff(coarse)), False)
     inner[coarse] = False
     bound[inner] = pipe.fidelity_bound(xs[inner])
-    return np.flatnonzero(~(bound < 0.5 * f_min))  # NaN bounds are scored
+    return np.flatnonzero(~(bound < keep))  # NaN bounds are scored
 
 
 def _bisect(pipe: _Pipeline, f_min: float, a, b, high_at_b) -> None:
@@ -442,22 +481,23 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
     """Outcome region {X : F(X) >= f_min}, scanned over [-(alpha_i+5), alpha_i+5].
 
     Only the scan points whose :meth:`_Pipeline.fidelity_bound` is not below
-    f_min / 2 are scored; every other point is below threshold by proof.  On a
-    ring with unit-mass Gram spectrum lam and collapsed row q (squared norm
-    s = sum_j lam_j |Q_j|^2, Q its transform),
+    (1 - ``_BOUND_MARGIN``) f_min are scored; every other point is below
+    threshold by proof.  On a ring with unit-mass Gram spectrum lam and
+    collapsed row q (squared norm s = sum_j lam_j |Q_j|^2, Q its transform),
     F <= (|A| + |B|)^2 / (2 - 2|<bt|pt>|) with
     |A| + |B| <= sum_n |q_n| (|<bt|b_n>| + |<pt|b_n>|) / sqrt(s), and by
     Parseval s >= N lam_min sum_n |q_n|^2.  The computed F exceeds that
-    bound by rounding alone (under 2e-13 relative), so the margin of a
-    factor 2 keeps every row that could reach f_min.  Off a ring, or where
-    lam_min underflows, the bound is +inf and every point is scored.
+    bound by rounding alone (under 1e-12 relative), so a point dropped has
+    F <= bound / (1 - 1e-12) < f_min.  Off a ring, or where lam_min
+    underflows, the bound is +inf and every point is scored.
 
     The bound B is first evaluated at every k-th scan point.  Since
     |<X + t|b_n>| = e^{t sqrt2 Re b_n} |<X|b_n>| up to a factor common to the
     row, and B is scale-free in the row, B(X + t) <= e^{4 |t| R} B(X) with
     R = sqrt2 max_n |Re b_n|; so the points between two coarse ends
-    X_j < X_{j+1} are skipped when e^{4 h R} min(B_j, B_{j+1}) < f_min / 2,
-    h = X_{j+1} - X_j, and bounded one by one otherwise.  k makes 4 h R about
+    X_j < X_{j+1} are skipped when e^{4 h R} min(B_j, B_{j+1}) is below
+    (1 - ``_BOUND_MARGIN``) f_min, h = X_{j+1} - X_j, and bounded one by one
+    otherwise.  k makes 4 h R about
     ``_SCREEN_GROWTH``; an end that is NaN, zero or subnormal skips nothing.
     The scored points are those a bound of every point would keep.
 
@@ -493,9 +533,17 @@ def window_from_threshold(alpha_i: float, n: int, f_min: float,
 _LEGENDRE_NODES = (8, 16)
 
 
+@lru_cache(maxsize=None)
+def _legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: one solve per node count."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _legendre_rule(intervals, nodes: int):
     """Composite Gauss-Legendre nodes and weights on panels of at most unit length."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = _legendre(nodes)
     edges = [np.linspace(lo, hi, max(1, math.ceil(hi - lo)) + 1) for lo, hi in intervals]
     start = np.concatenate([e[:-1] for e in edges] + [[]])[:, None]
     half = 0.5 * (np.concatenate([e[1:] for e in edges] + [[]])[:, None] - start)
@@ -560,7 +608,9 @@ __all__ = [
     "condition_at",
     "conditioned_p_distribution",
     "default_target_beta",
+    "fidelity_columns",
     "fidelity_curve",
+    "max_fidelity",
     "outcome_density",
     "partner_for",
     "precondition_p_distribution",

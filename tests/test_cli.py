@@ -14,7 +14,7 @@ import pytest
 
 from kerrcat import cli
 from kerrcat.cli import main
-from kerrcat.metrics import condition_at, outcome_density
+from kerrcat.metrics import condition_at, fidelity_curve, outcome_density
 
 
 def run(args, capsys):
@@ -40,6 +40,19 @@ class TestArgumentValidation:
         code, _, _ = run(
             ["decompose", "--n", "5", "--lambda-tau", str(math.pi / 8)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("n,message", [("0", "must be a positive integer"),
+                                           ("5000", "capped at 4096")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_decompose_checks_n_on_both_paths(self, capsys, fmt, n, message):
+        code, out, err = run(["decompose", "--n", n, "--format", fmt], capsys)
+        assert code == 1 and out == ""
+        assert err == f"kerrcat: error: number of components {message}\n"
+
+    def test_decompose_csv_builds_no_state(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "kerr_decompose", lambda *a: pytest.fail("state built"))
+        code, out, _ = run(["decompose", "--n", "3"], capsys)
+        assert code == 0 and out.startswith("n,re,im,magnitude,zeta_n\n1,")
 
     def test_lambda_tau_equals_n(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -551,6 +564,20 @@ class TestReproduceAndVerify:
         mid = rows[1 + xs.index(0.0)]
         assert float(mid[1]) > 0.99999            # N = 20 peak
         assert float(mid[5]) == pytest.approx(0.975, abs=0.005)  # N = 60 peak
+
+    def test_reproduce_fig3_bytes_from_points(self, capsys, tmp_path):
+        # the columns fig3 writes are those of the points of fidelity_curve
+        code, _, _ = run(["reproduce", "fig3", "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        grid, ns = cli._grid(-3.0, 3.0, 0.01), (20, 40, 60)
+        series = [fidelity_curve(20.0, n, grid) for n in ns]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["x", *(f"{q}_n{n}" for n in ns for q in ("fidelity", "phi_max"))])
+        for pts in zip(*series):
+            writer.writerow([cli._fmt(v) for v in (pts[0].x, *(v for p in pts
+                                                              for v in (p.fidelity, p.phi_max)))])
+        assert (tmp_path / "fig3.csv").read_text() == want.getvalue()
 
     def test_reproduce_fig2(self, capsys, tmp_path):
         code, _, _ = run(["reproduce", "fig2", "--outdir", str(tmp_path)], capsys)

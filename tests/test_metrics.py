@@ -15,7 +15,9 @@ from kerrcat import (
     cat_fidelity,
     cat_overlap,
     conditioned_p_distribution,
+    FidelityCurvePoint,
     default_target_beta,
+    fidelity_columns,
     fidelity_curve,
     kerr_decompose,
     outcome_density,
@@ -234,6 +236,33 @@ class TestFidelityCurve:
         assert not pts[0].degenerate
         assert pts[1].degenerate and pts[1].fidelity == 0.0
 
+    @pytest.mark.parametrize("alpha,n,xs", [(20.0, 60, _grid(-3.0, 3.0, 0.01)),
+                                            (20.0, 20, _grid(-3.0, 48.0, 0.05)),
+                                            (3.0, 512, _grid(-8.0, 8.0, 0.5))])
+    def test_columns_match_points(self, alpha, n, xs):
+        fid, phi, degenerate = fidelity_columns(alpha, n, xs)
+        pts = fidelity_curve(alpha, n, xs)
+        assert [p.x for p in pts] == xs.tolist()
+        assert [p.fidelity for p in pts] == fid.tolist()
+        assert [p.phi_max for p in pts] == phi.tolist()
+        assert [p.degenerate for p in pts] == degenerate.tolist()
+        assert degenerate.any() == (xs[-1] > 40.0)  # X = 48 is degenerate at N = 20
+        assert fid.dtype == phi.dtype == float and degenerate.dtype == bool
+
+    def test_point_is_a_named_tuple(self):
+        p = FidelityCurvePoint(0.5, 0.9, 1.25)
+        assert p._fields == ("x", "fidelity", "phi_max", "degenerate")
+        assert p.degenerate is False
+        assert repr(p) == "FidelityCurvePoint(x=0.5, fidelity=0.9, phi_max=1.25, degenerate=False)"
+        assert tuple(p) == (0.5, 0.9, 1.25, False) and p[1] == 0.9
+        x, fid, phi, degenerate = p
+        assert (x, fid, phi, degenerate) == (0.5, 0.9, 1.25, False)
+        assert p == FidelityCurvePoint(0.5, 0.9, 1.25, False)
+        assert p != FidelityCurvePoint(0.5, 0.9, 1.25, True)
+        assert hash(p) == hash(FidelityCurvePoint(0.5, 0.9, 1.25))
+        with pytest.raises(AttributeError):
+            p.fidelity = 1.0
+
 
 class TestWindowsAndSuccess:
     def test_flagship_window_edges(self):
@@ -381,8 +410,9 @@ class TestFidelityBound:
             xs = np.arange(-(alpha + 5.0), alpha + 5.0 + 0.5 * step, step)
             bound = pipe.fidelity_bound(xs)
             for f_min in (0.5, 0.9, 0.99999):
+                keep = (1.0 - metrics._BOUND_MARGIN) * f_min
                 np.testing.assert_array_equal(metrics._screen(pipe, xs, step, f_min),
-                                              np.flatnonzero(~(bound < 0.5 * f_min)))
+                                              np.flatnonzero(~(bound < keep)))
             # the growth bound between neighbours, where the bound is a normal number
             grown = np.exp(rate * np.diff(xs)) * (1.0 + 1e-12)
             for near, far in ((bound[:-1], bound[1:]), (bound[1:], bound[:-1])):
@@ -397,8 +427,9 @@ class TestFidelityBound:
         bound = pipe.fidelity_bound(xs)
         assert ((bound[:-1] == 0.0) & (bound[1:] > 0.0)).any()
         f_min = 1e-323
+        keep = (1.0 - metrics._BOUND_MARGIN) * f_min
         np.testing.assert_array_equal(metrics._screen(pipe, xs, 0.01, f_min),
-                                      np.flatnonzero(~(bound < 0.5 * f_min)))
+                                      np.flatnonzero(~(bound < keep)))
 
     def test_table1_scans_bound_few_points(self, monkeypatch):
         rows = []
@@ -419,6 +450,65 @@ class TestFidelityBound:
         monkeypatch.setattr(metrics, "fidelity_curve", counting_curve)
         window_from_threshold(20.0, 20, 0.99999)
         assert len(scored) == 1 and 0 < scored[0] < 1000
+
+
+class TestMaxFidelity:
+    """The bound-screened maximum over an outcome grid."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 20.0, 30.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 20, 40, 60, 200])
+    def test_equals_maximum_of_column(self, alpha, n):
+        for xs in (_grid(-3.0, 3.0, 0.01), _grid(-(alpha + 5.0), alpha + 5.0, 0.05)):
+            assert metrics.max_fidelity(alpha, n, xs) == max(fidelity_columns(alpha, n, xs)[0])
+
+    @pytest.mark.parametrize("alpha,n,xs", [(3.0, 512, _grid(-8.0, 8.0, 0.05)),
+                                            (20.0, 20, _grid(-3.0, 48.0, 0.05))],
+                             ids=["infinite-bounds", "degenerate-rows"])
+    def test_equals_maximum_off_the_screen(self, monkeypatch, alpha, n, xs):
+        want = max(fidelity_columns(alpha, n, xs)[0])
+        rows = []
+        fidelity = metrics._Pipeline.fidelity
+        monkeypatch.setattr(metrics._Pipeline, "fidelity",
+                            lambda self, x: rows.append(len(x)) or fidelity(self, x))
+        assert metrics.max_fidelity(alpha, n, xs) == want
+        assert len(rows) == 2
+        if n == 512:  # every bound is +inf: every row is scored
+            assert sum(rows) == len(xs)
+
+    def test_few_rows_are_scored(self, monkeypatch):
+        rows = []
+        fidelity = metrics._Pipeline.fidelity
+        monkeypatch.setattr(metrics._Pipeline, "fidelity",
+                            lambda self, x: rows.append(len(x)) or fidelity(self, x))
+        best = metrics.max_fidelity(20.0, 60, _grid(-3.0, 3.0, 0.01))
+        assert best == 0.97536848790336528
+        assert rows[0] == metrics._MAX_FIRST and sum(rows) <= 340
+
+    def test_short_and_empty_grids(self):
+        assert metrics.max_fidelity(20.0, 20, [0.0]) == fidelity_curve(20.0, 20, [0.0])[0].fidelity
+        with pytest.raises(ValueError):
+            metrics.max_fidelity(20.0, 20, [])
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("nodes", [8, 16])
+    def test_matches_leggauss(self, nodes):
+        t, w = metrics._legendre(nodes)
+        want_t, want_w = np.polynomial.legendre.leggauss(nodes)
+        assert t.tobytes() == want_t.tobytes() and w.tobytes() == want_w.tobytes()
+        assert metrics._legendre(nodes) is metrics._legendre(nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 0.0
+
+    def test_one_solve_per_node_count(self, monkeypatch):
+        solves = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda k: solves.append(k) or leggauss(k))
+        metrics._legendre.cache_clear()
+        for n, f_min in ((20, 0.99999), (40, 0.99)):
+            success_probability(20.0, n, window_from_threshold(20.0, n, f_min))
+        assert solves == list(metrics._LEGENDRE_NODES)
 
 
 class TestDistributions:
