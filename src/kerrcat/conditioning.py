@@ -147,13 +147,16 @@ def _lag_norm(q, amps):
     |sum_k g_k r_k| over the circular autocorrelation
     r_k = sum_m conj(q_m) q_{m+k}.  The magnitudes of the N^2 pair terms sum
     to sum_k |g_k| t_k, t_k = sum_m |q_m| |q_{m+k}|, so the sum loses
-    log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  Both correlations are
-    direct O(N^2) sums over the doubled row, in O(N) memory.
+    log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  r is a direct O(N^2)
+    sum over the doubled row: by FFT it would be the spectral norm this
+    route stands in for.  t is |FFT|q||^2 transformed back: every t_k is a
+    sum of nonnegative terms and t_0 = sum |q_m|^2 dominates the mass, so
+    the transform's rounding stays at the mass's own.  This route is to be
+    deleted once rows past the budget are refused outright.
     """
     n = len(amps)
-    mag = np.abs(q)
     r = np.correlate(np.concatenate((q, q)), q, "valid")[:n]
-    t = np.correlate(np.concatenate((mag, mag)), mag, "valid")[:n]
+    t = np.fft.irfft(np.abs(np.fft.rfft(np.abs(q))) ** 2, n)
     g = np.exp(abs(amps[0]) ** 2 * np.expm1(2j * np.pi * np.arange(n) / n))
     s, mass = abs(np.sum(g * r)), np.sum(np.abs(g) * t)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,14 +14,16 @@ stay in log-polar form until a sum needs them, and every sum over components
 follows one rule, written once in :func:`_scale`: shift the logs by their
 largest value, exponentiate, sum, and add the shift back to the log of the
 sum.  No scaled term exceeds 1, and in a squared norm the largest diagonal
-term is 1.  Every term is computed; no sum skips any.
+term is 1.  Every component term is computed; no sum over components
+skips any.
 
 Rings b_n = b_0 w^n, w = e^{2 i pi / N}, are recognized
 (:func:`_ring_weights`): their Gram matrix is circulant, so their squared
 norms are spectral (:func:`_spectral_norms`) where every other state's are
 pair sums (:func:`_norms` is the one place that picks), and when N
 components cost more than the photon numbers their Poisson weights reach,
-their marginal densities are summed over those photon numbers with the
+their marginal densities are summed over the photon numbers whose
+amplitudes can reach a cell (:func:`_fock_amplitudes`) with the
 Hermite-function recurrence (:func:`_fock_densities`) instead of over their
 N components.
 """
@@ -462,10 +464,11 @@ def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
     """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, b_n = ``amps`` (P uses
     -i psi.amps: <P|b> = <X = P|-i b>).
 
-    A ring b_n = b_0 w^n is summed over the photon numbers its Poisson
-    weights reach (:func:`_fock_densities`) when that costs less than a sum
-    over its N components (:func:`_direct_densities`); any other state is
-    summed over its components.  The route depends on the state alone, and
+    A ring b_n = b_0 w^n is summed in the number basis
+    (:func:`_fock_densities`) when the photon numbers its Poisson weights
+    reach cost less than a sum over its N components
+    (:func:`_direct_densities`); any other state is summed over its
+    components.  The route depends on the state alone, and
     both compute every cell on its own, so a grid cell equals the one-point
     call bit for bit.
     """
@@ -497,29 +500,44 @@ def _direct_densities(log_c, arg_c, amps, values) -> np.ndarray:
 
 
 def _fock_amplitudes(log_c, arg_c, amps, k, weights):
-    """(top, a) with a_m e^top = <m|psi>, m = 0, 1, ..., max k, the number-basis
+    """(top, a) with a_m e^top = <m|psi>, m = 0, 1, ..., M, the number-basis
     amplitudes of psi = sum_n c_n |b_n> on the ring b_n = b_0 w^n whose
     :func:`_ring_weights` are (k, weights).
 
     <m|b_0 w^n> = e^{-|b_0|^2/2} b_0^m / sqrt(m!) w^{nm}, so
     a_m = sqrt(p_m) e^{i m arg b_0} C_{m mod N}: p_m the weights at unit total
     mass, and C_j = sum_n c_n e^{-top} w^{nj} one FFT of the scaled
-    coefficients.  sum_m |a_m|^2 = sum_j lam_j |C_j|^2 is the spectral squared
-    norm of :func:`_spectral_norms`.  a_m = 0 below the first k.
+    coefficients.  sum_m |a_m|^2 over every k is the spectral squared norm
+    of :func:`_spectral_norms`.  a_m = 0 below the first k.
+
+    a stops at the last M whose tail sum_{m >= M} |a_m| exceeds
+    ``_FOCK_TAIL`` sum_m |a_m|; if that sum is NaN, M = max k.  By Cramer's
+    inequality |psi_m(v)| <= 1.0865 pi^{-1/4} < 0.82 for every m and real v
+    (Abramowitz & Stegun 22.14.17), so the dropped terms move a cell's
+    amplitude by at most 0.82 ``_FOCK_TAIL`` e^top sum_m |a_m|, 2^-11 of the
+    rounding unit of the bound 0.82 e^top sum_m |a_m| on every cell.
     """
     top, c = _scale(log_c, arg_c)
     spec = len(c) * np.fft.ifft(c)
     a = np.zeros(k[-1] + 1, dtype=complex)
     a[k] = np.sqrt(weights / np.sum(weights)) * np.exp(1j * np.angle(amps[0]) * k) \
         * spec[k % len(c)]
-    return float(top), a
+    tail = np.cumsum(np.abs(a[::-1]))[::-1]
+    keep = np.flatnonzero(~(tail <= _FOCK_TAIL * tail[0]))
+    return float(top), a[:keep[-1] + 1] if keep.size else a
 
 
+#: Share of sum_m |a_m| that the tail :func:`_fock_amplitudes` drops may hold.
+_FOCK_TAIL = 2.0 ** -64
 #: Recurrence steps of :func:`_fock_densities` that cost as much per cell as
 #: one term of :func:`_direct_densities`.  On 3,001-cell P grids of rings at
 #: alpha = 20 (2-core x86-64, Python 3.11, numpy 2.4) a direct term took
 #: 89-154 ns and a recurrence step 5.7-8.6 ns; the routes cost the same near
-#: N = 60-70, 966 steps.
+#: N = 60-70, 966 steps.  The rule prices K, the photon numbers
+#: :func:`_ring_weights` reaches, not the shorter trimmed recurrence
+#: :func:`_fock_amplitudes` returns, and is kept so on purpose: pricing the
+#: trimmed length would move more rings to the Fock route (N ~ 29-69 at
+#: alpha = 20) and change their cells.
 _STEPS_PER_TERM = 14
 #: Recurrence steps between two rescales of a cell in :func:`_fock_densities`.
 _RESCALE_STEPS = 16
@@ -529,7 +547,7 @@ _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 
 def _fock_densities(top, a, values):
     """|e^top sum_m a_m psi_m(v)|^2 at each of ``values`` (an array, or one
-    float), psi_m the real Hermite functions.
+    float), psi_m the real Hermite functions and m = 0, 1, ..., len(a) - 1.
 
     psi_m(-v) = (-1)^m psi_m(v), so the recurrence runs once per distinct
     |v| (u below) and keeps two partial sums, E = sum over even m and

@@ -308,6 +308,18 @@ def _lag_route(rows, g):
     return 2.0 * rows.top[g] + log_norm, lost
 
 
+def _correlated_lag_norm(q, amps):
+    """Reference for _lag_norm: both correlations summed directly over the
+    doubled row."""
+    n = len(amps)
+    mag = np.abs(q)
+    r = np.correlate(np.concatenate((q, q)), q, "valid")[:n]
+    t = np.correlate(np.concatenate((mag, mag)), mag, "valid")[:n]
+    g = np.exp(abs(amps[0]) ** 2 * np.expm1(2j * np.pi * np.arange(n) / n))
+    s, mass = abs(np.sum(g * r)), np.sum(np.abs(g) * t)
+    return np.log(s), np.log10(mass / s)
+
+
 class TestDigitsLostBudget:
     """Densities are right to their budget or raise; the spectral route agrees
     with the log-domain pair sum, and ring rows past its budget are summed
@@ -383,6 +395,20 @@ class TestDigitsLostBudget:
                 assert (rows.log_norm[g], rows.digits_lost[g]) == want, xs[g]
             else:
                 assert (rows.log_norm[g], rows.digits_lost[g]) == _lag_route(rows, g), xs[g]
+
+    @pytest.mark.parametrize("alpha,n,count", [(5.0, 512, 41), (20.0, 1024, 41), (20.0, 4096, 9)])
+    def test_lag_mass_by_fft_matches_direct_correlation(self, alpha, n, count):
+        # t_k = sum_m |q_m| |q_{m+k}| by FFT; r_k stays a direct correlation
+        pipe = _pipeline(alpha, n)
+        rows = pipe.collapse(np.linspace(-alpha - 5.0, alpha + 5.0, count))
+        _, lost = _spectral_norms(rows.q, pipe.spectrum)
+        past = np.flatnonzero(lost > _DIGITS_BUDGET)
+        assert past.size >= 3
+        for g in past:
+            log_norm, lost_g = _lag_norm(rows.q[g], rows.amps)
+            want_norm, want_lost = _correlated_lag_norm(rows.q[g], rows.amps)
+            assert log_norm == want_norm, rows.x[g]
+            assert abs(10.0 ** (lost_g - want_lost) - 1.0) <= 1e-12, rows.x[g]
 
     @pytest.mark.parametrize("alpha", [5.0, 20.0, 30.0])
     @pytest.mark.parametrize("n", [20, 200, 1024])

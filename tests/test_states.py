@@ -31,6 +31,7 @@ from kerrcat.metrics import condition_at, precondition_p_distribution
 from kerrcat.states import (
     LOG_PI_QUARTER,
     _DIGITS_BUDGET,
+    _FOCK_TAIL,
     _LOG_ROUNDS_TO_ZERO,
     _RESCALE_STEPS,
     _direct_densities,
@@ -514,6 +515,85 @@ class TestFockParity:
         order = np.random.default_rng(7).permutation(len(grid))
         assert np.array_equal(_fock_densities(top, a, grid[order]),
                               _fock_densities(top, a, grid)[order])
+
+
+def _untrimmed_fock_amplitudes(log_c, arg_c, amps, k, weights):
+    """Reference for _fock_amplitudes: every photon number up to max k."""
+    top, c = _scale(log_c, arg_c)
+    spec = len(c) * np.fft.ifft(c)
+    a = np.zeros(k[-1] + 1, dtype=complex)
+    a[k] = np.sqrt(weights / np.sum(weights)) * np.exp(1j * np.angle(amps[0]) * k) \
+        * spec[k % len(c)]
+    return float(top), a
+
+
+def _p_fock_args(psi):
+    """(log_c, arg_c, amps, k, weights) of psi's P marginal on the Fock route."""
+    amps = -1j * psi.amps
+    return (*_log_polar(psi.coeffs), amps, *_ring_weights(amps))
+
+
+class TestFockTail:
+    """_fock_amplitudes drops the photon numbers whose amplitudes' tail holds
+    at most _FOCK_TAIL of sum |a_m|, and no more; by Cramer's inequality the
+    cells move by rounding only."""
+
+    STATES = {
+        "fig4": lambda: condition_at(20.0, 200, 0.0),
+        "n1024-x1": lambda: condition_at(20.0, 1024, 1.0),
+        "n4096-x0": lambda: condition_at(20.0, 4096, 0.0),
+        "n1024-pre": lambda: kerr_decompose(20.0, 1024).state,
+        "a30-n4096-pre": lambda: kerr_decompose(30.0, 4096).state,
+        "a30-n4096-x2": lambda: condition_at(30.0, 4096, 2.0),
+        "a5-n512-x0.3": lambda: condition_at(5.0, 512, 0.3),
+    }
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_tail_is_bounded_and_trim_maximal(self, name):
+        args = _p_fock_args(self.STATES[name]())
+        top, a = _fock_amplitudes(*args)
+        top_full, full = _untrimmed_fock_amplitudes(*args)
+        m = len(a)
+        assert top == top_full and np.array_equal(a, full[:m])
+        mag = np.abs(full).tolist()
+        bound = _FOCK_TAIL * math.fsum(mag)
+        assert math.fsum(mag[m:]) <= bound < math.fsum(mag[m - 1:])
+        assert m < len(full)
+
+    @pytest.mark.parametrize("name", ["fig4", "n1024-x1", "n4096-x0"])
+    def test_bench_states_keep_at_most_420_terms(self, name):
+        # 966-967 photon numbers in reach, all on the Fock route
+        args = _p_fock_args(self.STATES[name]())
+        assert len(_fock_amplitudes(*args)[1]) <= 420
+
+    # fig4's grid, the grids of pdist-post --n 1024 --x 1 and --n 4096 --x 0,
+    # and pdist-pre --alpha 30 --n 4096's
+    @pytest.mark.parametrize("name,grid,tol", [
+        ("fig4", _grid(-30.0, 30.0, 0.02), 1e-13),
+        ("n1024-x1", _grid(-SQRT2 * 20 - 8, SQRT2 * 20 + 8, 0.05), 1e-13),
+        ("n4096-x0", _grid(-SQRT2 * 20 - 8, SQRT2 * 20 + 8, 0.05), 1e-13),
+        ("a30-n4096-pre", _grid(-SQRT2 * 30 - 8, SQRT2 * 30 + 8, 0.05), 2e-13),
+    ])
+    def test_densities_match_untrimmed_sum(self, name, grid, tol):
+        args = _p_fock_args(self.STATES[name]())
+        want = _fock_densities(*_untrimmed_fock_amplitudes(*args), grid)
+        got = _fock_densities(*_fock_amplitudes(*args), grid)
+        assert np.max(np.abs(got - want)) <= tol * want.max()
+
+    def test_nan_sum_keeps_every_term(self):
+        log_c, arg_c, amps, k, weights = _p_fock_args(self.STATES["a5-n512-x0.3"]())
+        arg_c = arg_c.copy()
+        arg_c[3] = np.nan
+        assert len(_fock_amplitudes(log_c, arg_c, amps, k, weights)[1]) == k[-1] + 1
+
+    @pytest.mark.parametrize("m", [0, 1, 17, 200, 407, 966])
+    def test_cramer_bound(self, m):
+        # |psi_m(v)| <= 1.0865 pi^{-1/4} for every m and real v
+        # (Abramowitz & Stegun 22.14.17): the bound the trim rests on
+        a = np.zeros(m + 1, dtype=complex)
+        a[m] = 1.0
+        dens = _fock_densities(0.0, a, np.linspace(-45.0, 45.0, 9001))
+        assert dens.max() <= (1.0865 * PI_QUARTER) ** 2
 
 
 class TestConstructionAndJson:
