@@ -61,12 +61,9 @@ from .noise import (
     phase_noise_state,
 )
 from .states import (
-    CoherentComponent,
     CoherentSuperposition,
     DegenerateStateError,
-    LogComplex,
     coherent_overlap,
-    coherent_overlap_log,
     coherent_state,
     dump_state,
     inner_product,

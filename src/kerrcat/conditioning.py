@@ -86,12 +86,12 @@ def _as_outcome(outcome) -> float:
 
 
 class _Collapse(NamedTuple):
-    """Unnormalized collapsed states sum_n q_gn |b_n e^{i u_g}>, q_gn = c_n <X_g|b_n e^{i u_g}>.
+    """Unnormalized collapsed states sum_n q_gn |b_n>, q_gn = c_n <X_g|b_n>.
 
-    One row g per outcome X_g and ring rotation u_g (0 unturned), scaled by
-    :func:`_scale`: ``q`` holds every q_gn e^{-top_g} (they are the
-    collapsed states' coefficients), ``top`` the row scales
-    top_g = max_n log|q_gn| and ``amps`` the one unturned ring b_n.
+    One row g per outcome X_g, scaled by :func:`_scale`: ``q`` holds every
+    q_gn e^{-top_g} (they are the collapsed states' coefficients), ``top``
+    the row scales top_g = max_n log|q_gn| and ``amps`` the amplitudes b_n,
+    a ring turned by phase noise included.
     ``log_norm`` holds the log squared norms sum_{m,n} conj(q_gm) q_gn <b_m|b_n>,
     the outcome densities p(X_g), and ``digits_lost`` the digits each of
     those sums loses to cancellation, as measured by the route that computed
@@ -100,7 +100,6 @@ class _Collapse(NamedTuple):
     """
 
     x: np.ndarray
-    u: np.ndarray
     top: np.ndarray
     q: np.ndarray
     amps: np.ndarray
@@ -134,8 +133,7 @@ class _Collapse(NamedTuple):
             raise DegenerateStateError(
                 f"conditioning on X = {self.x[g]:g} annihilates the state "
                 f"(log density {lg:.1f})")
-        return superposition(self.coeffs(g), self.amps * np.exp(1j * self.u[g]),
-                             normalized=True, merge=False)
+        return superposition(self.coeffs(g), self.amps, normalized=True, merge=False)
 
 
 def _lag_norm(q, amps):
@@ -163,44 +161,40 @@ def _lag_norm(q, amps):
         return np.log(s), np.log10(mass / s)
 
 
-def _scaled_rows(log_c, arg_c, amps, x, rotation=None):
-    """(x, u, top, q) of :class:`_Collapse`: the first arm of
+def _scaled_rows(log_c, arg_c, amps, x):
+    """(x, top, q) of :class:`_Collapse`: the first arm of
     sum_n c_n |b_n> (x) |b_n> projected on each outcome in ``x``, each row
     scaled once by :func:`_scale`.
 
-    ``log_c``/``arg_c`` are the log-polar coefficients.  Given ``rotation``,
-    row g projects on the turned ring b_n e^{i u_g}; ``x`` and ``rotation``
-    broadcast to one row per outcome.  Raises ValueError unless every outcome
-    and rotation is finite.
+    ``log_c``/``arg_c`` are the log-polar coefficients and ``amps`` the b_n:
+    one row shared by every outcome, or one row per outcome (a ring turned
+    by its own rotation in each).  Raises ValueError unless every outcome is
+    finite.
     """
-    x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
-                               np.asarray(0.0 if rotation is None else rotation, dtype=float))
-    if not np.isfinite(x + u).all():
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
         raise ValueError("measurement outcome must be finite")
-    turned = amps if rotation is None else amps * np.exp(1j * u)[:, None]  # unturned: one shared row
-    lq, aq = _project(log_c, arg_c, turned, x[:, None])
-    return (x, u, *_scale(lq, aq))
+    lq, aq = _project(log_c, arg_c, amps, x[:, None])
+    return (x, *_scale(lq, aq))
 
 
-def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None,
-              rotation=None) -> _Collapse:
+def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None) -> _Collapse:
     """Project the first arm of sum_n c_n |b_n> (x) |b_n> on each outcome in ``x``.
 
-    The rows are built by :func:`_scaled_rows` (``rotation`` as there), and
-    their entries become the collapsed states' coefficients.  ``spectrum`` is
-    the ring's :func:`_ring_spectrum`, if it is a ring; a turned ring has the
-    Gram matrix of the unturned one, so every route below sums the rows over
-    the unturned ring.  :func:`_norms` gives the densities of all rows:
-    spectral on a ring, pair sums on any other state.  Ring rows that lose
-    more than ``_DIGITS_BUDGET`` digits there are summed again over lags by
-    :func:`_lag_norm`, which also measures their digits lost.
+    The rows are built by :func:`_scaled_rows`, and their entries become the
+    collapsed states' coefficients.  ``spectrum`` is the :func:`_ring_spectrum`
+    of ``amps``, if they are a ring; a turned ring has the Gram matrix, and so
+    the spectrum, of the unturned one.  :func:`_norms` gives the densities of
+    all rows: spectral on a ring, pair sums on any other state.  Ring rows
+    that lose more than ``_DIGITS_BUDGET`` digits there are summed again over
+    lags by :func:`_lag_norm`, which also measures their digits lost.
     """
-    x, u, top, q = _scaled_rows(log_c, arg_c, amps, x, rotation)
+    x, top, q = _scaled_rows(log_c, arg_c, amps, x)
     log_norm, lost = _norms(q, amps, spectrum)
     if spectrum is not None:
         for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
             log_norm[g], lost[g] = _lag_norm(q[g], amps)
-    return _Collapse(x, u, top, q, amps, 2.0 * top + log_norm, lost)
+    return _Collapse(x, top, q, amps, 2.0 * top + log_norm, lost)
 
 
 def x_outcome_density(two_mode: TwoModeProductSuperposition, X) -> float:

@@ -27,7 +27,6 @@ import numpy as np
 from .states import (
     MERGE_TOLERANCE,
     CoherentSuperposition,
-    _log_squared_norm,
     _wrap_phase,
     superposition,
 )
@@ -217,9 +216,3 @@ def coefficient_rows(n: int):
     re, im = coeffs.real, coeffs.imag
     return list(zip(range(1, n + 1), re.tolist(), im.tolist(), np.hypot(re, im).tolist(),
                     zeta.tolist()))
-
-
-def decomposition_norm_check(decomp: KerrDecomposition) -> float:
-    """|squared_norm - 1| of the decomposition state (unitarity check)."""
-    log_norm = _log_squared_norm(decomp.state.coeffs, decomp.state.amps)
-    return abs(math.exp(log_norm) - 1.0)

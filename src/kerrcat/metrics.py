@@ -221,9 +221,9 @@ class _Pipeline:
 
     Holds the decomposition, its split, the split coefficients' log-polar form
     and the spectrum of the ring's Gram matrix <b_m|b_n> (rotation invariant,
-    so it also serves rotated rings), and builds the target cat on first use.
-    Outcome rows are scored by :meth:`fidelity_terms`; rotated rows by
-    :meth:`ring_step_terms`, N ring steps per collapsed row.
+    so it also serves turned rings), and builds the target cat on first use.
+    Outcome rows are scored by :meth:`fidelity_terms`; rows of the turned ring
+    by :meth:`ring_step_terms`, N ring steps per collapsed row.
     """
 
     def __init__(self, alpha_i: float, n: int):
@@ -239,11 +239,11 @@ class _Pipeline:
         only by what scores a fidelity."""
         return _target_cat(default_target_beta(self.decomp, 0.0), None)
 
-    def collapse(self, x, rotation=None):
-        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum, rotation)
+    def collapse(self, x):
+        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum)
 
-    def conditioned(self, x: float, rotation: float | None = None) -> CoherentSuperposition:
-        return self.collapse(x, rotation).state()
+    def conditioned(self, x: float) -> CoherentSuperposition:
+        return self.collapse(x).state()
 
     def fidelity_terms(self, x):
         """(A, B, degenerate): the target branch amplitudes (<bt|psi_g>, <pt|psi_g>)
@@ -290,7 +290,8 @@ class _Pipeline:
         AB, degenerate = np.zeros((2, len(u), n), dtype=complex), np.zeros((len(u), n), dtype=bool)
         for start in range(0, len(u), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            _, u_g, top, q = _scaled_rows(self.log_c, self.arg_c, amps, float(x), u[rows])
+            _, top, q = _scaled_rows(self.log_c, self.arg_c,
+                                     amps * np.exp(1j * u[rows])[:, None], x)
             step = max(1, _SHIFT_CELLS // q.size)
             norms = [_spectral_norms(q, log_circulant[k:k + step]) for k in range(0, n, step)]
             log_p, lost = (np.concatenate(part, axis=1) for part in zip(*norms))
@@ -300,10 +301,10 @@ class _Pipeline:
                 if not lost[g, k] <= _DIGITS_BUDGET:
                     raise ArithmeticError(
                         f"phase-noise row at X = {float(x):g}, rotation "
-                        f"{u_g[g] + 2.0 * np.pi * k / n:g} loses {lost[g, k]:.2f} digits "
+                        f"{u[start + g] + 2.0 * np.pi * k / n:g} loses {lost[g, k]:.2f} digits "
                         f"to cancellation (budget {_DIGITS_BUDGET:g})")
             degenerate[rows] = 2.0 * top[:, None] + log_p < _LOG_DEGENERATE
-            turn = np.exp(-1j * u_g)[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
+            turn = np.exp(-1j * u[rows])[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
             terms = q * np.exp(_overlap_exponent(targets * turn, amps))
             AB[:, rows] = np.where(degenerate[rows], 0.0, np.exp(-0.5 * log_p)) * np.fft.fft(terms)
         return AB[0], AB[1], degenerate

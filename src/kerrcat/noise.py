@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditioning import _collapse
 from .metrics import _branch_terms, _max_phi, _phi_objective, _pipeline
 from .states import CoherentSuperposition
 
@@ -139,9 +140,16 @@ def phase_noise_state(alpha_i: float, n: int, X: float,
     """Conditioned state after the whole ring is rotated by delta_phi.
 
     Components sit at -alpha_i e^{i(2 k pi / n + delta_phi)} / sqrt2 with
-    coefficients C_k <X|rotated amplitude>, renormalized.
+    coefficients C_k <X|rotated amplitude>, renormalized.  The turned ring
+    collapses on the cached spectrum of the unturned one: a turn leaves the
+    Gram matrix as it is.  ValueError unless delta_phi and X are finite.
     """
-    return _pipeline(float(alpha_i), int(n)).conditioned(float(X), rotation=float(delta_phi))
+    delta_phi = float(delta_phi)
+    if not math.isfinite(delta_phi):
+        raise ValueError("rotation delta_phi must be finite")
+    pipe = _pipeline(float(alpha_i), int(n))
+    turned = pipe.two_mode.amps * np.exp(1j * delta_phi)
+    return _collapse(pipe.log_c, pipe.arg_c, turned, float(X), pipe.spectrum).state()
 
 
 #: Rotation nodes of the phase-noise average: at least this many at first, doubled

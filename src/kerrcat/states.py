@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,50 +61,6 @@ def _wrap_phase(phi):
     """Wrap angles to (-pi, pi]."""
     w = -((-np.asarray(phi) + np.pi) % (2 * np.pi) - np.pi)
     return w
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex number z stored as (log|z|, arg z); never under- or overflows.
-
-    ``log_magnitude == -inf`` represents exact zero.  Phases are kept in
-    (-pi, pi].
-    """
-
-    log_magnitude: float
-    phase: float
-
-    @classmethod
-    def zero(cls) -> "LogComplex":
-        return cls(-math.inf, 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls.zero()
-        return cls(math.log(abs(z)), float(_wrap_phase(np.angle(z))))
-
-    def to_complex(self) -> complex:
-        if self.log_magnitude == -math.inf:
-            return 0.0 + 0.0j
-        return math.exp(self.log_magnitude) * complex(math.cos(self.phase), math.sin(self.phase))
-
-    def mul(self, other: "LogComplex") -> "LogComplex":
-        if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:
-            return LogComplex.zero()
-        return LogComplex(self.log_magnitude + other.log_magnitude,
-                          float(_wrap_phase(self.phase + other.phase)))
-
-    def conj(self) -> "LogComplex":
-        return LogComplex(self.log_magnitude, float(_wrap_phase(-self.phase)))
-
-
-class CoherentComponent(NamedTuple):
-    """One term c |beta> of a coherent superposition."""
-
-    coeff: complex
-    amp: complex
 
 
 def _as_complex_array(values, name: str) -> np.ndarray:
@@ -151,14 +106,6 @@ class CoherentSuperposition:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def components(self) -> tuple[CoherentComponent, ...]:
-        return tuple(CoherentComponent(complex(c), complex(a))
-                     for c, a in zip(self.coeffs, self.amps))
-
-    def __iter__(self) -> Iterator[CoherentComponent]:
-        return iter(self.components)
 
     def squared_norm(self) -> float:
         return squared_norm(self)
@@ -209,13 +156,9 @@ def coherent_state(beta: complex) -> CoherentSuperposition:
 
 def coherent_overlap(beta1: complex, beta2: complex) -> complex:
     """<beta1|beta2> = exp(-|beta1|^2/2 - |beta2|^2/2 + conj(beta1) beta2)."""
-    return coherent_overlap_log(beta1, beta2).to_complex()
-
-
-def coherent_overlap_log(beta1: complex, beta2: complex) -> LogComplex:
-    """Underflow-free variant of :func:`coherent_overlap`."""
     e = _overlap_exponent(complex(beta1), complex(beta2))
-    return LogComplex(float(e.real), float(_wrap_phase(e.imag)))
+    w = float(_wrap_phase(e.imag))
+    return math.exp(e.real) * complex(math.cos(w), math.sin(w))
 
 
 def _overlap_exponent(a, b):
@@ -452,8 +395,11 @@ def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> com
     """<psi|chi>; conjugate-symmetric in its arguments."""
     (top_c, c), (top_d, d) = _scale(*_log_polar(psi.coeffs)), _scale(*_log_polar(chi.coeffs))
     s, _ = _pair_sum(c, psi.amps, d, chi.amps)
-    res = LogComplex.from_complex(s)
-    return LogComplex(res.log_magnitude + float(top_c + top_d), res.phase).to_complex()
+    if s == 0:
+        return 0j
+    # the shift joins log|s| before exp: alone it can over- or underflow
+    w = float(_wrap_phase(np.angle(s)))
+    return math.exp(math.log(abs(s)) + float(top_c + top_d)) * complex(math.cos(w), math.sin(w))
 
 
 #: (value, component) terms per block of a marginal-density grid.

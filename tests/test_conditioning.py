@@ -26,7 +26,13 @@ from kerrcat import (
     vacuum_state,
     x_outcome_density,
 )
-from kerrcat.conditioning import _DIGITS_BUDGET, _collapse, _lag_norm, _ring_spectrum
+from kerrcat.conditioning import (
+    _DIGITS_BUDGET,
+    _collapse,
+    _lag_norm,
+    _ring_spectrum,
+    _scaled_rows,
+)
 from kerrcat.metrics import _BLOCK, _branch_terms, _pipeline
 from kerrcat.states import (
     _log_polar,
@@ -119,11 +125,16 @@ class TestConditionOnX:
         lambda: x_outcome_density(split(20.0, 20), -math.inf),
         lambda: fidelity_curve(20.0, 20, [0.0, math.nan]),
         lambda: fidelity_curve(20.0, 20, [math.inf]),
-        lambda: phase_noise_state(20.0, 20, 0.0, math.nan),
+        lambda: phase_noise_state(20.0, 20, math.nan, 0.3),
     ], ids=["density", "public-density", "curve-nan", "curve-inf", "rotation"])
     def test_collapse_rejects_nonfinite_outcome(self, call):
         with pytest.raises(ValueError, match="measurement outcome must be finite"):
             call()
+
+    @pytest.mark.parametrize("delta_phi", [math.nan, math.inf])
+    def test_phase_noise_rejects_nonfinite_rotation(self, delta_phi):
+        with pytest.raises(ValueError, match="rotation delta_phi must be finite"):
+            phase_noise_state(20.0, 20, 0.0, delta_phi)
 
     def test_degenerate_outcome_raises(self):
         tm = split(20.0, 20)
@@ -268,15 +279,21 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("n", [20, 60, 200])
     def test_rotated_rows(self, n):
+        # ring_step_terms projects one turned ring per row; each row is the
+        # turned ring collapsed alone, as phase_noise_state collapses it
         pipe = _pipeline(20.0, n)
-        batch = pipe.collapse(0.5, rotation=self.ROTATIONS)
+        amps = pipe.two_mode.amps
+        _, top, q = _scaled_rows(pipe.log_c, pipe.arg_c,
+                                 amps * np.exp(1j * self.ROTATIONS)[:, None], 0.5)
         A, B, degenerate = pipe.ring_step_terms(0.5, self.ROTATIONS)
         assert A.shape == B.shape == degenerate.shape == (len(self.ROTATIONS), n)
         assert not degenerate.any()
         for g, u in enumerate(self.ROTATIONS):
+            turned = _collapse(pipe.log_c, pipe.arg_c, amps * np.exp(1j * u), 0.5, pipe.spectrum)
+            assert top[g] == turned.top[0] and np.array_equal(q[g], turned.q[0]), u
             one = phase_noise_state(20.0, n, 0.5, u)
-            assert np.array_equal(batch.coeffs(g), one.coeffs), u
-            assert np.array_equal(batch.state(g).amps, one.amps), u
+            assert np.array_equal(turned.coeffs(0), one.coeffs), u
+            assert np.array_equal(turned.state().amps, one.amps), u
             a, b, _ = pipe.ring_step_terms(0.5, u)
             assert np.array_equal(A[g], a[0]) and np.array_equal(B[g], b[0]), u
 
@@ -295,10 +312,9 @@ class TestBatchedRows:
 def _log_route(log_c, arg_c, rows, g):
     """Row g of ``rows`` rebuilt in log-polar form from the log-polar
     coefficients and X_g, then summed by the pair sum: (log density, digits lost)."""
-    amps = rows.amps * np.exp(1j * rows.u[g])
-    wl, wp = _x_amplitude_log_arrays(rows.x[g], amps)
+    wl, wp = _x_amplitude_log_arrays(rows.x[g], rows.amps)
     top, q = _scale(log_c + wl, arg_c + wp)
-    (log_norm,), (lost,) = _norms(q[None], amps, None)
+    (log_norm,), (lost,) = _norms(q[None], rows.amps, None)
     return 2.0 * float(top) + log_norm, lost
 
 
@@ -413,13 +429,15 @@ class TestDigitsLostBudget:
     @pytest.mark.parametrize("alpha", [5.0, 20.0, 30.0])
     @pytest.mark.parametrize("n", [20, 200, 1024])
     def test_lag_route_matches_log_route(self, alpha, n):
-        # every other row rotated, so the rows carry their own amplitudes;
-        # worst measured: 1.1e-13 times 10^d
+        # every other row on the ring turned by 0.3; worst measured: 1.1e-13
+        # times 10^d
         xs = np.linspace(-alpha - 3.0, alpha + 3.0, 13)
         pipe = _pipeline(alpha, n)
-        rows = pipe.collapse(xs, rotation=0.3 * (np.arange(13) % 2))
+        turned = pipe.two_mode.amps * np.exp(0.3j)
+        batches = (pipe.collapse(xs), _collapse(pipe.log_c, pipe.arg_c, turned, xs, pipe.spectrum))
         checked = 0
         for g in range(len(xs)):
+            rows = batches[g % 2]
             log_norm, lost = _log_route(pipe.log_c, pipe.arg_c, rows, g)
             if lost <= _DIGITS_BUDGET:
                 checked += 1
@@ -468,12 +486,9 @@ class TestDigitsLostBudget:
             log_norm, lost = _log_route(log_c, arg_c, rows, g)
             assert (rows.log_norm[g], rows.digits_lost[g]) == (log_norm, lost), x
             assert x_outcome_density(tm, x) == rows.densities([g])[0], x
-        # a turned row is summed over the unturned state, so it matches the
-        # pair sum over the turned one to rounding, not bit for bit
-        turned = _collapse(log_c, arg_c, amps, 1.0, rotation=0.3)
-        log_norm, lost = _log_route(log_c, arg_c, turned, 0)
-        assert abs(turned.log_norm[0] - log_norm) <= 1e-13
-        assert abs(turned.digits_lost[0] - lost) <= 1e-13
+        # a turned state is collapsed like any other, bit for bit
+        turned = _collapse(log_c, arg_c, amps * np.exp(0.3j), 1.0)
+        assert (turned.log_norm[0], turned.digits_lost[0]) == _log_route(log_c, arg_c, turned, 0)
 
     def test_densities_share_the_gate(self):
         pipe = _pipeline(20.0, 200)

@@ -19,7 +19,7 @@ from kerrcat import (
     verify_phase_identity,
 )
 from kerrcat import kerr
-from kerrcat.kerr import coefficient_rows, decomposition_norm_check, ring_amplitudes
+from kerrcat.kerr import coefficient_rows, ring_amplitudes
 from kerrcat.states import _merge_duplicates
 
 
@@ -101,7 +101,7 @@ class TestDecomposition:
     @pytest.mark.parametrize("alpha", [1.0, 5.0, 10.0, 20.0, 30.0])
     def test_unitarity_across_sizes(self, alpha):
         for n in range(1, 65):
-            assert decomposition_norm_check(kerr_decompose(alpha, n)) < 1e-10
+            assert abs(kerr_decompose(alpha, n).state.squared_norm() - 1.0) < 1e-10
 
     def test_flagship_norm(self):
         assert kerr_decompose(20.0, 20).state.squared_norm() == pytest.approx(1.0, abs=1e-10)

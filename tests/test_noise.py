@@ -25,6 +25,7 @@ from kerrcat import (
 from kerrcat import metrics, noise
 from kerrcat.cli import main
 from kerrcat.metrics import _branch_terms, _pipeline
+from kerrcat.states import _ring_spectrum
 
 
 class TestOddLossProbability:
@@ -154,6 +155,18 @@ class TestPhaseNoiseState:
                                       alpha * np.exp(1j * dphi) / math.sqrt(2))) ** 2
         assert 0.5 * branch < got < 1.0
         assert math.log(got) == pytest.approx(math.log(branch), abs=abs(math.log(branch)))
+
+    @pytest.mark.parametrize("n", [20, 200, 1024])
+    @pytest.mark.parametrize("u", [-0.3, 0.1, 2.0])
+    def test_turned_ring_keeps_spectrum(self, n, u):
+        # phase_noise_state collapses the turned ring on the cached spectrum
+        # of the unturned one
+        pipe = _pipeline(20.0, n)
+        turned = _ring_spectrum(pipe.two_mode.amps * np.exp(1j * u))
+        assert turned is not None
+        null = np.isneginf(pipe.spectrum)
+        assert np.array_equal(np.isneginf(turned), null)
+        assert np.allclose(turned[~null], pipe.spectrum[~null], rtol=1e-13, atol=0)
 
 
 class TestPhaseNoiseAverage:
