@@ -32,6 +32,7 @@ from .states import (
     _log_squared_norm,
     _norms,
     _project,
+    _refuse,
     _ring_spectrum,
     _scale,
     superposition,
@@ -94,9 +95,9 @@ class _Collapse(NamedTuple):
     a ring turned by phase noise included.
     ``log_norm`` holds the log squared norms sum_{m,n} conj(q_gm) q_gn <b_m|b_n>,
     the outcome densities p(X_g), and ``digits_lost`` the digits each of
-    those sums loses to cancellation, as measured by the route that computed
-    it: :func:`_norms`, and on a ring the sum over lags for rows past the
-    budget there.
+    those sums loses to cancellation in :func:`_norms`, the one verdict on a
+    row.  Ring rows past the budget there have their ``log_norm`` from the
+    sum over lags.
     """
 
     x: np.ndarray
@@ -115,15 +116,8 @@ class _Collapse(NamedTuple):
         return self.q[rows] * np.exp(self.top[rows] - 0.5 * self.log_norm[rows])[..., None]
 
     def densities(self, rows=slice(None)) -> np.ndarray:
-        """p(X) of ``rows``; raises ArithmeticError if one of them loses more
-        than ``_DIGITS_BUDGET`` digits to cancellation."""
-        lost, x = self.digits_lost[rows], self.x[rows]
-        over = np.flatnonzero(lost > _DIGITS_BUDGET)
-        if over.size:
-            g = over[0]
-            raise ArithmeticError(
-                f"outcome density at X = {x[g]:g} loses {lost[g]:.2f} digits "
-                f"to cancellation (budget {_DIGITS_BUDGET:g})")
+        """p(X) of ``rows``, refused by :func:`_refuse` past the digits-lost budget."""
+        _refuse(self.digits_lost[rows], lambda g: f"outcome density at X = {self.x[rows][g]:g}")
         return np.exp(np.minimum(self.log_norm[rows], 700.0))
 
     def state(self, g: int = 0) -> CoherentSuperposition:
@@ -137,28 +131,19 @@ class _Collapse(NamedTuple):
 
 
 def _lag_norm(q, amps):
-    """(log squared norm, digits lost) of one row q on a ring b_n = b_0 w^n,
-    summed directly over the N lags k = n - m.
-
-    The Gram matrix is circulant, <b_m|b_n> = g_{n-m} with
-    g_k = <b_0|b_k> = exp(|b_0|^2 (w^k - 1)), so the squared norm is
-    |sum_k g_k r_k| over the circular autocorrelation
-    r_k = sum_m conj(q_m) q_{m+k}.  The magnitudes of the N^2 pair terms sum
-    to sum_k |g_k| t_k, t_k = sum_m |q_m| |q_{m+k}|, so the sum loses
-    log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  r is a direct O(N^2)
-    sum over the doubled row: by FFT it would be the spectral norm this
-    route stands in for.  t is |FFT|q||^2 transformed back: every t_k is a
-    sum of nonnegative terms and t_0 = sum |q_m|^2 dominates the mass, so
-    the transform's rounding stays at the mass's own.  This route is to be
+    """Log squared norm of one row q on a ring b_n = b_0 w^n, summed directly
+    over the N lags k = n - m: the Gram matrix is circulant,
+    <b_m|b_n> = g_{n-m} with g_k = <b_0|b_k> = exp(|b_0|^2 (w^k - 1)), so the
+    squared norm is |sum_k g_k r_k| over the circular autocorrelation
+    r_k = sum_m conj(q_m) q_{m+k}, a direct O(N^2) sum over the doubled row
+    (by FFT it would be the spectral norm this route stands in for).  To be
     deleted once rows past the budget are refused outright.
     """
     n = len(amps)
     r = np.correlate(np.concatenate((q, q)), q, "valid")[:n]
-    t = np.fft.irfft(np.abs(np.fft.rfft(np.abs(q))) ** 2, n)
     g = np.exp(abs(amps[0]) ** 2 * np.expm1(2j * np.pi * np.arange(n) / n))
-    s, mass = abs(np.sum(g * r)), np.sum(np.abs(g) * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(s), np.log10(mass / s)
+    with np.errstate(divide="ignore"):
+        return np.log(abs(np.sum(g * r)))
 
 
 def _scaled_rows(log_c, arg_c, amps, x):
@@ -185,15 +170,15 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None) -> _Col
     collapsed states' coefficients.  ``spectrum`` is the :func:`_ring_spectrum`
     of ``amps``, if they are a ring; a turned ring has the Gram matrix, and so
     the spectrum, of the unturned one.  :func:`_norms` gives the densities of
-    all rows: spectral on a ring, pair sums on any other state.  Ring rows
-    that lose more than ``_DIGITS_BUDGET`` digits there are summed again over
-    lags by :func:`_lag_norm`, which also measures their digits lost.
+    all rows and their digits lost: spectral on a ring, pair sums on any
+    other state.  Ring rows that lose more than ``_DIGITS_BUDGET`` digits
+    there take their log density from :func:`_lag_norm` instead.
     """
     x, top, q = _scaled_rows(log_c, arg_c, amps, x)
     log_norm, lost = _norms(q, amps, spectrum)
     if spectrum is not None:
         for g in np.flatnonzero(~(lost <= _DIGITS_BUDGET)):
-            log_norm[g], lost[g] = _lag_norm(q[g], amps)
+            log_norm[g] = _lag_norm(q[g], amps)
     return _Collapse(x, top, q, amps, 2.0 * top + log_norm, lost)
 
 

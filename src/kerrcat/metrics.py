@@ -30,16 +30,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditioning import _collapse, _lag_norm, _scaled_rows, beamsplit_with_vacuum
+from .conditioning import _collapse, _scaled_rows, beamsplit_with_vacuum
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
     SQRT2,
-    _DIGITS_BUDGET,
     _LOG_DEGENERATE,
     _log_polar,
     _marginal_densities,
     _overlap_exponent,
+    _refuse,
     _ring_spectrum,
     _spectral_norms,
     _x_log_magnitude,
@@ -276,10 +276,9 @@ class _Pipeline:
         p_gk = sum_j lam_{j+k} |Q_gj|^2 and its branch amplitudes one FFT over
         n of q_gn <t e^{-i u_g}|b_n> per target branch t, divided by
         sqrt(p_gk).  ``_spectral_norms`` gives p_gk and its digits lost
-        against the shifted spectra lam_{j+k}; as in ``_collapse``, rows that
-        lose more than ``_DIGITS_BUDGET`` digits there are summed again over
-        lags by ``_lag_norm``, and ArithmeticError is raised if they lose more
-        there too.  Rows are collapsed ``_BLOCK`` at a time and scored against
+        against the shifted spectra lam_{j+k}, and ArithmeticError is raised
+        at the first ring step that loses more than ``_DIGITS_BUDGET`` digits
+        there.  Rows are collapsed ``_BLOCK`` at a time and scored against
         as many shifts k at a time as keep each product under
         ``_SHIFT_CELLS`` cells.
         """
@@ -295,14 +294,8 @@ class _Pipeline:
             step = max(1, _SHIFT_CELLS // q.size)
             norms = [_spectral_norms(q, log_circulant[k:k + step]) for k in range(0, n, step)]
             log_p, lost = (np.concatenate(part, axis=1) for part in zip(*norms))
-            for g, k in np.argwhere(~(lost <= _DIGITS_BUDGET)):
-                ramp = np.exp(-2j * np.pi * (np.arange(n) * k % n) / n)  # w^{-nk}
-                log_p[g, k], lost[g, k] = _lag_norm(q[g] * ramp, amps)
-                if not lost[g, k] <= _DIGITS_BUDGET:
-                    raise ArithmeticError(
-                        f"phase-noise row at X = {float(x):g}, rotation "
-                        f"{u[start + g] + 2.0 * np.pi * k / n:g} loses {lost[g, k]:.2f} digits "
-                        f"to cancellation (budget {_DIGITS_BUDGET:g})")
+            _refuse(lost, lambda g, k: f"phase-noise row at X = {float(x):g}, rotation "
+                                       f"{u[start + g] + 2.0 * np.pi * k / n:g}")
             degenerate[rows] = 2.0 * top[:, None] + log_p < _LOG_DEGENERATE
             turn = np.exp(-1j * u[rows])[:, None]  # <t|b e^{iu}> = <t e^{-iu}|b>
             terms = q * np.exp(_overlap_exponent(targets * turn, amps))

@@ -342,14 +342,21 @@ def _measured_norm(coeffs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     return 2.0 * float(top) + log_norm, lost
 
 
+def _refuse(lost, name) -> None:
+    """Raise ArithmeticError at the first entry of ``lost`` (any shape) past
+    ``_DIGITS_BUDGET``; ``name(*index)`` names it in the message."""
+    lost = np.asarray(lost)
+    over = np.argwhere(lost > _DIGITS_BUDGET)
+    if len(over):
+        raise ArithmeticError(f"{name(*over[0])} loses {lost[tuple(over[0])]:.2f} digits "
+                              f"to cancellation (budget {_DIGITS_BUDGET:g})")
+
+
 def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
     """log <psi|psi>; raises ArithmeticError past ``_DIGITS_BUDGET`` digits lost."""
     log_norm, lost = _measured_norm(coeffs, amps)
-    if log_norm == -math.inf:
-        return -math.inf
-    if lost > _DIGITS_BUDGET:
-        raise ArithmeticError(
-            f"squared norm loses {lost:.2f} digits to cancellation (budget {_DIGITS_BUDGET:g})")
+    if log_norm > -math.inf:
+        _refuse(lost, lambda: "squared norm")
     return log_norm
 
 
@@ -618,12 +625,16 @@ def state_from_json_dict(doc: dict) -> tuple[CoherentSuperposition, float | None
         if meas is not None:
             if meas.get("quadrature") != "X":
                 raise ValueError(f"unsupported measurement quadrature {meas.get('quadrature')!r}")
-            mx = float(meas["value"])
+            if not math.isfinite(mx := float(meas["value"])):
+                raise ValueError(f"measurement value {mx} is not finite")
+        normalized = doc.get("normalized", False)
+        if not isinstance(normalized, bool):
+            raise ValueError(f"normalized must be true or false, not {normalized!r}")
     except KeyError as exc:
         raise ValueError(f"state JSON lacks the field {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed state JSON: {exc}") from None
-    return superposition(coeffs, amps, normalized=bool(doc.get("normalized", False))), mx
+    return superposition(coeffs, amps, normalized=normalized), mx
 
 
 def dump_state(psi: CoherentSuperposition, path, measurement_x: float | None = None) -> None:

@@ -1,8 +1,9 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here works in the truncated number basis with real Hermite
-functions and log-factorials; nothing imports the package's coherent-state
-algebra, so agreement between the two routes is a genuine cross-check.
+functions and log-factorials, or sums a ring's norm pair by pair; nothing
+imports the package's coherent-state algebra, so agreement between the two
+routes is a genuine cross-check.
 """
 
 import math
@@ -114,3 +115,23 @@ def odd_poisson_partial_sum(mu: float, nmax: int = 200) -> float:
     for n in range(1, nmax + 1, 2):
         total += math.exp(-mu + n * math.log(mu) - gammaln(n + 1.0)) if mu > 0 else 0.0
     return total
+
+
+def correlated_lag_norm(q: np.ndarray, amps: np.ndarray):
+    """(log squared norm, digits lost) of sum_n q_n |b_n> on a ring
+    b_n = b_0 w^n, w = e^{2 i pi / N}, summed directly over the N lags.
+
+    The Gram matrix is circulant, <b_m|b_n> = g_{n-m} with
+    g_k = exp(|b_0|^2 (w^k - 1)), so the squared norm is |sum_k g_k r_k| with
+    r_k = sum_m conj(q_m) q_{m+k}.  The N^2 pair terms' magnitudes sum to
+    sum_k |g_k| t_k with t_k = sum_m |q_m| |q_{m+k}|, so the sum loses
+    log10(sum_k |g_k| t_k / |sum_k g_k r_k|) digits.  Both correlations are
+    summed directly over the doubled row.
+    """
+    n = len(amps)
+    mag = np.abs(q)
+    r = np.correlate(np.concatenate((q, q)), q, "valid")[:n]
+    t = np.correlate(np.concatenate((mag, mag)), mag, "valid")[:n]
+    g = np.exp(abs(amps[0]) ** 2 * np.expm1(2j * np.pi * np.arange(n) / n))
+    s, mass = abs(np.sum(g * r)), np.sum(np.abs(g) * t)
+    return np.log(s), np.log10(mass / s)

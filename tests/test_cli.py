@@ -242,8 +242,12 @@ class TestFileErrors:
         {"components": [{**COMPONENT, "coeff_im": None}]},
         {"components": [COMPONENT], "measurement": "x"},
         [COMPONENT],
+        {"components": [COMPONENT], "normalized": "false"},
+        {"components": [COMPONENT], "measurement": {"quadrature": "X", "value": math.nan}},
+        {"components": [COMPONENT], "measurement": {"quadrature": "X", "value": math.inf}},
     ], ids=["components-number", "component-number", "string-coefficient",
-            "null-coefficient", "measurement-string", "top-level-list"])
+            "null-coefficient", "measurement-string", "top-level-list", "string-normalized",
+            "nan-measurement", "infinite-measurement"])
     def test_state_malformed(self, capsys, tmp_path, doc):
         state = tmp_path / "s.json"
         state.write_text(json.dumps(doc))

@@ -24,8 +24,9 @@ from kerrcat import (
 )
 from kerrcat import metrics, noise
 from kerrcat.cli import main
+from kerrcat.conditioning import _scaled_rows
 from kerrcat.metrics import _branch_terms, _pipeline
-from kerrcat.states import _ring_spectrum
+from kerrcat.states import _DIGITS_BUDGET, _ring_spectrum, _spectral_norms
 
 
 class TestOddLossProbability:
@@ -301,30 +302,45 @@ class TestRingSteps:
             noiseless.fidelity, abs=1e-12)
 
     def test_rows_past_the_budget_raise(self, capsys):
-        # N = 1024 rows lose up to 14.4 digits in the lag sum; N = 512 at most 3.3
+        # N = 1024 ring steps lose more than 8 digits in the spectral sum;
+        # N = 512 at most 3.3
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
             phase_noise_avg_fidelity(20.0, 1024, 0.0, 0.1)
         assert main(["noise-phase", "--n", "1024"]) == 2
         assert "digits to cancellation" in capsys.readouterr().err
 
-    def test_refused_row_is_measured_by_the_lag_sum(self):
-        # the first N = 1024 ring step past the spectral budget loses 8.02
-        # digits there; it is refused for the 14.2 its lag sum loses
-        with pytest.raises(ArithmeticError, match=r"rotation 2\.20893 loses 14\.\d\d digits"):
+    def test_refused_row_is_measured_by_the_spectral_sum(self):
+        # the first N = 1024 ring step past the spectral budget is refused
+        # for the 8.02 digits it loses there (its lag sum loses 14.2)
+        with pytest.raises(ArithmeticError, match=r"rotation 2\.20893 loses 8\.02 digits"):
             _pipeline(20.0, 1024).ring_step_terms(0.0, 0.0)
 
     @pytest.mark.parametrize("alpha,n,x", [(20.0, 20, 0.5), (4.0, 4, 0.3), (20.0, 7, 0.0)])
     def test_lag_sums_score_every_shift(self, monkeypatch, alpha, n, x):
-        # with every spectral sum reported past the budget, each shift's norm
-        # comes from _lag_norm on the ramped row w^{-nk} q_gn instead
+        # with every spectral sum reported past the budget, the first ring
+        # step of the first row is refused: no shift is summed again over lags
         base = 2.0 * np.pi * np.arange(3) / (3 * n)
         pipe = _pipeline(alpha, n)
-        want = pipe.ring_step_terms(x, base)
+        pipe.ring_step_terms(x, base)
         spectral = metrics._spectral_norms
         monkeypatch.setattr(metrics, "_spectral_norms",
                             lambda q, log_lam: (spectral(q, log_lam)[0], np.full(
                                 (len(q), len(log_lam)), np.inf)))
-        got = pipe.ring_step_terms(x, base)
-        assert np.array_equal(got[2], want[2])
-        for g, w in zip(got[:2], want[:2]):
-            assert np.max(np.abs(g - w)) <= 1e-12
+        with pytest.raises(ArithmeticError,
+                           match=rf"X = {x:g}, rotation {base[0]:g} loses inf digits"):
+            pipe.ring_step_terms(x, base)
+
+    @pytest.mark.parametrize("alpha,n,x", [(4.0, 512, 2.0), (10.0, 512, 0.0), (20.0, 1024, 0.0)])
+    def test_ring_steps_past_budget_lose_it_in_the_lag_sum(self, alpha, n, x):
+        # ramped rows w^{-nk} q_gn past the spectral budget (the first 40)
+        # lose more than the budget in the direct sum over lags too
+        base = 2.0 * np.pi * np.arange(2) / (2 * n)
+        pipe = _pipeline(alpha, n)
+        amps = pipe.two_mode.amps
+        _, _, q = _scaled_rows(pipe.log_c, pipe.arg_c, amps * np.exp(1j * base)[:, None], x)
+        _, lost = _spectral_norms(q, pipe._circulant_spectrum)
+        past = np.argwhere(lost > _DIGITS_BUDGET)
+        assert len(past) >= 20
+        for g, k in past[:40]:
+            ramp = np.exp(-2j * np.pi * (np.arange(n) * k % n) / n)  # w^{-nk}
+            assert oracles.correlated_lag_norm(q[g] * ramp, amps)[1] > _DIGITS_BUDGET, (g, k)
