@@ -282,11 +282,11 @@ def _cmd_fidelity(args) -> int:
     else:
         psi, x = load_state(args.state)
         x = args.x if x is None else x
-        if not psi.is_normalized:
-            psi = psi.normalized()  # a null state raises
-        elif (norm := normalization_mismatch(psi)) is not None:  # so does this one
-            # checked, not renormalized: that would move round trips' last digits
-            raise ValueError(f"{args.state} is marked normalized but has squared norm {norm!r}")
+    if not psi.is_normalized:
+        psi = psi.normalized()  # a null norm, or one past the budget, raises
+    elif (norm := normalization_mismatch(psi)) is not None:  # so does this one
+        # checked, not renormalized: that would move round trips' last digits
+        raise ValueError(f"{args.state} is marked normalized but has squared norm {norm!r}")
     report = cat_fidelity(psi, target)
     print(f"fidelity={_fmt(report.fidelity)} phi_max={_fmt(report.phi_max)} "
           f"target_re={_fmt(report.target_beta.real)} target_im={_fmt(report.target_beta.imag)}")

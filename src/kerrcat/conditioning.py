@@ -66,9 +66,9 @@ class TwoModeProductSuperposition:
         return len(self.coeffs)
 
     def squared_norm(self) -> float:
-        """Two-mode norm: component overlaps enter squared, <b_m|b_n>^2."""
+        """Two-mode norm: component overlaps enter squared, <b_m|b_n>^2; raises as squared_norm."""
         # <b_m|b_n>^2 = <sqrt2 b_m|sqrt2 b_n>: the single-mode pair sum
-        return math.exp(_log_squared_norm(self.coeffs, SQRT2 * self.amps))
+        return math.exp(_log_squared_norm(self.coeffs, SQRT2 * self.amps)[0])
 
 
 def beamsplit_with_vacuum(psi: CoherentSuperposition) -> TwoModeProductSuperposition:

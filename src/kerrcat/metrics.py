@@ -61,7 +61,7 @@ class CatState:
     """Two-branch cat N(phi) (|beta> + e^{i phi} |partner_beta>).
 
     ``partner_beta`` defaults to -beta (the ideal cat); the normalization is
-    then [2 + 2 cos(phi) e^{-2 |beta|^2}]^{-1/2}.
+    then [2 + 2 cos(phi) e^{-2 |beta|^2}]^{-1/2}.  Raises as :func:`cat_fidelity`.
     """
 
     beta: complex
@@ -69,18 +69,14 @@ class CatState:
     partner_beta: complex | None = None
 
     def __post_init__(self):
-        if self.beta == 0:
-            raise ValueError("cat branch amplitude must be nonzero")
-        if self.partner_beta is not None and \
-                abs(complex(self.partner_beta) - complex(self.beta)) < 1e-9:
-            raise ValueError("cat branches must be distinct")
+        _target_cat(self.beta, self.partner)
 
     @property
     def partner(self) -> complex:
         return -self.beta if self.partner_beta is None else self.partner_beta
 
     def normalization(self) -> float:
-        cross = coherent_overlap(self.beta, self.partner)
+        cross = _target_cat(self.beta, self.partner)[2]
         den = 2.0 + 2.0 * (np.exp(1j * self.phi) * cross).real
         return 1.0 / math.sqrt(den)
 

@@ -118,9 +118,7 @@ class CoherentSuperposition:
         DegenerateStateError
             If the squared norm is below ``DEGENERATE_NORM``.
         """
-        log_norm = _log_squared_norm(self.coeffs, self.amps)
-        if log_norm < _LOG_DEGENERATE:
-            raise DegenerateStateError("cannot normalize a numerically null state")
+        log_norm = _log_squared_norm(self.coeffs, self.amps)[0]
         lc, ac = _log_polar(self.coeffs)
         new = np.exp(lc - 0.5 * log_norm) * np.exp(1j * ac)
         return superposition(new, self.amps, normalized=True, merge=False)
@@ -335,13 +333,6 @@ def _norms(q, amps, spectrum):
 # norms, inner products, marginals
 # --------------------------------------------------------------------------
 
-def _measured_norm(coeffs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
-    """(log <psi|psi>, digits lost) of psi = sum_n c_n |b_n> by :func:`_norms`."""
-    top, c = _scale(*_log_polar(coeffs))
-    (log_norm,), (lost,) = _norms(c[None], amps, _ring_spectrum(amps))
-    return 2.0 * float(top) + log_norm, lost
-
-
 def _refuse(lost, name) -> None:
     """Raise ArithmeticError at the first entry of ``lost`` (any shape) past
     ``_DIGITS_BUDGET``; ``name(*index)`` names it in the message."""
@@ -352,12 +343,17 @@ def _refuse(lost, name) -> None:
                               f"to cancellation (budget {_DIGITS_BUDGET:g})")
 
 
-def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> float:
-    """log <psi|psi>; raises ArithmeticError past ``_DIGITS_BUDGET`` digits lost."""
-    log_norm, lost = _measured_norm(coeffs, amps)
-    if log_norm > -math.inf:
-        _refuse(lost, lambda: "squared norm")
-    return log_norm
+def _log_squared_norm(coeffs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
+    """(log <psi|psi>, digits lost) of psi = sum_n c_n |b_n> by :func:`_norms`;
+    DegenerateStateError below ``DEGENERATE_NORM``, then :func:`_refuse`."""
+    top, c = _scale(*_log_polar(coeffs))
+    (log_norm,), (lost,) = _norms(c[None], amps, _ring_spectrum(amps))
+    log_norm = 2.0 * float(top) + log_norm
+    if log_norm < _LOG_DEGENERATE:
+        raise DegenerateStateError(
+            f"state is numerically null (log squared norm {log_norm:.1f})")
+    _refuse(lost, lambda: "squared norm")
+    return log_norm, lost
 
 
 def squared_norm(psi: CoherentSuperposition) -> float:
@@ -369,31 +365,20 @@ def squared_norm(psi: CoherentSuperposition) -> float:
         If the result falls below ``DEGENERATE_NORM``; such a state must not
         be normalized.
     """
-    log_norm = _log_squared_norm(psi.coeffs, psi.amps)
-    if log_norm < _LOG_DEGENERATE:
-        raise DegenerateStateError(
-            f"state is numerically null (log squared norm {log_norm:.1f})")
-    return math.exp(log_norm)
+    return math.exp(_log_squared_norm(psi.coeffs, psi.amps)[0])
 
 
 def normalization_mismatch(psi: CoherentSuperposition) -> float | None:
     """<psi|psi> if it measures off 1, else None.
 
-    The norm is measured by :func:`_norms`.  A sum that loses ``lost``
-    digits to cancellation errs by about eps 10^lost times a factor that
-    grows with the terms and amplitudes (up to 7.6 on the conditioned states
-    of `kerrcat condition` at N = 200 and 400, X = -25, -24, ..., 25, whose
-    spectral norms lose up to 5.5 digits), so a norm within 1e-12 10^lost of
-    1, or within 1e-9, matches.  A norm that loses more than
-    ``_DIGITS_BUDGET`` digits is not measured and matches too.  Raises
-    DegenerateStateError on a null state.
+    The norm is measured, and refused, by :func:`_log_squared_norm`.  A sum
+    that loses ``lost`` digits to cancellation errs by about eps 10^lost
+    times a factor that grows with the terms and amplitudes (up to 7.6 on the
+    conditioned states of `kerrcat condition` at N = 200 and 400,
+    X = -25, -24, ..., 25, whose spectral norms lose up to 5.5 digits), so a
+    norm within 1e-12 10^lost of 1, or within 1e-9, matches.
     """
-    log_norm, lost = _measured_norm(psi.coeffs, psi.amps)
-    if log_norm < _LOG_DEGENERATE:
-        raise DegenerateStateError(
-            f"state is numerically null (log squared norm {log_norm:.1f})")
-    if lost > _DIGITS_BUDGET:
-        return None
+    log_norm, lost = _log_squared_norm(psi.coeffs, psi.amps)
     norm = math.exp(log_norm)
     return norm if abs(norm - 1.0) > max(1e-9, 1e-12 * 10.0 ** lost) else None
 
@@ -616,23 +601,27 @@ def state_from_json_dict(doc: dict) -> tuple[CoherentSuperposition, float | None
 
     Raises ValueError naming the first missing field, or on a malformed value.
     """
+    def number(fields, key) -> float:  # a JSON number: int or float, not bool
+        if type(fields[key]) not in (int, float):
+            raise ValueError(f"{key} must be a number, not {fields[key]!r}")
+        return float(fields[key])
     try:
         comps = doc["components"]
-        coeffs = [complex(c["coeff_re"], c["coeff_im"]) for c in comps]
-        amps = [complex(c["amp_re"], c["amp_im"]) for c in comps]
+        coeffs = [complex(number(c, "coeff_re"), number(c, "coeff_im")) for c in comps]
+        amps = [complex(number(c, "amp_re"), number(c, "amp_im")) for c in comps]
         meas = doc.get("measurement")
         mx = None
         if meas is not None:
             if meas.get("quadrature") != "X":
                 raise ValueError(f"unsupported measurement quadrature {meas.get('quadrature')!r}")
-            if not math.isfinite(mx := float(meas["value"])):
+            if not math.isfinite(mx := number(meas, "value")):
                 raise ValueError(f"measurement value {mx} is not finite")
         normalized = doc.get("normalized", False)
         if not isinstance(normalized, bool):
             raise ValueError(f"normalized must be true or false, not {normalized!r}")
     except KeyError as exc:
         raise ValueError(f"state JSON lacks the field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:  # overflow: an int past 1e308
         raise ValueError(f"malformed state JSON: {exc}") from None
     return superposition(coeffs, amps, normalized=normalized), mx
 

@@ -245,9 +245,14 @@ class TestFileErrors:
         {"components": [COMPONENT], "normalized": "false"},
         {"components": [COMPONENT], "measurement": {"quadrature": "X", "value": math.nan}},
         {"components": [COMPONENT], "measurement": {"quadrature": "X", "value": math.inf}},
+        {"components": [COMPONENT], "measurement": {"quadrature": "X", "value": "0.5"}},
+        {"components": [COMPONENT], "measurement": {"quadrature": "X", "value": True}},
+        {"components": [{**COMPONENT, "amp_re": True}]},
+        {"components": [{**COMPONENT, "coeff_re": 10 ** 400}]},
     ], ids=["components-number", "component-number", "string-coefficient",
             "null-coefficient", "measurement-string", "top-level-list", "string-normalized",
-            "nan-measurement", "infinite-measurement"])
+            "nan-measurement", "infinite-measurement", "string-measurement",
+            "bool-measurement", "bool-amplitude", "integer-past-float"])
     def test_state_malformed(self, capsys, tmp_path, doc):
         state = tmp_path / "s.json"
         state.write_text(json.dumps(doc))
@@ -324,6 +329,19 @@ class TestConditionAndFidelity:
                             "--x", "48"], capsys)
         assert code == 2
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "1024", "--x", "5"],
+        ["--n", "4096"],
+        ["--alpha", "10", "--n", "1024"],
+    ], ids=["n1024-x5", "n4096", "alpha10-n1024"])
+    def test_fidelity_refuses_norm_past_budget(self, capsys, args):
+        # the conditioned states' squared norms lose 8.01, 14.71 and 12.92
+        # digits; each printed a wrong fidelity before the norm was checked
+        code, out, err = run(["fidelity"] + args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "digits to cancellation" in err
 
     def test_round_trip_matches_one_shot(self, capsys, tmp_path):
         state = tmp_path / "s.json"

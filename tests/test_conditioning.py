@@ -66,6 +66,11 @@ class TestBeamsplit:
         np.testing.assert_allclose(np.abs(tm.amps), 20.0 / SQRT2, atol=1e-12)
         assert tm.squared_norm() == pytest.approx(1.0, abs=1e-10)
 
+    def test_null_state_raises(self):
+        # the single-mode norm's verdict: 1e-400 is below 1e-300
+        with pytest.raises(DegenerateStateError, match="numerically null"):
+            beamsplit_with_vacuum(superposition([1e-200], [0.0])).squared_norm()
+
     def test_norm_preservation_exact(self):
         # the squared two-mode Gram reproduces the pre-split Gram entrywise
         psi = superposition([0.8, 0.3j, -0.2], [1.0, -2.0, 0.5j]).normalized()

@@ -92,9 +92,17 @@ class TestCatState:
         cat = CatState(1.0 + 2.0j, 0.4, partner_beta=1.0 - 2.0j)
         assert squared_norm(cat.to_superposition()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_zero_branch(self):
+    @pytest.mark.parametrize("args", [
+        (0.0, 0.0),
+        (1.0, math.pi, 1.0 + 1e-8),
+        (math.inf, 0.0),
+        (1e-7, math.pi),
+    ], ids=["zero-branch", "coinciding-partner", "infinite-branch", "tiny-branch"])
+    def test_rejects_zero_branch(self, args):
+        # the rule of cat_fidelity: a partner 1e-8 away, or -1e-7, overlaps
+        # its branch to within 1e-12, and an infinite branch is no amplitude
         with pytest.raises(ValueError):
-            CatState(0.0, 0.0)
+            CatState(*args)
 
 
 class TestPartnerRule:

@@ -28,7 +28,6 @@ from kerrcat.cli import _grid
 from kerrcat.metrics import condition_at, precondition_p_distribution
 from kerrcat.states import (
     LOG_PI_QUARTER,
-    _DIGITS_BUDGET,
     _FOCK_TAIL,
     _LOG_ROUNDS_TO_ZERO,
     _RESCALE_STEPS,
@@ -36,8 +35,8 @@ from kerrcat.states import (
     _fock_amplitudes,
     _fock_densities,
     _log_polar,
+    _log_squared_norm,
     _marginal_densities,
-    _measured_norm,
     _norms,
     _overlap_exponent,
     _ring_spectrum,
@@ -257,13 +256,16 @@ class TestNormalizationMismatch:
         with pytest.raises(DegenerateStateError):
             normalization_mismatch(superposition([0.0], [1.0], normalized=True))
 
-    def test_norm_past_the_budget_not_measured(self):
-        # N = 4096, X = 1: the spectral sum loses 15.25 digits
+    def test_norm_past_the_budget_refused(self):
+        # N = 4096, X = 1: the spectral sum loses 15.25 digits, so neither
+        # the state nor its doubled copy is said to match
         psi = condition_at(20.0, 4096, 1.0)
-        assert _measured_norm(psi.coeffs, psi.amps)[1] > _DIGITS_BUDGET
         doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
-        assert normalization_mismatch(psi) is None
-        assert normalization_mismatch(doubled) is None
+        for state in (psi, doubled):
+            for measure in (normalization_mismatch,
+                            lambda s: _log_squared_norm(s.coeffs, s.amps)):
+                with pytest.raises(ArithmeticError, match=r"squared norm loses 15\.25 digits"):
+                    measure(state)
 
     def test_ring_norm_measured_spectrally(self):
         # N = 1024, X = 1: the pair sum loses 13 digits, the spectral sum 4.97
