@@ -340,7 +340,9 @@ def _cmd_noise_loss(args) -> int:
     try:
         probs = [float(tok) for tok in args.loss_probs.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError("--loss-probs must be a comma-separated list of numbers") from None
+        probs = []
+    if not probs:
+        raise ValueError("--loss-probs must be a comma-separated list of numbers")
     rows = []
     for p in probs:
         noise = NoiseParams(loss_prob=p, direct_flip=args.direct_flip)

@@ -127,7 +127,7 @@ class _Collapse(NamedTuple):
             raise DegenerateStateError(
                 f"conditioning on X = {self.x[g]:g} annihilates the state "
                 f"(log density {lg:.1f})")
-        return superposition(self.coeffs(g), self.amps, normalized=True, merge=False)
+        return superposition(self.coeffs(g), self.amps, normalized=True)
 
 
 def _lag_norm(q, amps):

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    MERGE_TOLERANCE,
-    CoherentSuperposition,
-    _wrap_phase,
-    superposition,
-)
+from .states import CoherentSuperposition, _wrap_phase, superposition
 
 
 class TruncationError(ArithmeticError):
@@ -112,16 +107,14 @@ def kerr_decompose(alpha_i: float, n: int) -> KerrDecomposition:
     """Decompose Kerr evolution of |alpha_i> at interaction phase pi/n.
 
     The returned state is unit-norm without renormalization (the evolution is
-    unitary and the closed-form coefficients are exact).
+    unitary and the closed-form coefficients are exact) and keeps all n ring
+    components, however close neighbouring amplitudes lie.
     """
     n = _validate_n(n)
     if not (alpha_i > 0) or not math.isfinite(alpha_i):
         raise ValueError("alpha_i must be a positive real number")
     coeffs = kerr_coefficients(n)
-    # neighbouring ring points lie 2 alpha_i sin(pi/n) apart, rounding moves
-    # them by ~1e-15 alpha_i: only a finer ring can hold coinciding amplitudes
-    merge = 2.0 * alpha_i * math.sin(math.pi / n) <= 2.0 * MERGE_TOLERANCE
-    state = superposition(coeffs, ring_amplitudes(alpha_i, n), normalized=True, merge=merge)
+    state = superposition(coeffs, ring_amplitudes(alpha_i, n), normalized=True)
     return KerrDecomposition(n, float(alpha_i), coeffs, state)
 
 

@@ -69,7 +69,7 @@ class CatState:
     partner_beta: complex | None = None
 
     def __post_init__(self):
-        _target_cat(self.beta, self.partner)
+        _target_cat(self.beta, self.partner, self.phi)
 
     @property
     def partner(self) -> complex:
@@ -122,10 +122,6 @@ class AcceptanceWindow:
                 raise ValueError("intervals must be disjoint and ascending")
             prev_hi = hi
 
-    @property
-    def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
 
 # --------------------------------------------------------------------------
 # phi maximization
@@ -161,8 +157,11 @@ def _max_phi(A, B, cross: complex):
     return np.where(second, vals[1], vals[0]), np.where(second, phis[1], phis[0]) % (2.0 * np.pi)
 
 
-def _target_cat(target_beta: complex, partner_beta: complex | None):
-    """(branch, partner, <branch|partner>); ValueError unless they make a cat."""
+def _target_cat(target_beta: complex, partner_beta: complex | None, phi: float = 0.0):
+    """(branch, partner, <branch|partner>); ValueError unless they make a cat
+    with a finite relative phase phi."""
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
     bt = complex(target_beta)
     if bt == 0:
         raise ValueError("target amplitude must be nonzero")
@@ -186,7 +185,7 @@ def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
 def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
                 partner_beta: complex | None = None) -> float:
     """|<cat_{target_beta, phi}|psi>|^2 at a fixed relative phase phi; raises as cat_fidelity."""
-    bt, pt, cross = _target_cat(target_beta, partner_beta)
+    bt, pt, cross = _target_cat(target_beta, partner_beta, phi)
     return float(_phi_objective(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross, phi))
 
 

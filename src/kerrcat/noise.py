@@ -28,7 +28,7 @@ import numpy as np
 
 from .conditioning import _collapse
 from .metrics import _branch_terms, _max_phi, _phi_objective, _pipeline
-from .states import CoherentSuperposition
+from .states import CoherentSuperposition, superposition
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,7 @@ def odd_loss_probability(mu: float) -> float:
 def _flip_partner_branch(psi: CoherentSuperposition, target_beta: complex) -> CoherentSuperposition:
     """Rotate the partner half of the ring by pi relative to the target half."""
     sign = np.where((np.conj(complex(target_beta)) * psi.amps).real < 0.0, -1.0, 1.0)
-    flipped = (psi.coeffs * sign).copy()
-    flipped.setflags(write=False)
-    return CoherentSuperposition(flipped, psi.amps, psi.is_normalized)
+    return superposition(psi.coeffs * sign, psi.amps, normalized=psi.is_normalized)
 
 
 def lossy_final_state(alpha_i: float, n: int, X: float,

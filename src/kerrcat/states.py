@@ -39,9 +39,6 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 LOG_PI_QUARTER = -0.25 * math.log(math.pi)   # log of pi**(-1/4)
 
-#: Amplitudes closer than this are considered the same coherent component.
-MERGE_TOLERANCE = 1e-12
-
 #: Squared norms below this are numerically null; normalizing would be garbage.
 DEGENERATE_NORM = 1e-300
 _LOG_DEGENERATE = math.log(DEGENERATE_NORM)
@@ -72,32 +69,13 @@ def _as_complex_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _merge_duplicates(coeffs: np.ndarray, amps: np.ndarray):
-    """Sum coefficients of components whose amplitudes coincide to MERGE_TOLERANCE."""
-    n = len(amps)
-    out_c = np.empty(n, dtype=np.complex128)
-    out_a = np.empty(n, dtype=np.complex128)
-    m = 0
-    for i in range(n):
-        if m:
-            d = np.abs(out_a[:m] - amps[i])
-            j = int(np.argmin(d))
-            if d[j] < MERGE_TOLERANCE:
-                out_c[j] += coeffs[i]
-                continue
-        out_c[m] = coeffs[i]
-        out_a[m] = amps[i]
-        m += 1
-    return out_c[:m].copy(), out_a[:m].copy()
-
-
 @dataclass(frozen=True)
 class CoherentSuperposition:
     """Finite superposition sum_n c_n |beta_n> of coherent states.
 
     Immutable value object; the arrays are marked read-only.  Construct through
-    :func:`superposition` (which validates and merges duplicate amplitudes) or
-    the convenience constructors below.
+    :func:`superposition` (which validates the arrays and keeps every
+    component) or the convenience constructors below.
     """
 
     coeffs: np.ndarray
@@ -121,31 +99,33 @@ class CoherentSuperposition:
         log_norm = _log_squared_norm(self.coeffs, self.amps)[0]
         lc, ac = _log_polar(self.coeffs)
         new = np.exp(lc - 0.5 * log_norm) * np.exp(1j * ac)
-        return superposition(new, self.amps, normalized=True, merge=False)
+        return superposition(new, self.amps, normalized=True)
 
 
-def superposition(coeffs, amps, *, normalized: bool = False,
-                  merge: bool = True) -> CoherentSuperposition:
-    """Build a CoherentSuperposition from coefficient and amplitude sequences."""
+def superposition(coeffs, amps, *, normalized: bool = False) -> CoherentSuperposition:
+    """Build a CoherentSuperposition from coefficient and amplitude sequences.
+
+    Every component is kept as given and in order.  Two components at one
+    amplitude act as one with their summed coefficient: every quantity is
+    computed from sums over components.
+    """
     c = _as_complex_array(coeffs, "coeffs")
     a = _as_complex_array(amps, "amps")
     if len(c) != len(a):
         raise ValueError("coeffs and amps must have the same length")
     if len(c) == 0:
         raise ValueError("a physical state needs at least one component")
-    if merge:
-        c, a = _merge_duplicates(c, a)
     c.setflags(write=False)
     a.setflags(write=False)
     return CoherentSuperposition(c, a, normalized)
 
 
 def vacuum_state() -> CoherentSuperposition:
-    return superposition([1.0], [0.0], normalized=True, merge=False)
+    return superposition([1.0], [0.0], normalized=True)
 
 
 def coherent_state(beta: complex) -> CoherentSuperposition:
-    return superposition([1.0], [beta], normalized=True, merge=False)
+    return superposition([1.0], [beta], normalized=True)
 
 
 # --------------------------------------------------------------------------

@@ -100,9 +100,12 @@ class TestArgumentValidation:
         (["evolve-fock", "--alpha", "nan", "--lambda-tau", "0.1"], "alpha must be finite"),
         (["evolve-fock", "--alpha", "inf", "--lambda-tau", "0.1"], "alpha must be finite"),
         (["noise-loss", "--loss-probs", "0.5", "--direct-flip"], "must be below 1/2"),
+        (["noise-loss", "--loss-probs", ","], "--loss-probs must be a comma-separated list"),
+        (["noise-loss", "--loss-probs", ""], "--loss-probs must be a comma-separated list"),
     ], ids=["fidelity-tiny-alpha", "curve-tiny-alpha", "noise-phase-tiny-alpha",
             "success-prob-tiny-alpha", "condition-inf-x", "condition-nan-x", "nan-target",
-            "fock-nan-alpha", "fock-inf-alpha", "half-flip"])
+            "fock-nan-alpha", "fock-inf-alpha", "half-flip", "empty-loss-probs",
+            "blank-loss-probs"])
     def test_rejects_bad_input(self, capsys, args, message):
         code, out, err = run(args, capsys)
         assert code == 1

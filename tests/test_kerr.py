@@ -20,7 +20,7 @@ from kerrcat import (
 )
 from kerrcat import kerr
 from kerrcat.kerr import coefficient_rows, ring_amplitudes
-from kerrcat.states import _merge_duplicates
+from kerrcat.states import _ring_weights
 
 
 class TestRingCoefficients:
@@ -112,21 +112,15 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             kerr_decompose(-1.0, 4)
 
-    # alpha = 1e-9 at n = 4096 is near the threshold (spacing 1.5e-12) and
-    # still scanned; the others skip the scan
-    @pytest.mark.parametrize("alpha,n", [(20.0, 2), (20.0, 20), (20.0, 4096), (1e-9, 4096)])
-    def test_matches_duplicate_scan(self, alpha, n):
-        dec = kerr_decompose(alpha, n)
-        coeffs, amps = _merge_duplicates(kerr_coefficients(n), ring_amplitudes(alpha, n))
-        assert np.array_equal(dec.state.coeffs, coeffs)
-        assert np.array_equal(dec.state.amps, amps)
-        assert len(dec.state) == n
-
-    def test_degenerate_ring_still_merges(self):
-        # spacing 2e-13 sin(pi/8): every amplitude within 1e-12 of the first
+    def test_tiny_ring_keeps_every_component(self):
+        # spacing 2e-13 sin(pi/8): every amplitude within 1e-13 of the first,
+        # still a ring, so its norm is spectral
         dec = kerr_decompose(1e-13, 8)
-        assert len(dec.state) == 1
-        assert dec.state.coeffs[0] == pytest.approx(np.sum(kerr_coefficients(8)), abs=1e-15)
+        assert len(dec.state) == 8
+        np.testing.assert_array_equal(dec.state.coeffs, kerr_coefficients(8))
+        np.testing.assert_array_equal(dec.state.amps, ring_amplitudes(1e-13, 8))
+        assert _ring_weights(dec.state.amps) is not None
+        assert dec.state.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFockEvolve:

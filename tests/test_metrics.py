@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -97,10 +98,14 @@ class TestCatState:
         (1.0, math.pi, 1.0 + 1e-8),
         (math.inf, 0.0),
         (1e-7, math.pi),
-    ], ids=["zero-branch", "coinciding-partner", "infinite-branch", "tiny-branch"])
+        (1.0, math.nan),
+        (1.0, math.inf),
+    ], ids=["zero-branch", "coinciding-partner", "infinite-branch", "tiny-branch",
+            "nan-phi", "inf-phi"])
     def test_rejects_zero_branch(self, args):
         # the rule of cat_fidelity: a partner 1e-8 away, or -1e-7, overlaps
-        # its branch to within 1e-12, and an infinite branch is no amplitude
+        # its branch to within 1e-12, an infinite branch is no amplitude, and
+        # a non-finite phase no relative phase
         with pytest.raises(ValueError):
             CatState(*args)
 
@@ -181,6 +186,14 @@ class TestCatFidelity:
         rep = cat_fidelity(psi, 2.0)
         assert cat_overlap(psi, 2.0, rep.phi_max) == pytest.approx(rep.fidelity, abs=1e-12)
         assert cat_overlap(psi, 2.0, rep.phi_max + 1.0) < rep.fidelity
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_cat_overlap_rejects_nonfinite_phi(self, phi):
+        psi = CatState(2.0, 0.9).to_superposition()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phi must be finite"):
+                cat_overlap(psi, 2.0, phi)
 
 
 class TestDefaultTarget:

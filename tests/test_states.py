@@ -10,6 +10,7 @@ import oracles
 from kerrcat import (
     DegenerateStateError,
     beamsplit_with_vacuum,
+    cat_fidelity,
     coherent_overlap,
     coherent_state,
     inner_product,
@@ -260,7 +261,7 @@ class TestNormalizationMismatch:
         # N = 4096, X = 1: the spectral sum loses 15.25 digits, so neither
         # the state nor its doubled copy is said to match
         psi = condition_at(20.0, 4096, 1.0)
-        doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
+        doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True)
         for state in (psi, doubled):
             for measure in (normalization_mismatch,
                             lambda s: _log_squared_norm(s.coeffs, s.amps)):
@@ -271,7 +272,7 @@ class TestNormalizationMismatch:
         # N = 1024, X = 1: the pair sum loses 13 digits, the spectral sum 4.97
         psi = condition_at(20.0, 1024, 1.0)
         assert normalization_mismatch(psi) is None
-        doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True, merge=False)
+        doubled = superposition(2.0 * psi.coeffs, psi.amps, normalized=True)
         assert normalization_mismatch(doubled) == pytest.approx(4.0, rel=1e-10, abs=0)
 
 
@@ -598,12 +599,54 @@ class TestFockTail:
         assert dens.max() <= (1.0865 * PI_QUARTER) ** 2
 
 
-class TestConstructionAndJson:
-    def test_duplicate_merge(self):
-        psi = superposition([1.0, 2.0, 0.5], [1.5, 1.5 + 1e-13, -3.0])
-        assert len(psi) == 2
-        assert psi.coeffs[0] == pytest.approx(3.0)
+class TestRepeatedAmplitudes:
+    """A state keeps every component it is given; components that share an
+    amplitude score as one with their summed coefficient."""
 
+    REPEATED = ([1.0, 2.0, 0.5], [1.5, 1.5, -3.0])
+    MERGED = ([3.0, 0.5], [1.5, -3.0])
+
+    def test_components_kept_in_order(self):
+        psi = superposition(*self.REPEATED)
+        assert len(psi) == 3
+        np.testing.assert_array_equal(psi.coeffs, self.REPEATED[0])
+        np.testing.assert_array_equal(psi.amps, self.REPEATED[1])
+
+    def test_matches_merged_twin(self):
+        rep, mer = superposition(*self.REPEATED), superposition(*self.MERGED)
+        probe = superposition([1.0, 0.5j], [1.0 + 0.5j, -2.5])
+        close = lambda got, want: got == pytest.approx(want, rel=1e-14, abs=0)
+        assert close(squared_norm(rep), squared_norm(mer))
+        assert close(inner_product(probe, rep), inner_product(probe, mer))
+        rep, mer = rep.normalized(), mer.normalized()
+        grid = np.linspace(-6.0, 6.0, 121)
+        for amps in (lambda s: s.amps, lambda s: -1j * s.amps):
+            np.testing.assert_allclose(_marginal_densities(rep, grid, amps(rep)),
+                                       _marginal_densities(mer, grid, amps(mer)),
+                                       rtol=1e-14, atol=0)
+        for v in (-4.2, 0.0, 2.1):
+            assert close(x_marginal_density(rep, v), x_marginal_density(mer, v))
+            assert close(p_marginal_density(rep, v), p_marginal_density(mer, v))
+        got, want = cat_fidelity(rep, 1.5), cat_fidelity(mer, 1.5)
+        assert close(got.fidelity, want.fidelity)
+        assert close(got.phi_max, want.phi_max)
+
+    def test_json_round_trip_keeps_every_component(self):
+        psi = superposition(*self.REPEATED)
+        back, _ = state_from_json_dict(state_to_json_dict(psi))
+        np.testing.assert_array_equal(back.coeffs, self.REPEATED[0])
+        np.testing.assert_array_equal(back.amps, self.REPEATED[1])
+
+    def test_cancelling_near_duplicates_refused(self):
+        psi = superposition([1.0, -1.0], [1.5, 1.5 + 1e-13])
+        assert len(psi) == 2
+        with pytest.raises(DegenerateStateError):
+            squared_norm(psi)
+        with pytest.raises(DegenerateStateError):
+            psi.normalized()
+
+
+class TestConstructionAndJson:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             superposition([1.0], [np.inf])
