@@ -117,37 +117,18 @@ def _write_json(path: str | None, doc) -> None:
     _write(path, emit)
 
 
-def _resolve_n(args) -> int:
-    """Components count from --n or --lambda-tau (which must equal pi/N)."""
-    if args.lambda_tau is None:
-        return args.n if args.n is not None else 20
-    if args.lambda_tau <= 0:
-        raise ValueError("--lambda-tau must be positive")
-    n_real = math.pi / args.lambda_tau
-    n = round(n_real)
-    if n < 1 or abs(n_real - n) > 1e-9 * max(1.0, n):
-        raise ValueError(
-            f"--lambda-tau {args.lambda_tau:g} is not pi/N for an integer N "
-            f"(closest N = {n_real:.6f}); ring decomposition requires pi/N")
-    if args.n is not None and args.n != n:
-        raise ValueError(f"--n {args.n} conflicts with --lambda-tau (pi/{n})")
-    return n
-
-
 def _check_alpha(alpha: float) -> None:
     if not (alpha > 0) or not math.isfinite(alpha):
         raise ValueError("--alpha must be a positive real number")
 
 
 def _add_common(sub, *, with_x=False, output="output file (default stdout)"):
-    """Ring arguments (checked and resolved to args.n in main), --x and --output
-    (``output`` is its help)."""
+    """Ring arguments (--alpha checked in main), --x and --output (``output``
+    is its help)."""
     sub.add_argument("--alpha", type=float, default=20.0,
                      help="initial coherent amplitude (real, default 20)")
-    sub.add_argument("--n", type=int, default=None,
+    sub.add_argument("--n", type=int, default=20,
                      help="ring size N; interaction phase is pi/N (default 20)")
-    sub.add_argument("--lambda-tau", type=float, default=None,
-                     help="interaction phase; must equal pi/N for an integer N")
     if with_x:
         sub.add_argument("--x", type=float, default=0.0,
                          help="homodyne outcome on the monitored mode (default 0)")
@@ -504,7 +485,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "n" in args:  # a ring command, built by _add_common
             _check_alpha(args.alpha)
-            args.n = _resolve_n(args)
         for dest in ("output", "outdir"):  # the one place KERRCAT_OUTDIR applies
             if getattr(args, dest, None) is not None:
                 setattr(args, dest, os.path.join(os.environ.get(ENV_OUTDIR, ""),

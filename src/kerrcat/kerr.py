@@ -39,8 +39,8 @@ class KerrParams:
     alpha: complex
 
     def __post_init__(self):
-        if not (self.lambda_tau > 0):
-            raise ValueError("lambda_tau must be positive")
+        if not (0 < self.lambda_tau < math.inf):
+            raise ValueError("lambda_tau must be positive and finite")
         if not cmath.isfinite(complex(self.alpha)):
             raise ValueError("alpha must be finite")
 

@@ -37,13 +37,13 @@ from .states import (
     SQRT2,
     _LOG_DEGENERATE,
     _log_polar,
-    _marginal_densities,
     _overlap_exponent,
     _refuse,
     _ring_spectrum,
     _spectral_norms,
     _x_log_magnitude,
     coherent_overlap,
+    p_marginal_density,
     superposition,
 )
 
@@ -564,8 +564,7 @@ def outcome_density(alpha_i: float, n: int, X: float) -> float:
 
 
 def _density_on_grid(psi: CoherentSuperposition, p_grid) -> list[tuple[float, float]]:
-    density = _marginal_densities(psi, p_grid, -1j * psi.amps)
-    return list(zip(p_grid.tolist(), density.tolist()))
+    return list(zip(p_grid.tolist(), p_marginal_density(psi, p_grid).tolist()))
 
 
 def conditioned_p_distribution(alpha_i: float, n: int, X: float,

@@ -378,9 +378,9 @@ def inner_product(psi: CoherentSuperposition, chi: CoherentSuperposition) -> com
 _MARGINAL_BLOCK = 1 << 16
 
 
-def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
-    """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, b_n = ``amps`` (P uses
-    -i psi.amps: <P|b> = <X = P|-i b>).
+def _marginal_densities(psi: CoherentSuperposition, values, amps):
+    """|sum_n c_n <X = v|b_n>|^2 at each of ``values``, b_n = ``amps``: a
+    float for a number, an array for a 1-D array.
 
     A ring b_n = b_0 w^n is summed in the number basis
     (:func:`_fock_densities`) when the photon numbers its Poisson weights
@@ -391,16 +391,18 @@ def _marginal_densities(psi: CoherentSuperposition, values, amps) -> np.ndarray:
     call bit for bit.
     """
     lc, ac = _log_polar(psi.coeffs)
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if not np.all(np.isfinite(values)):
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(grid)):
         raise ValueError("quadrature values must be finite")
     ring = _ring_weights(amps)
     if ring is not None and _STEPS_PER_TERM * len(amps) > ring[0][-1] + 1:
         top, a = _fock_amplitudes(lc, ac, amps, *ring)
         # one value runs on Python floats: a ufunc call costs more than a cell
-        cells = float(values[0]) if len(values) == 1 else values
-        return np.atleast_1d(_fock_densities(top, a, cells))
-    return _direct_densities(lc, ac, amps, values)
+        cells = float(grid[0]) if len(grid) == 1 else grid
+        density = np.atleast_1d(_fock_densities(top, a, cells))
+    else:
+        density = _direct_densities(lc, ac, amps, grid)
+    return float(density[0]) if np.ndim(values) == 0 else density
 
 
 def _direct_densities(log_c, arg_c, amps, values) -> np.ndarray:
@@ -538,14 +540,15 @@ def _fock_densities(top, a, values):
     return np.where(live, np.exp(np.minimum(2.0 * log_amp, 700.0)), 0.0)
 
 
-def x_marginal_density(psi: CoherentSuperposition, X: float) -> float:
-    """|<X|psi>|^2 for a pure state psi (expects psi normalized)."""
-    return float(_marginal_densities(psi, X, psi.amps)[0])
+def x_marginal_density(psi: CoherentSuperposition, X):
+    """|<X|psi>|^2 for a pure state psi (expects psi normalized): a float for
+    a number X, the array of cells for a 1-D array of values."""
+    return _marginal_densities(psi, X, psi.amps)
 
 
-def p_marginal_density(psi: CoherentSuperposition, P: float) -> float:
-    """|<P|psi>|^2 for a pure state psi (expects psi normalized)."""
-    return float(_marginal_densities(psi, P, -1j * psi.amps)[0])
+def p_marginal_density(psi: CoherentSuperposition, P):
+    """|<P|psi>|^2, as :func:`x_marginal_density`: <P|b> = <X = P|-i b>."""
+    return _marginal_densities(psi, P, -1j * psi.amps)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,9 @@ import pytest
 
 from kerrcat import cli
 from kerrcat.cli import main
+from kerrcat.kerr import KerrParams, kerr_fock_evolve
 from kerrcat.metrics import condition_at, fidelity_curve, outcome_density
+from kerrcat.noise import NoiseParams, lossy_fidelity
 
 
 def run(args, capsys):
@@ -32,15 +34,6 @@ class TestArgumentValidation:
         code, _, _ = run(["decompose", "--alpha", "-4"], capsys)
         assert code == 1
 
-    def test_rejects_off_grid_interaction_phase(self, capsys):
-        code, _, _ = run(["decompose", "--lambda-tau", "0.33"], capsys)
-        assert code == 1
-
-    def test_rejects_conflicting_n(self, capsys):
-        code, _, _ = run(
-            ["decompose", "--n", "5", "--lambda-tau", str(math.pi / 8)], capsys)
-        assert code == 1
-
     @pytest.mark.parametrize("n,message", [("0", "must be a positive integer"),
                                            ("5000", "capped at 4096")])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -53,13 +46,6 @@ class TestArgumentValidation:
         monkeypatch.setattr(cli, "kerr_decompose", lambda *a: pytest.fail("state built"))
         code, out, _ = run(["decompose", "--n", "3"], capsys)
         assert code == 0 and out.startswith("n,re,im,magnitude,zeta_n\n1,")
-
-    def test_lambda_tau_equals_n(self, capsys, tmp_path):
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["decompose", "--n", "8", "--output", str(f1)], capsys)[0] == 0
-        assert run(["decompose", "--lambda-tau", str(math.pi / 8),
-                    "--output", str(f2)], capsys)[0] == 0
-        assert f1.read_bytes() == f2.read_bytes()
 
     def test_unknown_command(self, capsys):
         code, _, err = run(["frobnicate"], capsys)
@@ -99,12 +85,14 @@ class TestArgumentValidation:
         (["fidelity", "--target-re", "nan", "--target-im", "0"], "amplitudes must be finite"),
         (["evolve-fock", "--alpha", "nan", "--lambda-tau", "0.1"], "alpha must be finite"),
         (["evolve-fock", "--alpha", "inf", "--lambda-tau", "0.1"], "alpha must be finite"),
+        (["evolve-fock", "--alpha", "2", "--lambda-tau", "inf", "--cutoff", "5"],
+         "lambda_tau must be positive and finite"),
         (["noise-loss", "--loss-probs", "0.5", "--direct-flip"], "must be below 1/2"),
         (["noise-loss", "--loss-probs", ","], "--loss-probs must be a comma-separated list"),
         (["noise-loss", "--loss-probs", ""], "--loss-probs must be a comma-separated list"),
     ], ids=["fidelity-tiny-alpha", "curve-tiny-alpha", "noise-phase-tiny-alpha",
             "success-prob-tiny-alpha", "condition-inf-x", "condition-nan-x", "nan-target",
-            "fock-nan-alpha", "fock-inf-alpha", "half-flip", "empty-loss-probs",
+            "fock-nan-alpha", "fock-inf-alpha", "fock-inf-phase", "half-flip", "empty-loss-probs",
             "blank-loss-probs"])
     def test_rejects_bad_input(self, capsys, args, message):
         code, out, err = run(args, capsys)
@@ -127,7 +115,8 @@ class TestArgumentValidation:
             ["pdist-pre"], ["pdist-post"], ["success-prob", "--f-min", "0.9"],
             ["window", "--f-min", "0.9"], ["noise-loss"], ["noise-phase"]]
 
-    @pytest.mark.parametrize("bad", [["--alpha", "0"], ["--lambda-tau", "0.33"]],
+    # --lambda-tau is evolve-fock's alone, even at pi/20 to 12 digits
+    @pytest.mark.parametrize("bad", [["--alpha", "0"], ["--lambda-tau", "0.157079632679"]],
                              ids=["alpha", "lambda-tau"])
     @pytest.mark.parametrize("args", RING, ids=[a[0] for a in RING])
     def test_ring_commands_reject_bad_ring(self, capsys, args, bad):
@@ -296,6 +285,15 @@ class TestEvolveFock:
         assert code == 0
         rows = list(csv.reader(out.read_text().splitlines()))[1:]
         assert sum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-8)
+
+    def test_imaginary_amplitude(self, capsys):
+        code, out, _ = run(["evolve-fock", "--alpha", "0", "--alpha-im", "2",
+                            "--lambda-tau", "0.5", "--cutoff", "60"], capsys)
+        assert code == 0
+        amps = kerr_fock_evolve(KerrParams(0.5, 2j), 60).amplitudes
+        assert out.splitlines() == ["n,re,im,prob"] + [
+            ",".join((str(k), *map(cli._fmt, (c.real, c.imag, abs(c) ** 2))))
+            for k, c in enumerate(amps)]
 
     def test_truncation_failure_exit_code(self, capsys):
         import warnings
@@ -534,6 +532,15 @@ class TestDistributionsAndNoise:
         assert rows[0] == ["loss_prob", "fidelity"]
         fids = [float(r[1]) for r in rows[1:]]
         assert fids[0] > fids[1] > fids[2]
+
+    def test_noise_loss_direct_flip(self, capsys):
+        code, printed, _ = run(["noise-loss", "--direct-flip", "--loss-probs", "0.1,0.3"],
+                               capsys)
+        assert code == 0
+        assert printed.splitlines() == [
+            f"loss={p:g} fidelity="
+            + cli._fmt(lossy_fidelity(20, 20, 0, NoiseParams(loss_prob=p, direct_flip=True)))
+            for p in (0.1, 0.3)]
 
     def test_noise_phase_series(self, capsys, tmp_path):
         out = tmp_path / "s.csv"

@@ -160,6 +160,9 @@ class TestFockEvolve:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             KerrParams(0.0, 1.0)
+        for lt in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda_tau must be positive and finite"):
+                KerrParams(lt, 2.0)
         for alpha in (math.nan, math.inf, complex(1.0, math.nan)):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 KerrParams(1.0, alpha)

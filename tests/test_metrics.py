@@ -619,18 +619,21 @@ class TestDistributions:
         # known-cell envelope
         within = bench_reference("pdist_post_n1024_x1.csv", "DENSITY_LARGE_N")
         psi = metrics.condition_at(20.0, 1024, 1.0)
-        for p, got in conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05)):
-            assert got == p_marginal_density(psi, p), p
-            assert within(p, got), p
+        rows = conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05))
+        self._assert_cells_match_points(psi, rows, within)
 
     @staticmethod
     def _assert_cells_match_points(psi, rows, within=None):
-        """Every grid cell equals the one-point call bit for bit, and is
-        ``within`` the bench reference or, by default, the one-point
-        log-domain sum over the components to 1e-13."""
+        """Every grid cell equals the array call's cell and the one-point
+        call (a float) bit for bit, and is ``within`` the bench reference or,
+        by default, the one-point log-domain sum over the components to
+        1e-13."""
+        grid = np.array([p for p, _ in rows])
+        assert p_marginal_density(psi, grid).tolist() == [d for _, d in rows]
         lc, ac = _log_polar(psi.coeffs)
         for p, got in rows:
-            assert got == p_marginal_density(psi, p), p
+            one = p_marginal_density(psi, p)
+            assert type(one) is float and got == one, p
             if within is not None:
                 assert within(p, got), p
                 continue

@@ -402,6 +402,7 @@ class TestFockRoute:
             fock = _fock_densities(*_fock_amplitudes(lc, ac, amps, *_ring_weights(amps)), grid)
             assert np.array_equal(_marginal_densities(psi, grid, amps), fock)
             if oracle is oracles.x_density_fock:
+                assert x_marginal_density(psi, grid).tolist() == fock.tolist()
                 assert [x_marginal_density(psi, v) for v in grid] == fock.tolist()
             want = np.array([oracle(vec, v) for v in grid])
             tol = 1e-10 * want.max()
