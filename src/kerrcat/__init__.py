@@ -11,13 +11,7 @@ loss and phase noise.
 
 __version__ = "0.1.0"
 
-from .conditioning import (
-    HomodyneOutcome,
-    TwoModeProductSuperposition,
-    beamsplit_with_vacuum,
-    condition_on_x,
-    x_outcome_density,
-)
+from .conditioning import condition_on_x, x_outcome_density
 from .kerr import (
     FockState,
     KerrDecomposition,

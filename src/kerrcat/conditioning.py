@@ -4,20 +4,22 @@ A 50-50 beam splitter with vacuum on the idle port maps every component
 |beta> of a single-mode superposition to the two-mode product
 |beta/sqrt2> (x) |beta/sqrt2>; no arm picks up a sign (conventions differing
 by output-arm sign flips relabel amplitudes deterministically and change no
-density or fidelity).  Measuring X on the first output mode collapses the
-second onto
+density or fidelity).  The split needs no state of its own: both arms share
+the amplitudes b_n = beta_n/sqrt2 (:func:`_split`, the one place they are
+written) and the coefficients c_n, so :func:`condition_on_x` and
+:func:`x_outcome_density` take the single-mode state before the split and
+the outcome X as a float.  Measuring X on the first output mode collapses
+the second onto
 
-    sum_n  c_n <X|beta_n/sqrt2>  |beta_n/sqrt2>     (renormalized),
+    sum_n  c_n <X|b_n>  |b_n>     (renormalized),
 
 and the outcome density p(X) = Tr[rho_1 |X><X|] is exactly the state's
 pre-normalization squared norm, with the traced-out second mode contributing
-one factor <beta_m/sqrt2|beta_n/sqrt2> per component pair.
+one factor <b_m|b_n> per component pair.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,61 +31,19 @@ from .states import (
     _DIGITS_BUDGET,
     _LOG_DEGENERATE,
     _log_polar,
-    _log_squared_norm,
     _norms,
     _project,
     _refuse,
     _ring_spectrum,
     _scale,
+    _unit,
     superposition,
 )
 
 
-@dataclass(frozen=True)
-class HomodyneOutcome:
-    """Measured X-quadrature value on the monitored output mode."""
-
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError("measurement outcome must be finite")
-
-
-@dataclass(frozen=True)
-class TwoModeProductSuperposition:
-    """sum_n c_n |b_n> (x) |b_n>: both outputs of a 50-50 split share b_n.
-
-    Structural property of splitting a single-mode superposition with vacuum;
-    ``amps`` holds the per-arm amplitudes b_n = beta_n / sqrt2.
-    """
-
-    coeffs: np.ndarray
-    amps: np.ndarray
-    is_normalized: bool = False
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def squared_norm(self) -> float:
-        """Two-mode norm: component overlaps enter squared, <b_m|b_n>^2; raises as squared_norm."""
-        # <b_m|b_n>^2 = <sqrt2 b_m|sqrt2 b_n>: the single-mode pair sum
-        return math.exp(_log_squared_norm(self.coeffs, SQRT2 * self.amps)[0])
-
-
-def beamsplit_with_vacuum(psi: CoherentSuperposition) -> TwoModeProductSuperposition:
-    """50-50 split against vacuum: (c_n, beta_n) -> (c_n, beta_n/sqrt2) per arm.
-
-    Norm is preserved exactly: the squared two-mode overlaps
-    <b_m|b_n>^2 reproduce the original Gram matrix <beta_m|beta_n>.
-    """
-    amps = (psi.amps / SQRT2).copy()
-    amps.setflags(write=False)
-    return TwoModeProductSuperposition(psi.coeffs, amps, psi.is_normalized)
-
-
-def _as_outcome(outcome) -> float:
-    return outcome.x if isinstance(outcome, HomodyneOutcome) else float(outcome)
+def _split(amps: np.ndarray) -> np.ndarray:
+    """Per-arm amplitudes b_n = beta_n / sqrt2 of a 50-50 split against vacuum."""
+    return amps / SQRT2
 
 
 class _Collapse(NamedTuple):
@@ -182,19 +142,22 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None) -> _Col
     return _Collapse(x, top, q, amps, 2.0 * top + log_norm, lost)
 
 
-def x_outcome_density(two_mode: TwoModeProductSuperposition, X) -> float:
-    """Homodyne outcome density Tr[rho_1 |X><X|] at X, a number or a
-    :class:`HomodyneOutcome`; integrates to 1 over X.
+def x_outcome_density(psi: CoherentSuperposition, X: float) -> float:
+    """Homodyne outcome density Tr[rho_1 |X><X|] at X of ``psi`` split
+    against vacuum; integrates to 1 over X.  An unflagged ``psi`` is
+    normalized first (:func:`_unit`).
 
     Raises ArithmeticError if the density loses more than ``_DIGITS_BUDGET``
     digits to cancellation.
     """
-    return float(_collapse(*_log_polar(two_mode.coeffs), two_mode.amps, _as_outcome(X),
-                           _ring_spectrum(two_mode.amps)).densities()[0])
+    amps = _split(psi.amps)
+    return float(_collapse(*_log_polar(_unit(psi).coeffs), amps, X,
+                           _ring_spectrum(amps)).densities()[0])
 
 
-def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSuperposition:
-    """Collapse the unmonitored mode on homodyne outcome X (exact projection).
+def condition_on_x(psi: CoherentSuperposition, X: float) -> CoherentSuperposition:
+    """Split ``psi`` against vacuum and collapse the unmonitored mode on
+    homodyne outcome X (exact projection).
 
     The collapsed row is scaled by its largest coefficient before it is
     summed, so outcomes deep in the Gaussian tails normalize correctly until
@@ -205,5 +168,5 @@ def condition_on_x(two_mode: TwoModeProductSuperposition, outcome) -> CoherentSu
     DegenerateStateError
         If the pre-normalization squared norm falls below 1e-300.
     """
-    return _collapse(*_log_polar(two_mode.coeffs), two_mode.amps, _as_outcome(outcome),
-                     _ring_spectrum(two_mode.amps)).state()
+    amps = _split(psi.amps)
+    return _collapse(*_log_polar(psi.coeffs), amps, X, _ring_spectrum(amps)).state()

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditioning import _collapse, _scaled_rows, beamsplit_with_vacuum
+from .conditioning import _collapse, _scaled_rows, _split
 from .kerr import KerrDecomposition, kerr_decompose
 from .states import (
     CoherentSuperposition,
@@ -41,6 +41,7 @@ from .states import (
     _refuse,
     _ring_spectrum,
     _spectral_norms,
+    _unit,
     _x_log_magnitude,
     coherent_overlap,
     p_marginal_density,
@@ -176,8 +177,10 @@ def _target_cat(target_beta: complex, partner_beta: complex | None, phi: float =
 
 def cat_fidelity(psi: CoherentSuperposition, target_beta: complex,
                  partner_beta: complex | None = None) -> FidelityReport:
-    """max over phi of |<cat_{target_beta, phi}|psi>|^2 (psi assumed normalized)."""
+    """max over phi of |<cat_{target_beta, phi}|psi>|^2; an unflagged psi is
+    normalized first (:func:`~kerrcat.states._unit`)."""
     bt, pt, cross = _target_cat(target_beta, partner_beta)
+    psi = _unit(psi)
     fid, phi = _max_phi(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross)
     return FidelityReport(float(fid), float(phi), bt)
 
@@ -186,6 +189,7 @@ def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
                 partner_beta: complex | None = None) -> float:
     """|<cat_{target_beta, phi}|psi>|^2 at a fixed relative phase phi; raises as cat_fidelity."""
     bt, pt, cross = _target_cat(target_beta, partner_beta, phi)
+    psi = _unit(psi)
     return float(_phi_objective(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross, phi))
 
 
@@ -196,7 +200,7 @@ def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
     the smallest k (at X = 0 with 4 | N that is k = N/4, amplitude
     -i alpha_i / sqrt2).
     """
-    split = decomp.state.amps / SQRT2
+    split = _split(decomp.state.amps)
     return complex(split[int(np.argmax(_x_log_magnitude(float(X), split)))])
 
 
@@ -214,18 +218,19 @@ _SHIFT_CELLS = 1 << 16
 class _Pipeline:
     """Per-(alpha_i, n) cache of the decompose -> split chain for conditioning.
 
-    Holds the decomposition, its split, the split coefficients' log-polar form
-    and the spectrum of the ring's Gram matrix <b_m|b_n> (rotation invariant,
-    so it also serves turned rings), and builds the target cat on first use.
+    Holds the decomposition, its per-arm amplitudes ``amps`` after the split,
+    the coefficients' log-polar form and the spectrum of the ring's Gram
+    matrix <b_m|b_n> (rotation invariant, so it also serves turned rings),
+    and builds the target cat on first use.
     Outcome rows are scored by :meth:`fidelity_terms`; rows of the turned ring
     by :meth:`ring_step_terms`, N ring steps per collapsed row.
     """
 
     def __init__(self, alpha_i: float, n: int):
         self.decomp = kerr_decompose(alpha_i, n)
-        self.two_mode = beamsplit_with_vacuum(self.decomp.state)
-        self.log_c, self.arg_c = _log_polar(self.two_mode.coeffs)
-        self.spectrum = _ring_spectrum(self.two_mode.amps)
+        self.amps = _split(self.decomp.state.amps)
+        self.log_c, self.arg_c = _log_polar(self.decomp.state.coeffs)
+        self.spectrum = _ring_spectrum(self.amps)
 
     @cached_property
     def target(self):
@@ -235,7 +240,7 @@ class _Pipeline:
         return _target_cat(default_target_beta(self.decomp, 0.0), None)
 
     def collapse(self, x):
-        return _collapse(self.log_c, self.arg_c, self.two_mode.amps, x, self.spectrum)
+        return _collapse(self.log_c, self.arg_c, self.amps, x, self.spectrum)
 
     def conditioned(self, x: float) -> CoherentSuperposition:
         return self.collapse(x).state()
@@ -278,7 +283,7 @@ class _Pipeline:
         ``_SHIFT_CELLS`` cells.
         """
         u = np.atleast_1d(np.asarray(rotation, dtype=float))
-        amps, log_circulant = self.two_mode.amps, self._circulant_spectrum
+        amps, log_circulant = self.amps, self._circulant_spectrum
         n = len(amps)
         targets = np.array(self.target[:2])[:, None, None]
         AB, degenerate = np.zeros((2, len(u), n), dtype=complex), np.zeros((len(u), n), dtype=bool)
@@ -310,7 +315,7 @@ class _Pipeline:
         the constants of :meth:`fidelity_bound`; c = 0 off a ring or where
         lam_min underflows."""
         bt, pt, cross = self.target
-        amps = self.two_mode.amps
+        amps = self.amps
         g = np.exp(_overlap_exponent(bt, amps).real) + np.exp(_overlap_exponent(pt, amps).real)
         lam_min = 0.0 if self.spectrum is None else math.exp(np.min(self.spectrum))
         return g, len(amps) * lam_min * (2.0 - 2.0 * abs(cross))
@@ -332,7 +337,7 @@ class _Pipeline:
         bound = np.empty(len(x))
         for start in range(0, len(x), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            lq = self.log_c + _x_log_magnitude(x[rows, None], self.two_mode.amps)  # log|q_gn|
+            lq = self.log_c + _x_log_magnitude(x[rows, None], self.amps)  # log|q_gn|
             mag = np.exp(lq - np.max(lq, axis=1, keepdims=True))
             with np.errstate(over="ignore"):  # a denormal lam_min: the bound is +inf
                 bound[rows] = (mag @ g) ** 2 / (c * np.sum(mag * mag, axis=1))
@@ -426,7 +431,7 @@ def _screen(pipe: _Pipeline, xs: np.ndarray, step: float, f_min: float) -> np.nd
     is not below (1 - ``_BOUND_MARGIN``) f_min, bounding every k-th point
     first (see window_from_threshold)."""
     keep = (1.0 - _BOUND_MARGIN) * f_min
-    rate = 4.0 * SQRT2 * np.max(np.abs(pipe.two_mode.amps.real))  # 4 R
+    rate = 4.0 * SQRT2 * np.max(np.abs(pipe.amps.real))  # 4 R
     # k steps of 4 R step each grow the bound by about e^_SCREEN_GROWTH; k <= len(xs)
     stride = max(1, int(_SCREEN_GROWTH / max(rate * step, _SCREEN_GROWTH / len(xs))))
     coarse = np.append(np.arange(0, len(xs) - 1, stride), len(xs) - 1)

@@ -146,7 +146,7 @@ def phase_noise_state(alpha_i: float, n: int, X: float,
     if not math.isfinite(delta_phi):
         raise ValueError("rotation delta_phi must be finite")
     pipe = _pipeline(float(alpha_i), int(n))
-    turned = pipe.two_mode.amps * np.exp(1j * delta_phi)
+    turned = pipe.amps * np.exp(1j * delta_phi)
     return _collapse(pipe.log_c, pipe.arg_c, turned, float(X), pipe.spectrum).state()
 
 

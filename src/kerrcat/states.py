@@ -76,6 +76,11 @@ class CoherentSuperposition:
     Immutable value object; the arrays are marked read-only.  Construct through
     :func:`superposition` (which validates the arrays and keeps every
     component) or the convenience constructors below.
+
+    ``is_normalized`` is trusted: the scorers (``cat_fidelity``,
+    ``cat_overlap``, ``x_outcome_density`` and the marginal densities below)
+    take a flagged state as unit-norm unchecked and normalize an unflagged
+    one first (:func:`_unit`).
     """
 
     coeffs: np.ndarray
@@ -100,6 +105,12 @@ class CoherentSuperposition:
         lc, ac = _log_polar(self.coeffs)
         new = np.exp(lc - 0.5 * log_norm) * np.exp(1j * ac)
         return superposition(new, self.amps, normalized=True)
+
+
+def _unit(psi: CoherentSuperposition) -> CoherentSuperposition:
+    """``psi`` if flagged normalized, else ``psi.normalized()`` (which refuses
+    a null norm and one past the digits-lost budget)."""
+    return psi if psi.is_normalized else psi.normalized()
 
 
 def superposition(coeffs, amps, *, normalized: bool = False) -> CoherentSuperposition:
@@ -388,12 +399,14 @@ def _marginal_densities(psi: CoherentSuperposition, values, amps):
     (:func:`_direct_densities`); any other state is summed over its
     components.  The route depends on the state alone, and
     both compute every cell on its own, so a grid cell equals the one-point
-    call bit for bit.
+    call bit for bit.  An unflagged ``psi`` is normalized first (:func:`_unit`).
     """
-    lc, ac = _log_polar(psi.coeffs)
+    if np.ndim(values) > 1:
+        raise ValueError("quadrature values must be a number or a 1-D array")
     grid = np.atleast_1d(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(grid)):
         raise ValueError("quadrature values must be finite")
+    lc, ac = _log_polar(_unit(psi).coeffs)
     ring = _ring_weights(amps)
     if ring is not None and _STEPS_PER_TERM * len(amps) > ring[0][-1] + 1:
         top, a = _fock_amplitudes(lc, ac, amps, *ring)
@@ -541,8 +554,8 @@ def _fock_densities(top, a, values):
 
 
 def x_marginal_density(psi: CoherentSuperposition, X):
-    """|<X|psi>|^2 for a pure state psi (expects psi normalized): a float for
-    a number X, the array of cells for a 1-D array of values."""
+    """|<X|psi>|^2 for a pure state psi: a float for a number X, the array of
+    cells for a 1-D array of values; ValueError for any other shape."""
     return _marginal_densities(psi, X, psi.amps)
 
 

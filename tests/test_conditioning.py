@@ -10,9 +10,6 @@ from scipy.integrate import quad
 import oracles
 from kerrcat import (
     DegenerateStateError,
-    HomodyneOutcome,
-    TwoModeProductSuperposition,
-    beamsplit_with_vacuum,
     cat_fidelity,
     coherent_state,
     condition_at,
@@ -45,50 +42,45 @@ from kerrcat.states import (
 SQRT2 = math.sqrt(2.0)
 
 
-def split(alpha, n):
-    return beamsplit_with_vacuum(kerr_decompose(alpha, n).state)
+def ring(alpha, n):
+    """The Kerr ring before the split, as the conditioning functions take it."""
+    return kerr_decompose(alpha, n).state
 
 
 class TestBeamsplit:
     def test_single_coherent(self):
-        tm = beamsplit_with_vacuum(coherent_state(3.0))
-        assert tm.amps[0] == pytest.approx(3.0 / SQRT2, rel=1e-15)
-        assert tm.coeffs[0] == 1.0
+        psi = condition_on_x(coherent_state(3.0), 0.4)
+        assert psi.amps[0] == pytest.approx(3.0 / SQRT2, rel=1e-15)
+        assert abs(psi.coeffs[0]) == pytest.approx(1.0, rel=1e-15)
 
     def test_vacuum(self):
-        tm = beamsplit_with_vacuum(vacuum_state())
-        assert tm.amps[0] == 0.0
-        assert tm.squared_norm() == pytest.approx(1.0, abs=1e-14)
+        psi = condition_on_x(vacuum_state(), 0.9)
+        assert psi.amps[0] == 0.0
+        assert psi.squared_norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_flagship_norm_preserved(self):
-        tm = split(20.0, 20)
-        assert len(tm) == 20
-        np.testing.assert_allclose(np.abs(tm.amps), 20.0 / SQRT2, atol=1e-12)
-        assert tm.squared_norm() == pytest.approx(1.0, abs=1e-10)
+        amps = _pipeline(20.0, 20).amps
+        assert len(amps) == 20
+        np.testing.assert_allclose(np.abs(amps), 20.0 / SQRT2, atol=1e-12)
+        assert condition_on_x(ring(20.0, 20), 0.0).squared_norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_null_state_raises(self):
         # the single-mode norm's verdict: 1e-400 is below 1e-300
         with pytest.raises(DegenerateStateError, match="numerically null"):
-            beamsplit_with_vacuum(superposition([1e-200], [0.0])).squared_norm()
-
-    def test_norm_preservation_exact(self):
-        # the squared two-mode Gram reproduces the pre-split Gram entrywise
-        psi = superposition([0.8, 0.3j, -0.2], [1.0, -2.0, 0.5j]).normalized()
-        tm = beamsplit_with_vacuum(psi)
-        assert abs(tm.squared_norm() - psi.squared_norm()) < 1e-12
+            x_outcome_density(superposition([1e-200], [0.0]), 0.0)
 
 
 class TestConditionOnX:
     def test_balanced_two_component_at_zero(self):
         dec = kerr_decompose(4.0, 2)
-        psi = condition_on_x(beamsplit_with_vacuum(dec.state), 0.0)
+        psi = condition_on_x(dec.state, 0.0)
         mags = np.abs(psi.coeffs)
         assert mags[0] == pytest.approx(mags[1], rel=1e-12)
         report = cat_fidelity(psi, 4.0 / SQRT2)
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_flagship_dominant_components(self):
-        psi = condition_on_x(split(20.0, 20), 0.0)
+        psi = condition_on_x(ring(20.0, 20), 0.0)
         mags = np.abs(psi.coeffs)
         dom = np.argsort(mags)[-2:]
         assert set(dom) == {4, 14}  # ring positions 5 and 15
@@ -104,30 +96,19 @@ class TestConditionOnX:
         assert np.max(next_ring) / np.max(mags) < 1e-30
 
     def test_offset_outcome_shifts_weights(self):
-        psi = condition_on_x(split(20.0, 20), 25.0)
+        psi = condition_on_x(ring(20.0, 20), 25.0)
         assert psi.squared_norm() == pytest.approx(1.0, abs=1e-10)
         top = psi.amps[int(np.argmax(np.abs(psi.coeffs)))]
         # favored component has its Gaussian center sqrt2 Re b nearest X = 25
         assert SQRT2 * top.real == pytest.approx(20.0, abs=1e-9)
 
-    def test_accepts_outcome_object(self):
-        # both one-shots take a HomodyneOutcome as they take its float, bit for bit
-        for tm, x in ((split(3.0, 4), 0.4), (split(20.0, 20), 0.5)):
-            a = condition_on_x(tm, x)
-            b = condition_on_x(tm, HomodyneOutcome(x))
-            np.testing.assert_array_equal(a.coeffs, b.coeffs)
-            np.testing.assert_array_equal(a.amps, b.amps)
-            assert x_outcome_density(tm, HomodyneOutcome(x)) == x_outcome_density(tm, x)
-
     def test_rejects_nonfinite_outcome(self):
         with pytest.raises(ValueError):
-            condition_on_x(split(2.0, 2), math.nan)
-        with pytest.raises(ValueError):
-            HomodyneOutcome(math.inf)
+            condition_on_x(ring(2.0, 2), math.nan)
 
     @pytest.mark.parametrize("call", [
         lambda: outcome_density(20.0, 20, math.nan),
-        lambda: x_outcome_density(split(20.0, 20), -math.inf),
+        lambda: x_outcome_density(ring(20.0, 20), -math.inf),
         lambda: fidelity_curve(20.0, 20, [0.0, math.nan]),
         lambda: fidelity_curve(20.0, 20, [math.inf]),
         lambda: phase_noise_state(20.0, 20, math.nan, 0.3),
@@ -142,38 +123,38 @@ class TestConditionOnX:
             phase_noise_state(20.0, 20, 0.0, delta_phi)
 
     def test_degenerate_outcome_raises(self):
-        tm = split(20.0, 20)
+        state = ring(20.0, 20)
         with pytest.raises(DegenerateStateError):
-            condition_on_x(tm, 48.0)
+            condition_on_x(state, 48.0)
 
     def test_deep_tail_outcome_still_normalizes(self):
-        psi = condition_on_x(split(20.0, 20), 45.0)
+        psi = condition_on_x(ring(20.0, 20), 45.0)
         assert psi.squared_norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_projection(self):
-        tm = split(20.0, 20)
-        a = condition_on_x(tm, 0.4)
-        b = condition_on_x(tm, 0.4)
+        state = ring(20.0, 20)
+        a = condition_on_x(state, 0.4)
+        b = condition_on_x(state, 0.4)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
         np.testing.assert_array_equal(a.amps, b.amps)
 
     def test_projective_idempotence(self):
         # conditioning an already-conditioned state reapplies the same Gaussian
         # factors; at the symmetric outcome the dominant pair is untouched
-        psi1 = condition_on_x(split(20.0, 20), 0.0)
-        again = TwoModeProductSuperposition(psi1.coeffs, psi1.amps, True)
+        psi1 = condition_on_x(ring(20.0, 20), 0.0)
+        again = superposition(psi1.coeffs, SQRT2 * psi1.amps)
         psi2 = condition_on_x(again, 0.0)
         assert abs(inner_product(psi1, psi2)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_exact_idempotence_two_components(self):
-        psi1 = condition_on_x(split(5.0, 2), 0.0)
-        again = TwoModeProductSuperposition(psi1.coeffs, psi1.amps, True)
+        psi1 = condition_on_x(ring(5.0, 2), 0.0)
+        again = superposition(psi1.coeffs, SQRT2 * psi1.amps)
         psi2 = condition_on_x(again, 0.0)
         assert abs(inner_product(psi1, psi2)) ** 2 == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_fock_pipeline(self):
         alpha, n, x = 3.0, 5, 0.4
-        psi = condition_on_x(split(alpha, n), x)
+        psi = condition_on_x(ring(alpha, n), x)
         cutoff = int(alpha ** 2 + 10 * alpha + 50)
         want, p_fock = oracles.condition_fock(alpha, n, x, cutoff)
         vec = sum(c * oracles.coherent_fock(a, cutoff) for c, a in zip(psi.coeffs, psi.amps))
@@ -182,9 +163,9 @@ class TestConditionOnX:
 
 class TestOutcomeDensity:
     def test_vacuum_density(self):
-        tm = beamsplit_with_vacuum(vacuum_state())
+        state = vacuum_state()
         for x in (0.0, 0.9, -2.0):
-            assert x_outcome_density(tm, x) == pytest.approx(
+            assert x_outcome_density(state, x) == pytest.approx(
                 math.exp(-x * x) / math.sqrt(math.pi), rel=1e-12)
 
     def test_two_component_closed_form(self):
@@ -192,48 +173,48 @@ class TestOutcomeDensity:
         # overlap <-b|b> = e^{-alpha^2}, further crushed by the X Gaussians
         alpha = 4.0
         dec = kerr_decompose(alpha, 2)
-        tm = beamsplit_with_vacuum(dec.state)
+        state = dec.state
         c1, c2 = dec.coefficients
         for x in (0.0, 2.0, alpha):
             g1 = math.exp(-((x - alpha) ** 2)) / math.sqrt(math.pi)
             g2 = math.exp(-((x + alpha) ** 2)) / math.sqrt(math.pi)
             cross = 2 * (c1 * np.conj(c2)).real * math.sqrt(g1 * g2) * math.exp(-alpha ** 2)
             want = abs(c1) ** 2 * g1 + abs(c2) ** 2 * g2 + cross
-            assert x_outcome_density(tm, x) == pytest.approx(want, rel=1e-10)
+            assert x_outcome_density(state, x) == pytest.approx(want, rel=1e-10)
 
     def test_density_equals_fock_prenorm(self):
         alpha, n, x = 3.0, 5, 0.4
         cutoff = int(alpha ** 2 + 10 * alpha + 50)
         _, p_fock = oracles.condition_fock(alpha, n, x, cutoff)
-        assert x_outcome_density(split(alpha, n), x) == pytest.approx(p_fock, rel=1e-10)
+        assert x_outcome_density(ring(alpha, n), x) == pytest.approx(p_fock, rel=1e-10)
 
     def test_flagship_center_locally_maximal(self):
-        tm = split(20.0, 20)
-        p0 = x_outcome_density(tm, 0.0)
+        state = ring(20.0, 20)
+        p0 = x_outcome_density(state, 0.0)
         assert p0 > 0
-        assert p0 > x_outcome_density(tm, 3.0)  # mid-gap toward the next center
-        assert p0 > x_outcome_density(tm, -3.0)
+        assert p0 > x_outcome_density(state, 3.0)  # mid-gap toward the next center
+        assert p0 > x_outcome_density(state, -3.0)
 
     @pytest.mark.parametrize("alpha,n", [(5.0, 2), (5.0, 20), (20.0, 20), (20.0, 60)])
     def test_total_probability(self, alpha, n):
-        tm = split(alpha, n)
-        val, _ = quad(lambda x: x_outcome_density(tm, x), -(alpha + 10), alpha + 10,
+        state = ring(alpha, n)
+        val, _ = quad(lambda x: x_outcome_density(state, x), -(alpha + 10), alpha + 10,
                       limit=400)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
     def test_reflection_symmetry_separated_regime(self, n):
         # exact up to cross terms e^{-2 alpha^2 sin^2(pi/n)}, negligible here
-        tm = split(20.0, n)
+        state = ring(20.0, n)
         for x in (0.3, 1.1, 2.4):
-            assert abs(x_outcome_density(tm, x) - x_outcome_density(tm, -x)) < 1e-12
+            assert abs(x_outcome_density(state, x) - x_outcome_density(state, -x)) < 1e-12
 
     def test_reflection_symmetry_flagship_scale(self):
         # at n = 20 adjacent ring components interfere at the 1e-10 level; the
         # residual asymmetry is physical (matched by the number-basis oracle)
-        tm = split(20.0, 20)
+        state = ring(20.0, 20)
         for x in (0.5, 1.5, 2.5):
-            assert abs(x_outcome_density(tm, x) - x_outcome_density(tm, -x)) < 5e-10
+            assert abs(x_outcome_density(state, x) - x_outcome_density(state, -x)) < 5e-10
 
 
 def _value_or_error(fn, *args):
@@ -253,12 +234,12 @@ class TestPipelineRoute:
 
     @pytest.mark.parametrize("n", [20, 60, 200])
     def test_matches_public_route(self, n):
-        tm = split(20.0, n)
+        state = ring(20.0, n)
         for x in self.GRID:
             assert _value_or_error(outcome_density, 20.0, n, x) == \
-                _value_or_error(x_outcome_density, tm, x), x
+                _value_or_error(x_outcome_density, state, x), x
             got = _value_or_error(condition_at, 20.0, n, x)
-            want = _value_or_error(condition_on_x, tm, x)
+            want = _value_or_error(condition_on_x, state, x)
             if isinstance(want, type):
                 assert got is want, x
             else:
@@ -287,7 +268,7 @@ class TestBatchedRows:
         # ring_step_terms projects one turned ring per row; each row is the
         # turned ring collapsed alone, as phase_noise_state collapses it
         pipe = _pipeline(20.0, n)
-        amps = pipe.two_mode.amps
+        amps = pipe.amps
         _, top, q = _scaled_rows(pipe.log_c, pipe.arg_c,
                                  amps * np.exp(1j * self.ROTATIONS)[:, None], 0.5)
         A, B, degenerate = pipe.ring_step_terms(0.5, self.ROTATIONS)
@@ -372,14 +353,14 @@ class TestDigitsLostBudget:
                                         (2.5, 5.413351615309458e-17)], ids=["1.0", "2.5"])
     def test_matches_high_precision_reference(self, x, want):
         assert outcome_density(20.0, 1024, x) == pytest.approx(want, rel=1e-8, abs=0)
-        assert x_outcome_density(split(20.0, 1024), x) == pytest.approx(want, rel=1e-8, abs=0)
+        assert x_outcome_density(ring(20.0, 1024), x) == pytest.approx(want, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("n,x", PAST)
     def test_rejects_past_budget(self, n, x):
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
             outcome_density(20.0, n, x)
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
-            x_outcome_density(split(20.0, n), x)
+            x_outcome_density(ring(20.0, n), x)
 
     @pytest.mark.parametrize("n", [20, 40, 60])
     def test_budget_rows_match_log_route(self, n):
@@ -424,7 +405,7 @@ class TestDigitsLostBudget:
         # times 10^d
         xs = np.linspace(-alpha - 3.0, alpha + 3.0, 13)
         pipe = _pipeline(alpha, n)
-        turned = pipe.two_mode.amps * np.exp(0.3j)
+        turned = pipe.amps * np.exp(0.3j)
         batches = (pipe.collapse(xs), _collapse(pipe.log_c, pipe.arg_c, turned, xs, pipe.spectrum))
         checked = 0
         for g in range(len(xs)):
@@ -444,11 +425,11 @@ class TestDigitsLostBudget:
             for n in (200, 1024, 4096):
                 pipe = _pipeline(alpha, n)
                 xs = np.linspace(-alpha - 8.0, alpha + 8.0, 33)
-                _, _, q = _scaled_rows(pipe.log_c, pipe.arg_c, pipe.two_mode.amps, xs)
+                _, _, q = _scaled_rows(pipe.log_c, pipe.arg_c, pipe.amps, xs)
                 _, lost = _spectral_norms(q, pipe.spectrum)
                 for g in np.flatnonzero(lost > _DIGITS_BUDGET):
                     past += 1
-                    lag_lost = oracles.correlated_lag_norm(q[g], pipe.two_mode.amps)[1]
+                    lag_lost = oracles.correlated_lag_norm(q[g], pipe.amps)[1]
                     assert lag_lost > _DIGITS_BUDGET, (alpha, n, xs[g])
         assert past >= 100
 
@@ -466,19 +447,20 @@ class TestDigitsLostBudget:
         assert peak < 8 * 2 ** 20
 
     def test_non_ring_state_uses_log_route(self):
-        # the N = 60 ring with one component moved off it by 1e-6
-        tm = split(20.0, 60)
-        amps = tm.amps.copy()
-        amps[7] += 1e-6
-        tm = TwoModeProductSuperposition(tm.coeffs, amps, True)
+        # the N = 60 ring with one component moved off it by 1e-6 after the split
+        state = ring(20.0, 60)
+        beta = state.amps.copy()
+        beta[7] += SQRT2 * 1e-6
+        state = superposition(state.coeffs, beta, normalized=True)
+        amps = state.amps / SQRT2
         assert _ring_spectrum(amps) is None
         xs = [-3.0, 0.0, 1.0]
-        log_c, arg_c = _log_polar(tm.coeffs)
+        log_c, arg_c = _log_polar(state.coeffs)
         rows = _collapse(log_c, arg_c, amps, xs)
         for g, x in enumerate(xs):
             log_norm, lost = _log_route(log_c, arg_c, rows, g)
             assert (rows.log_norm[g], rows.digits_lost[g]) == (log_norm, lost), x
-            assert x_outcome_density(tm, x) == rows.densities([g])[0], x
+            assert x_outcome_density(state, x) == rows.densities([g])[0], x
         # a turned state is collapsed like any other, bit for bit
         turned = _collapse(log_c, arg_c, amps * np.exp(0.3j), 1.0)
         assert (turned.log_norm[0], turned.digits_lost[0]) == _log_route(log_c, arg_c, turned, 0)

@@ -15,6 +15,7 @@ from kerrcat import (
     CatState,
     cat_fidelity,
     cat_overlap,
+    condition_at,
     conditioned_p_distribution,
     FidelityCurvePoint,
     default_target_beta,
@@ -29,6 +30,7 @@ from kerrcat import (
     success_probability,
     superposition,
     window_from_threshold,
+    x_marginal_density,
 )
 from kerrcat.cli import _grid
 from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
@@ -426,7 +428,7 @@ class TestFidelityBound:
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 20, 40, 60, 100, 200])
     def test_coarse_screen_keeps_what_the_bound_keeps(self, alpha, n):
         pipe = metrics._pipeline(alpha, n)
-        rate = 4.0 * SQRT2 * np.max(np.abs(pipe.two_mode.amps.real))  # 4 R
+        rate = 4.0 * SQRT2 * np.max(np.abs(pipe.amps.real))  # 4 R
         for step in (0.01, 0.05):
             xs = np.arange(-(alpha + 5.0), alpha + 5.0 + 0.5 * step, step)
             bound = pipe.fidelity_bound(xs)
@@ -533,10 +535,19 @@ class TestLegendreRule:
 
 
 class TestDistributions:
-    @pytest.mark.parametrize("p", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_rejects_nonfinite_grid(self, p):
-        with pytest.raises(ValueError, match="quadrature values must be finite"):
-            conditioned_p_distribution(20.0, 20, 0.0, [0.0, p])
+    # grids the densities refuse: a non-finite value, or more than one axis
+    @pytest.mark.parametrize("grid,match", [
+        ([0.0, math.nan], "quadrature values must be finite"),
+        ([0.0, math.inf], "quadrature values must be finite"),
+        (np.zeros((2, 3)), "quadrature values must be a number or a 1-D array"),
+    ], ids=["nan", "inf", "2-d"])
+    def test_rejects_nonfinite_grid(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            conditioned_p_distribution(20.0, 20, 0.0, grid)
+        psi = condition_at(20.0, 20, 0.0)
+        for density in (x_marginal_density, p_marginal_density):
+            with pytest.raises(ValueError, match=match):
+                density(psi, grid)
 
     def test_conditioned_bimodal_flagship(self):
         grid = np.arange(-25.0, 25.0001, 0.01)

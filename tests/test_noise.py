@@ -163,7 +163,7 @@ class TestPhaseNoiseState:
         # phase_noise_state collapses the turned ring on the cached spectrum
         # of the unturned one
         pipe = _pipeline(20.0, n)
-        turned = _ring_spectrum(pipe.two_mode.amps * np.exp(1j * u))
+        turned = _ring_spectrum(pipe.amps * np.exp(1j * u))
         assert turned is not None
         null = np.isneginf(pipe.spectrum)
         assert np.array_equal(np.isneginf(turned), null)
@@ -336,7 +336,7 @@ class TestRingSteps:
         # lose more than the budget in the direct sum over lags too
         base = 2.0 * np.pi * np.arange(2) / (2 * n)
         pipe = _pipeline(alpha, n)
-        amps = pipe.two_mode.amps
+        amps = pipe.amps
         _, _, q = _scaled_rows(pipe.log_c, pipe.arg_c, amps * np.exp(1j * base)[:, None], x)
         _, lost = _spectral_norms(q, pipe._circulant_spectrum)
         past = np.argwhere(lost > _DIGITS_BUDGET)

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 import oracles
 from kerrcat import (
     DegenerateStateError,
-    beamsplit_with_vacuum,
     cat_fidelity,
+    cat_overlap,
     coherent_overlap,
     coherent_state,
     inner_product,
@@ -24,6 +24,7 @@ from kerrcat import (
     vacuum_state,
     x_amplitude,
     x_marginal_density,
+    x_outcome_density,
 )
 from kerrcat.cli import _grid
 from kerrcat.metrics import condition_at, precondition_p_distribution
@@ -209,7 +210,6 @@ class TestNormsAndInnerProducts:
         # 1024 components: the pair sum runs over two _CHUNK blocks of rows
         psi = kerr_decompose(20.0, 1024).state
         assert squared_norm(psi) == pytest.approx(1.0, abs=1e-12)
-        assert beamsplit_with_vacuum(psi).squared_norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_product_near_underflow(self):
         # <18|-18> = e^{-2 * 18^2} = e^{-648}, about 3.8e-282
@@ -282,10 +282,10 @@ class TestNormRoutes:
     @pytest.mark.parametrize("alpha", [1.0, 5.0, 20.0])
     @pytest.mark.parametrize("n", [2, 5, 20, 60])
     def test_spectral_matches_pair_sum(self, alpha, n):
-        # kerrcat verify's rings, unsplit and as the two-mode norm sums them
-        # (sqrt2 b_n), and the split arm b_n; worst 1.2e-14 times 10^lost
+        # kerrcat verify's rings, unsplit, the split arm b_n and the arm
+        # scaled back (sqrt2 b_n); worst 1.2e-14 times 10^lost
         psi = kerr_decompose(alpha, n).state
-        arm = beamsplit_with_vacuum(psi).amps
+        arm = psi.amps / SQRT2
         _, c = _scale(*_log_polar(psi.coeffs))
         for amps in (psi.amps, SQRT2 * arm, arm):
             spectrum = _ring_spectrum(amps)
@@ -339,6 +339,18 @@ class TestMarginals:
             val, _ = quad(lambda x: x_marginal_density(psi, x), -span, span, limit=400)
             assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_scorers_normalize_unflagged_state(self):
+        # an unflagged state scores as its normalized twin: here its squared
+        # norm is 4, which an unnormalized sum would carry into every score
+        psi = superposition([2], [3])
+        unit = psi.normalized()
+        for score in (lambda s: cat_fidelity(s, 3).fidelity,
+                      lambda s: cat_overlap(s, 3, 0.4),
+                      lambda s: x_marginal_density(s, 4.0),
+                      lambda s: p_marginal_density(s, 0.5),
+                      lambda s: x_outcome_density(s, 2.0)):
+            assert score(psi) == pytest.approx(score(unit), rel=1e-15, abs=0)
+
 
 class TestScaleCut:
     """No sum cuts a term: the retired eps/n cut would drop most of a large
@@ -352,9 +364,9 @@ class TestScaleCut:
         # far below eps/n of the largest by e^200 more than the largest), and
         # every P cell of the direct kernel must stay within the rounding bound
         # (n + 1) eps sum|terms| of the dense sum over those coefficients
-        two = beamsplit_with_vacuum(kerr_decompose(20.0, 1024).state)
-        lc, ac = _log_polar(two.coeffs)
-        wl, wp = _x_amplitude_log_arrays(1.0, two.amps)
+        ring = kerr_decompose(20.0, 1024).state
+        lc, ac = _log_polar(ring.coeffs)
+        wl, wp = _x_amplitude_log_arrays(1.0, ring.amps / SQRT2)
         lq, aq = lc + wl, ac + wp
         q = np.exp(lq - lq.max()) * np.exp(1j * aq)
         assert np.all(q != 0)
