@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .conditioning import condition_on_x, x_outcome_density
 from .kerr import (
     FockState,
-    KerrDecomposition,
     KerrParams,
     TruncationError,
     fock_expand,
@@ -34,22 +33,17 @@ from .metrics import (
     cat_fidelity,
     cat_overlap,
     condition_at,
-    conditioned_p_distribution,
     default_target_beta,
     fidelity_columns,
     fidelity_curve,
     max_fidelity,
-    outcome_density,
     partner_for,
-    precondition_p_distribution,
     success_probability,
     window_from_threshold,
 )
 from .noise import (
-    LossyFinalState,
     NoiseParams,
     lossy_fidelity,
-    lossy_final_state,
     odd_loss_probability,
     phase_noise_avg_fidelity,
     phase_noise_state,

@@ -32,17 +32,15 @@ from .kerr import (
 from .metrics import (
     cat_fidelity,
     condition_at,
-    conditioned_p_distribution,
     default_target_beta,
     fidelity_columns,
     fidelity_curve,
     max_fidelity,
-    precondition_p_distribution,
     success_probability,
     window_from_threshold,
 )
 from .noise import NoiseParams, lossy_fidelity, phase_noise_avg_fidelity
-from .states import load_state, normalization_mismatch, state_to_json_dict
+from .states import load_state, normalization_mismatch, p_marginal_density, state_to_json_dict
 
 ENV_OUTDIR = "KERRCAT_OUTDIR"
 
@@ -215,7 +213,7 @@ def _verify_args(p):
 
 def _cmd_decompose(args) -> int:
     if args.format == "json":
-        _write_json(args.output, state_to_json_dict(kerr_decompose(args.alpha, args.n).state))
+        _write_json(args.output, state_to_json_dict(kerr_decompose(args.alpha, args.n)))
     else:  # the coefficients alone: main has checked --alpha, and they check --n
         _write_csv(args.output, ("n", "re", "im", "magnitude", "zeta_n"),
                    coefficient_rows(args.n))
@@ -287,11 +285,10 @@ def _cmd_pdist(args) -> int:
     span = math.sqrt(2.0) * args.alpha + 8.0
     grid = _grid(-span if args.p_min is None else args.p_min,
                  span if args.p_max is None else args.p_max, args.p_step)
-    if args.command == "pdist-pre":
-        rows = precondition_p_distribution(args.alpha, args.n, grid)
-    else:
-        rows = conditioned_p_distribution(args.alpha, args.n, args.x, grid)
-    _write_csv(args.output, ("p", "density"), rows)
+    psi = (kerr_decompose(args.alpha, args.n) if args.command == "pdist-pre"
+           else condition_at(args.alpha, args.n, args.x))
+    _write_csv(args.output, ("p", "density"),
+               zip(grid.tolist(), p_marginal_density(psi, grid).tolist()))
     return 0
 
 
@@ -347,9 +344,9 @@ def _cmd_reproduce(args) -> int:
 
     if args.what == "fig2":
         grid = _grid(-30.0, 30.0, 0.05)
-        pre = precondition_p_distribution(20.0, 20, grid)
-        post = conditioned_p_distribution(20.0, 20, 0.0, grid)
-        rows = [(p, dpre, dpost) for (p, dpre), (_, dpost) in zip(pre, post)]
+        pre = p_marginal_density(kerr_decompose(20.0, 20), grid)
+        post = p_marginal_density(condition_at(20.0, 20, 0.0), grid)
+        rows = zip(grid.tolist(), pre.tolist(), post.tolist())
         header = ("p", "density_before_split", "density_conditioned_x0")
     elif args.what == "fig3":
         grid, ns = _grid(-3.0, 3.0, 0.01), (20, 40, 60)
@@ -358,7 +355,7 @@ def _cmd_reproduce(args) -> int:
         rows = zip(grid.tolist(), *columns)
     elif args.what == "fig4":
         grid = _grid(-30.0, 30.0, 0.02)
-        rows = conditioned_p_distribution(20.0, 200, 0.0, grid)
+        rows = zip(grid.tolist(), p_marginal_density(condition_at(20.0, 200, 0.0), grid).tolist())
         header = ("p", "density")
     elif args.what == "fig5":
         sigmas = _grid(0.0, 0.3, 0.01)
@@ -400,7 +397,7 @@ def _cmd_verify(args) -> int:
         for n in grid_n:
             cutoff = int(a * a + 10 * a + 50)
             fock = kerr_fock_evolve(KerrParams(math.pi / n, a), cutoff)
-            dec = fock_expand(kerr_decompose(a, n).state, cutoff)
+            dec = fock_expand(kerr_decompose(a, n), cutoff)
             worst_ov = min(worst_ov, abs(fock.overlap(dec)))
     check("number-basis oracle equivalence", worst_ov >= 1.0 - 1e-8,
           f"min overlap {worst_ov:.12f}")
@@ -408,7 +405,7 @@ def _cmd_verify(args) -> int:
     norm_dev = 0.0
     for a in (1.0, 5.0, 20.0):
         for n in (2, 5, 20, 60):
-            psi = kerr_decompose(a, n).state
+            psi = kerr_decompose(a, n)
             norm_dev = max(norm_dev, abs(psi.squared_norm() - 1.0))
     check("ring-norm unitarity", norm_dev < 1e-10,
           f"max deviation {norm_dev:.2e}")

@@ -62,16 +62,6 @@ class FockState:
         return complex(np.vdot(self.amplitudes[:n], other.amplitudes[:n]))
 
 
-@dataclass(frozen=True)
-class KerrDecomposition:
-    """Exact coherent-ring decomposition of Kerr evolution at phase pi/N."""
-
-    n_components: int
-    alpha_i: float
-    coefficients: np.ndarray
-    state: CoherentSuperposition
-
-
 MAX_COMPONENTS = 4096
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
@@ -103,19 +93,18 @@ def ring_amplitudes(alpha_i: float, n: int) -> np.ndarray:
     return -alpha_i * np.exp(2j * np.pi * k / n)
 
 
-def kerr_decompose(alpha_i: float, n: int) -> KerrDecomposition:
-    """Decompose Kerr evolution of |alpha_i> at interaction phase pi/n.
+def kerr_decompose(alpha_i: float, n: int) -> CoherentSuperposition:
+    """The ring state sum_k C_k |-alpha_i e^{2 i pi k / n}>: Kerr evolution of
+    |alpha_i> at interaction phase pi/n.
 
-    The returned state is unit-norm without renormalization (the evolution is
-    unitary and the closed-form coefficients are exact) and keeps all n ring
+    It is flagged unit-norm without renormalization (the evolution is unitary
+    and the closed-form coefficients are exact) and keeps all n ring
     components, however close neighbouring amplitudes lie.
     """
     n = _validate_n(n)
     if not (alpha_i > 0) or not math.isfinite(alpha_i):
         raise ValueError("alpha_i must be a positive real number")
-    coeffs = kerr_coefficients(n)
-    state = superposition(coeffs, ring_amplitudes(alpha_i, n), normalized=True)
-    return KerrDecomposition(n, float(alpha_i), coeffs, state)
+    return superposition(kerr_coefficients(n), ring_amplitudes(alpha_i, n), normalized=True)
 
 
 def recommended_cutoff(alpha: complex) -> int:

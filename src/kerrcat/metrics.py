@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conditioning import _collapse, _scaled_rows, _split
-from .kerr import KerrDecomposition, kerr_decompose
+from .kerr import kerr_decompose
 from .states import (
     CoherentSuperposition,
     SQRT2,
@@ -44,7 +44,6 @@ from .states import (
     _unit,
     _x_log_magnitude,
     coherent_overlap,
-    p_marginal_density,
     superposition,
 )
 
@@ -110,13 +109,15 @@ class FidelityCurvePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class AcceptanceWindow:
-    """Disjoint union of measurement-outcome intervals accepted as success."""
+    """Disjoint union of finite measurement-outcome intervals accepted as success."""
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         prev_hi = -math.inf
         for lo, hi in self.intervals:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"interval ends must be finite, got ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"empty or inverted interval ({lo}, {hi})")
             if lo < prev_hi:
@@ -193,15 +194,18 @@ def cat_overlap(psi: CoherentSuperposition, target_beta: complex, phi: float,
     return float(_phi_objective(*_branch_terms(psi.coeffs, psi.amps, bt, pt), cross, phi))
 
 
-def default_target_beta(decomp: KerrDecomposition, X: float) -> complex:
-    """Branch amplitude of the component favored by outcome X (after the split).
+def default_target_beta(psi: CoherentSuperposition, X: float) -> complex:
+    """Branch amplitude of the component of ``psi`` favored by outcome X
+    (after the split); ValueError unless X is finite.
 
     Returns beta_k / sqrt2 for the k maximizing |<X|beta_k/sqrt2>|; ties pick
-    the smallest k (at X = 0 with 4 | N that is k = N/4, amplitude
+    the smallest k (at X = 0 on a ring with 4 | N that is k = N/4, amplitude
     -i alpha_i / sqrt2).
     """
-    split = _split(decomp.state.amps)
-    return complex(split[int(np.argmax(_x_log_magnitude(float(X), split)))])
+    if not math.isfinite(X := float(X)):
+        raise ValueError("measurement outcome must be finite")
+    split = _split(psi.amps)
+    return complex(split[int(np.argmax(_x_log_magnitude(X, split)))])
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +222,7 @@ _SHIFT_CELLS = 1 << 16
 class _Pipeline:
     """Per-(alpha_i, n) cache of the decompose -> split chain for conditioning.
 
-    Holds the decomposition, its per-arm amplitudes ``amps`` after the split,
+    Holds the ring state ``ring``, its per-arm amplitudes ``amps`` after the split,
     the coefficients' log-polar form and the spectrum of the ring's Gram
     matrix <b_m|b_n> (rotation invariant, so it also serves turned rings),
     and builds the target cat on first use.
@@ -227,9 +231,9 @@ class _Pipeline:
     """
 
     def __init__(self, alpha_i: float, n: int):
-        self.decomp = kerr_decompose(alpha_i, n)
-        self.amps = _split(self.decomp.state.amps)
-        self.log_c, self.arg_c = _log_polar(self.decomp.state.coeffs)
+        self.ring = kerr_decompose(alpha_i, n)
+        self.amps = _split(self.ring.amps)
+        self.log_c, self.arg_c = _log_polar(self.ring.coeffs)
         self.spectrum = _ring_spectrum(self.amps)
 
     @cached_property
@@ -237,7 +241,7 @@ class _Pipeline:
         """(bt, pt, <bt|pt>): the dominant branch at X = 0, its partner and
         their overlap; ValueError if they make no cat (tiny alpha), raised
         only by what scores a fidelity."""
-        return _target_cat(default_target_beta(self.decomp, 0.0), None)
+        return _target_cat(default_target_beta(self.ring, 0.0), None)
 
     def collapse(self, x):
         return _collapse(self.log_c, self.arg_c, self.amps, x, self.spectrum)
@@ -563,29 +567,6 @@ def success_probability(alpha_i: float, n: int, window: AcceptanceWindow) -> flo
     return fine
 
 
-def outcome_density(alpha_i: float, n: int, X: float) -> float:
-    """Convenience wrapper: homodyne density of the split decomposition."""
-    return float(_pipeline(alpha_i, n).collapse(float(X)).densities()[0])
-
-
-def _density_on_grid(psi: CoherentSuperposition, p_grid) -> list[tuple[float, float]]:
-    return list(zip(p_grid.tolist(), p_marginal_density(psi, p_grid).tolist()))
-
-
-def conditioned_p_distribution(alpha_i: float, n: int, X: float,
-                               p_grid) -> list[tuple[float, float]]:
-    """P-quadrature density of the state conditioned on outcome X."""
-    psi = _pipeline(alpha_i, n).conditioned(float(X))
-    return _density_on_grid(psi, np.atleast_1d(np.asarray(p_grid, dtype=float)))
-
-
-def precondition_p_distribution(alpha_i: float, n: int,
-                                p_grid) -> list[tuple[float, float]]:
-    """P-quadrature density of the ring state before the beam splitter."""
-    decomp = _pipeline(alpha_i, n).decomp
-    return _density_on_grid(decomp.state, np.atleast_1d(np.asarray(p_grid, dtype=float)))
-
-
 def condition_at(alpha_i: float, n: int, X: float) -> CoherentSuperposition:
     """Full chain decompose -> split -> condition at outcome X."""
     return _pipeline(alpha_i, n).conditioned(float(X))
@@ -599,14 +580,11 @@ __all__ = [
     "cat_fidelity",
     "cat_overlap",
     "condition_at",
-    "conditioned_p_distribution",
     "default_target_beta",
     "fidelity_columns",
     "fidelity_curve",
     "max_fidelity",
-    "outcome_density",
     "partner_for",
-    "precondition_p_distribution",
     "success_probability",
     "window_from_threshold",
 ]

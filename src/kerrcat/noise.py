@@ -4,11 +4,13 @@ fluctuation during propagation.
 Loss model: photons lost at the final stage carry away phase information;
 losing an odd number of them flips the cat's relative phase by pi, while an
 even number leaves it unchanged.  With Poissonian loss of mean mu the flip
-probability is P_f = sum_{odd n} e^{-mu} mu^n / n! = (1 - e^{-2 mu}) / 2 and
-the surviving amplitude decays as alpha e^{-gamma tau / 2} with
-mu = alpha^2 (1 - e^{-gamma tau}).  The final state is the two-term mixture
+probability is P_f = sum_{odd n} e^{-mu} mu^n / n! = (1 - e^{-2 mu}) / 2, the
+surviving amplitude is alpha_i sqrt(1 - mu / alpha_i^2) and the loss
+probability (of at least one photon) p = 1 - e^{-mu}; a decay of exponent
+gamma tau loses mu = alpha_i^2 (1 - e^{-gamma tau}), so it reads as
+p = 1 - exp(-alpha_i^2 (1 - e^{-gamma tau})).  The final state is the mixture
 (1 - P_f) |Psi><Psi| + P_f |Phi><Phi| where |Phi> is |Psi> with the partner
-branch rotated by pi.
+half of the ring rotated by pi.
 
 Phase model: a fluctuation dphi rotates every ring component,
 |-a e^{i(2 n pi / N + dphi)}/sqrt2>, before the homodyne projection; the
@@ -28,67 +30,40 @@ import numpy as np
 
 from .conditioning import _collapse
 from .metrics import _branch_terms, _max_phi, _phi_objective, _pipeline
-from .states import CoherentSuperposition, superposition
+from .states import CoherentSuperposition
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Final-stage photon loss.
+    """Final-stage photon loss: ``loss_prob`` is the probability of losing at
+    least one photon (read as a decay exponent in the module docstring) or,
+    with ``direct_flip``, the flip probability itself instead of one derived
+    from Poissonian parity."""
 
-    Exactly one of ``loss_prob`` (probability of losing at least one photon at
-    the final stage) or ``gamma_tau`` (decay exponent) fixes the loss; setting
-    both keeps the amplitude decay tied to ``gamma_tau`` while the flip
-    probability follows ``loss_prob`` (useful for probing the mixture weights
-    with frozen branches).  ``direct_flip`` reads ``loss_prob`` as the flip
-    probability itself instead of deriving it from Poissonian parity.
-    """
-
-    loss_prob: float | None = None
-    gamma_tau: float | None = None
+    loss_prob: float
     direct_flip: bool = False
 
     def __post_init__(self):
-        if self.loss_prob is not None and not (0.0 <= self.loss_prob < 1.0):
+        if not (0.0 <= self.loss_prob < 1.0):
             raise ValueError("loss_prob must lie in [0, 1)")
-        if self.direct_flip:
-            if self.loss_prob is None:
-                raise ValueError("direct_flip needs loss_prob")
-            if self.loss_prob >= 0.5:
-                raise ValueError("flip probability must be below 1/2 (parity equipartition)")
-        if self.gamma_tau is not None and self.gamma_tau < 0:
-            raise ValueError("gamma_tau must be nonnegative")
+        if self.direct_flip and self.loss_prob >= 0.5:
+            raise ValueError("flip probability must be below 1/2 (parity equipartition)")
 
-    def mean_lost_photons(self, alpha_i: float) -> float:
-        if self.gamma_tau is not None:
-            return alpha_i ** 2 * -math.expm1(-self.gamma_tau)
-        if self.loss_prob is None:
-            return 0.0
+    def mean_lost_photons(self) -> float:
         if self.direct_flip:
             return -0.5 * math.log1p(-2.0 * self.loss_prob)
         return -math.log1p(-self.loss_prob)
 
-    def flip_probability(self, alpha_i: float) -> float:
+    def flip_probability(self) -> float:
         if self.direct_flip:
             return float(self.loss_prob)
-        if self.loss_prob is None:
-            return odd_loss_probability(self.mean_lost_photons(alpha_i))
         return odd_loss_probability(-math.log1p(-self.loss_prob))
 
     def decayed_alpha(self, alpha_i: float) -> float:
-        mu = self.mean_lost_photons(alpha_i)
+        mu = self.mean_lost_photons()
         if mu >= alpha_i ** 2:
             raise ValueError("loss exceeds the state's whole energy")
         return alpha_i * math.sqrt(1.0 - mu / alpha_i ** 2)
-
-
-@dataclass(frozen=True)
-class LossyFinalState:
-    """Mixture (1-p_flip)|branch_plus><..| + p_flip |branch_minus><..|."""
-
-    p_flip: float
-    branch_plus: CoherentSuperposition
-    branch_minus: CoherentSuperposition
-    decayed_alpha: float
 
 
 def odd_loss_probability(mu: float) -> float:
@@ -101,36 +76,23 @@ def odd_loss_probability(mu: float) -> float:
     return -0.5 * math.expm1(-2.0 * mu)
 
 
-def _flip_partner_branch(psi: CoherentSuperposition, target_beta: complex) -> CoherentSuperposition:
-    """Rotate the partner half of the ring by pi relative to the target half."""
-    sign = np.where((np.conj(complex(target_beta)) * psi.amps).real < 0.0, -1.0, 1.0)
-    return superposition(psi.coeffs * sign, psi.amps, normalized=psi.is_normalized)
-
-
-def lossy_final_state(alpha_i: float, n: int, X: float,
-                      noise: NoiseParams) -> LossyFinalState:
-    """Run the pipeline at the decayed amplitude and build both mixture branches."""
-    a_dec = noise.decayed_alpha(alpha_i)
-    pipe = _pipeline(a_dec, n)
-    plus = pipe.conditioned(float(X))
-    minus = _flip_partner_branch(plus, pipe.target[0])
-    return LossyFinalState(noise.flip_probability(alpha_i), plus, minus, a_dec)
-
-
 def lossy_fidelity(alpha_i: float, n: int, X: float, noise: NoiseParams) -> float:
     """Fidelity of the lossy mixture to the cat matched to the decayed state.
 
-    The target branch amplitude comes from the decayed pipeline and the
-    relative phase is frozen at the flip-free maximizer, so
+    Both branches are the decayed pipeline's state conditioned on X, the
+    flipped one with the coefficients of its partner half (Re(conj(bt) b_n) < 0)
+    negated; the relative phase is frozen at the flip-free maximizer, so
     F = (1 - P_f) F_plus + P_f F_minus.
     """
-    final = lossy_final_state(alpha_i, n, X, noise)
-    bt, pt, cross = _pipeline(final.decayed_alpha, n).target
-    coeffs = np.stack((final.branch_plus.coeffs, final.branch_minus.coeffs))
-    A, B = _branch_terms(coeffs, final.branch_plus.amps, bt, pt)  # both branches share amps
+    pipe = _pipeline(noise.decayed_alpha(alpha_i), n)
+    plus = pipe.conditioned(float(X))
+    bt, pt, cross = pipe.target
+    sign = np.where((np.conj(bt) * plus.amps).real < 0.0, -1.0, 1.0)
+    A, B = _branch_terms(np.stack((plus.coeffs, plus.coeffs * sign)), plus.amps, bt, pt)
     f_plus, phi_max = map(float, _max_phi(A[0], B[0], cross))
     f_minus = float(_phi_objective(A[1], B[1], cross, phi_max))
-    return (1.0 - final.p_flip) * f_plus + final.p_flip * f_minus
+    p_flip = noise.flip_probability()
+    return (1.0 - p_flip) * f_plus + p_flip * f_minus
 
 
 def phase_noise_state(alpha_i: float, n: int, X: float,
@@ -209,10 +171,8 @@ def phase_noise_avg_fidelity(alpha_i: float, n: int, X: float, sigma):
 
 
 __all__ = [
-    "LossyFinalState",
     "NoiseParams",
     "lossy_fidelity",
-    "lossy_final_state",
     "odd_loss_probability",
     "phase_noise_avg_fidelity",
     "phase_noise_state",

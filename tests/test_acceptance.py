@@ -15,14 +15,12 @@ from kerrcat import (
     NoiseParams,
     cat_fidelity,
     condition_at,
-    conditioned_p_distribution,
     default_target_beta,
     fidelity_curve,
     fock_expand,
     kerr_decompose,
     kerr_fock_evolve,
-    lossy_final_state,
-    outcome_density,
+    p_marginal_density,
     phase_noise_avg_fidelity,
     phase_noise_state,
     squared_norm,
@@ -30,6 +28,7 @@ from kerrcat import (
     verify_phase_identity,
     window_from_threshold,
     x_marginal_density,
+    x_outcome_density,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -55,7 +54,7 @@ def test_criterion_02_oracle_equivalence():
         for n in (2, 3, 4, 5, 8, 20):
             cutoff = int(alpha ** 2 + 10 * alpha + 50)
             fock = kerr_fock_evolve(KerrParams(math.pi / n, alpha), cutoff)
-            dec = fock_expand(kerr_decompose(alpha, n).state, cutoff)
+            dec = fock_expand(kerr_decompose(alpha, n), cutoff)
             worst = min(worst, abs(fock.overlap(dec)))
     elapsed = time.perf_counter() - start
     ok = worst >= 1.0 - 1e-8 and elapsed < 5.0
@@ -66,7 +65,7 @@ def test_criterion_03_yurke_stoler_limit():
     ok = True
     detail = []
     for alpha in (2.5, 20.0):
-        rep = cat_fidelity(kerr_decompose(alpha, 2).state, alpha)
+        rep = cat_fidelity(kerr_decompose(alpha, 2), alpha)
         dphi = abs(rep.phi_max - math.pi / 2)
         ok &= abs(rep.fidelity - 1.0) <= 1e-10 and dphi <= 1e-4
         detail.append(f"alpha={alpha}: F={rep.fidelity:.12f} phi_max={rep.phi_max:.6f}")
@@ -107,8 +106,7 @@ def test_criterion_06_max_fidelity_n60():
 def test_criterion_07_bimodal_signature_n200():
     alpha, n = 20.0, 200
     grid = np.arange(-1500, 1501) * 0.02
-    rows = conditioned_p_distribution(alpha, n, 0.0, grid)
-    dens = np.array([d for _, d in rows])
+    dens = p_marginal_density(condition_at(alpha, n, 0.0), grid)
     peaks = [i for i in range(1, len(grid) - 1)
              if dens[i] > dens[i - 1] and dens[i] > dens[i + 1]]
     top = max(dens[i] for i in peaks)
@@ -210,22 +208,19 @@ def test_criterion_09_phase_noise_shape(n):
 def test_criterion_10_normalization_suite():
     worst_norm = 0.0
     for alpha, n in ((1.0, 1), (1.0, 2), (20.0, 20), (20.0, 60), (30.0, 8)):
-        dec = kerr_decompose(alpha, n)
-        worst_norm = max(worst_norm, abs(squared_norm(dec.state) - 1))
+        worst_norm = max(worst_norm, abs(squared_norm(kerr_decompose(alpha, n)) - 1))
         for x in (0.0, 1.3, alpha):
             psi = condition_at(alpha, n, x)
             worst_norm = max(worst_norm, abs(squared_norm(psi) - 1))
     worst_norm = max(worst_norm, abs(squared_norm(condition_at(20.0, 20, 45.0)) - 1))
     worst_norm = max(worst_norm, abs(squared_norm(phase_noise_state(20.0, 20, 0.0, 0.07)) - 1))
-    final = lossy_final_state(20.0, 20, 0.0, NoiseParams(loss_prob=0.3))
-    worst_norm = max(worst_norm, abs(squared_norm(final.branch_plus) - 1))
-    worst_norm = max(worst_norm, abs(squared_norm(final.branch_minus) - 1))
 
     # densities integrate to one
     from scipy.integrate import quad
     worst_int = 0.0
     for alpha, n in ((5.0, 2), (20.0, 20), (20.0, 60)):
-        val, _ = quad(lambda x: outcome_density(alpha, n, x),
+        ring = kerr_decompose(alpha, n)
+        val, _ = quad(lambda x: x_outcome_density(ring, x),
                       -(alpha + 10), alpha + 10, limit=400)
         worst_int = max(worst_int, abs(val - 1))
     psi = condition_at(20.0, 20, 0.0)
@@ -266,12 +261,13 @@ def test_criterion_12_symmetry_suite():
     worst_d = 0.0
     xs = np.arange(1, 21) * 0.1
     for n in (2, 4, 8, 12, 16, 20):
+        ring = kerr_decompose(20.0, n)
         right = fidelity_curve(20.0, n, xs)
         left = fidelity_curve(20.0, n, -xs)
         worst_f = max(worst_f, max(abs(a.fidelity - b.fidelity)
                                    for a, b in zip(right, left)))
-        worst_d = max(worst_d, max(abs(outcome_density(20.0, n, x)
-                                       - outcome_density(20.0, n, -x)) for x in xs))
+        worst_d = max(worst_d, max(abs(x_outcome_density(ring, x)
+                                       - x_outcome_density(ring, -x)) for x in xs))
     ok = worst_f <= 1e-8 and worst_d <= 1e-8
     assert report(12, ok,
                   f"max |F(X)-F(-X)| = {worst_f:.1e}, "

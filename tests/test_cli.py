@@ -14,8 +14,9 @@ import pytest
 
 from kerrcat import cli
 from kerrcat.cli import main
-from kerrcat.kerr import KerrParams, kerr_fock_evolve
-from kerrcat.metrics import condition_at, fidelity_curve, outcome_density
+from kerrcat.conditioning import x_outcome_density
+from kerrcat.kerr import KerrParams, kerr_decompose, kerr_fock_evolve
+from kerrcat.metrics import condition_at, fidelity_curve
 from kerrcat.noise import NoiseParams, lossy_fidelity
 
 
@@ -107,7 +108,7 @@ class TestArgumentValidation:
             code, _, err = run([*args, "--alpha", "1e-7", "--output",
                                 str(tmp_path / "o.csv")], capsys)
             assert code == 0, err
-        assert outcome_density(1e-7, 4, 0.0) == pytest.approx(math.exp(-5e-14) / math.sqrt(math.pi))
+        assert x_outcome_density(kerr_decompose(1e-7, 4), 0.0) == pytest.approx(math.exp(-5e-14) / math.sqrt(math.pi))
         assert condition_at(1e-7, 4, 0.0).squared_norm() == pytest.approx(1.0, abs=1e-12)
 
     # every subcommand built by _add_common, with the arguments it requires

@@ -14,10 +14,10 @@ from kerrcat import (
     coherent_state,
     condition_at,
     condition_on_x,
+    default_target_beta,
     fidelity_curve,
     inner_product,
     kerr_decompose,
-    outcome_density,
     phase_noise_state,
     superposition,
     vacuum_state,
@@ -44,7 +44,7 @@ SQRT2 = math.sqrt(2.0)
 
 def ring(alpha, n):
     """The Kerr ring before the split, as the conditioning functions take it."""
-    return kerr_decompose(alpha, n).state
+    return kerr_decompose(alpha, n)
 
 
 class TestBeamsplit:
@@ -72,8 +72,7 @@ class TestBeamsplit:
 
 class TestConditionOnX:
     def test_balanced_two_component_at_zero(self):
-        dec = kerr_decompose(4.0, 2)
-        psi = condition_on_x(dec.state, 0.0)
+        psi = condition_on_x(kerr_decompose(4.0, 2), 0.0)
         mags = np.abs(psi.coeffs)
         assert mags[0] == pytest.approx(mags[1], rel=1e-12)
         report = cat_fidelity(psi, 4.0 / SQRT2)
@@ -107,12 +106,16 @@ class TestConditionOnX:
             condition_on_x(ring(2.0, 2), math.nan)
 
     @pytest.mark.parametrize("call", [
-        lambda: outcome_density(20.0, 20, math.nan),
+        lambda: _pipeline(20.0, 20).collapse(math.nan),
         lambda: x_outcome_density(ring(20.0, 20), -math.inf),
         lambda: fidelity_curve(20.0, 20, [0.0, math.nan]),
         lambda: fidelity_curve(20.0, 20, [math.inf]),
         lambda: phase_noise_state(20.0, 20, math.nan, 0.3),
-    ], ids=["density", "public-density", "curve-nan", "curve-inf", "rotation"])
+        lambda: default_target_beta(ring(20.0, 20), math.nan),
+        lambda: default_target_beta(ring(20.0, 20), math.inf),
+        lambda: default_target_beta(ring(20.0, 20), -math.inf),
+    ], ids=["density", "public-density", "curve-nan", "curve-inf", "rotation", "target-nan",
+            "target-inf", "target-minus-inf"])
     def test_collapse_rejects_nonfinite_outcome(self, call):
         with pytest.raises(ValueError, match="measurement outcome must be finite"):
             call()
@@ -172,9 +175,8 @@ class TestOutcomeDensity:
         # two humps centered at +-alpha; the cross term carries the mode-2
         # overlap <-b|b> = e^{-alpha^2}, further crushed by the X Gaussians
         alpha = 4.0
-        dec = kerr_decompose(alpha, 2)
-        state = dec.state
-        c1, c2 = dec.coefficients
+        state = kerr_decompose(alpha, 2)
+        c1, c2 = state.coeffs
         for x in (0.0, 2.0, alpha):
             g1 = math.exp(-((x - alpha) ** 2)) / math.sqrt(math.pi)
             g2 = math.exp(-((x + alpha) ** 2)) / math.sqrt(math.pi)
@@ -236,8 +238,8 @@ class TestPipelineRoute:
     def test_matches_public_route(self, n):
         state = ring(20.0, n)
         for x in self.GRID:
-            assert _value_or_error(outcome_density, 20.0, n, x) == \
-                _value_or_error(x_outcome_density, state, x), x
+            assert _value_or_error(lambda: float(_pipeline(20.0, n).collapse(x).densities()[0])) \
+                == _value_or_error(x_outcome_density, state, x), x
             got = _value_or_error(condition_at, 20.0, n, x)
             want = _value_or_error(condition_on_x, state, x)
             if isinstance(want, type):
@@ -328,7 +330,7 @@ class TestDigitsLostBudget:
         raised = []
         for x in self.XS:
             try:
-                got = outcome_density(20.0, n, x)
+                got = x_outcome_density(ring(20.0, n), x)
             except ArithmeticError:
                 raised.append(x)
                 continue
@@ -345,20 +347,17 @@ class TestDigitsLostBudget:
     @pytest.mark.parametrize("n,x", [(200, -20.0), (200, -18.0), (200, 24.0)])
     def test_accepts_cancelling_tails(self, n, x):
         _, want = oracles.condition_fock(20.0, n, x, 650)
-        assert outcome_density(20.0, n, x) == pytest.approx(want, rel=1e-8, abs=0)
+        assert x_outcome_density(ring(20.0, n), x) == pytest.approx(want, rel=1e-8, abs=0)
 
     # 60-digit number-basis densities (bench/make_refs.py); the pair sum is
     # 5.2e-3 and 73 % off here
     @pytest.mark.parametrize("x,want", [(1.0, 3.328515333401843e-14),
                                         (2.5, 5.413351615309458e-17)], ids=["1.0", "2.5"])
     def test_matches_high_precision_reference(self, x, want):
-        assert outcome_density(20.0, 1024, x) == pytest.approx(want, rel=1e-8, abs=0)
         assert x_outcome_density(ring(20.0, 1024), x) == pytest.approx(want, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("n,x", PAST)
     def test_rejects_past_budget(self, n, x):
-        with pytest.raises(ArithmeticError, match="digits to cancellation"):
-            outcome_density(20.0, n, x)
         with pytest.raises(ArithmeticError, match="digits to cancellation"):
             x_outcome_density(ring(20.0, n), x)
 

@@ -35,9 +35,9 @@ class TestRingCoefficients:
     def test_two_components_match_number_basis(self):
         # the coefficient orientation is pinned by the evolution itself
         alpha = 3.0
-        dec = kerr_decompose(alpha, 2)
+        ring = kerr_decompose(alpha, 2)
         vec = sum(c * oracles.coherent_fock(a, 80)
-                  for c, a in zip(dec.coefficients, dec.state.amps))
+                  for c, a in zip(ring.coeffs, ring.amps))
         want = oracles.kerr_fock(alpha, math.pi / 2, 80)
         assert abs(np.vdot(want, vec)) == pytest.approx(1.0, abs=1e-12)
 
@@ -87,24 +87,23 @@ class TestRingCoefficients:
 
 class TestDecomposition:
     def test_pi_flip(self):
-        dec = kerr_decompose(2.5, 1)
-        assert len(dec.state) == 1
-        assert dec.state.coeffs[0] == pytest.approx(1.0, abs=1e-12)
-        assert dec.state.amps[0] == pytest.approx(-2.5, abs=1e-12)
+        ring = kerr_decompose(2.5, 1)
+        assert len(ring) == 1
+        assert ring.coeffs[0] == pytest.approx(1.0, abs=1e-12)
+        assert ring.amps[0] == pytest.approx(-2.5, abs=1e-12)
 
     def test_two_component_cat_form(self):
-        dec = kerr_decompose(4.0, 2)
-        amps = sorted(dec.state.amps, key=lambda a: a.real)
+        amps = sorted(kerr_decompose(4.0, 2).amps, key=lambda a: a.real)
         assert amps[0] == pytest.approx(-4.0, abs=1e-12)
         assert amps[1] == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 5.0, 10.0, 20.0, 30.0])
     def test_unitarity_across_sizes(self, alpha):
         for n in range(1, 65):
-            assert abs(kerr_decompose(alpha, n).state.squared_norm() - 1.0) < 1e-10
+            assert abs(kerr_decompose(alpha, n).squared_norm() - 1.0) < 1e-10
 
     def test_flagship_norm(self):
-        assert kerr_decompose(20.0, 20).state.squared_norm() == pytest.approx(1.0, abs=1e-10)
+        assert kerr_decompose(20.0, 20).squared_norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -115,12 +114,12 @@ class TestDecomposition:
     def test_tiny_ring_keeps_every_component(self):
         # spacing 2e-13 sin(pi/8): every amplitude within 1e-13 of the first,
         # still a ring, so its norm is spectral
-        dec = kerr_decompose(1e-13, 8)
-        assert len(dec.state) == 8
-        np.testing.assert_array_equal(dec.state.coeffs, kerr_coefficients(8))
-        np.testing.assert_array_equal(dec.state.amps, ring_amplitudes(1e-13, 8))
-        assert _ring_weights(dec.state.amps) is not None
-        assert dec.state.squared_norm() == pytest.approx(1.0, abs=1e-12)
+        ring = kerr_decompose(1e-13, 8)
+        assert len(ring) == 8
+        np.testing.assert_array_equal(ring.coeffs, kerr_coefficients(8))
+        np.testing.assert_array_equal(ring.amps, ring_amplitudes(1e-13, 8))
+        assert _ring_weights(ring.amps) is not None
+        assert ring.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFockEvolve:
@@ -136,7 +135,7 @@ class TestFockEvolve:
 
     def test_matches_decomposition(self):
         state = kerr_fock_evolve(KerrParams(math.pi / 20, 6.0), 200)
-        dec = fock_expand(kerr_decompose(6.0, 20).state, 200)
+        dec = fock_expand(kerr_decompose(6.0, 20), 200)
         assert abs(state.overlap(dec)) >= 1 - 1e-8
 
     def test_periodicity(self):
@@ -221,7 +220,6 @@ class TestFockExpand:
 
     def test_yurke_stoler_limit(self):
         # pinned by the acceptance gate: relative phase pi/2 against branch +alpha
-        dec = kerr_decompose(2.5, 2)
-        report = cat_fidelity(dec.state, 2.5)
+        report = cat_fidelity(kerr_decompose(2.5, 2), 2.5)
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
         assert report.phi_max == pytest.approx(math.pi / 2, abs=1e-4)

@@ -16,21 +16,19 @@ from kerrcat import (
     cat_fidelity,
     cat_overlap,
     condition_at,
-    conditioned_p_distribution,
     FidelityCurvePoint,
     default_target_beta,
     fidelity_columns,
     fidelity_curve,
     kerr_decompose,
-    outcome_density,
     p_marginal_density,
     partner_for,
-    precondition_p_distribution,
     squared_norm,
     success_probability,
     superposition,
     window_from_threshold,
     x_marginal_density,
+    x_outcome_density,
 )
 from kerrcat.cli import _grid
 from kerrcat.states import _log_polar, _scale, _x_amplitude_log_arrays
@@ -208,17 +206,17 @@ class TestDefaultTarget:
         assert beta == pytest.approx(-1j * 7.0 / SQRT2, abs=1e-9)
 
     def test_offset_outcome(self):
-        dec = kerr_decompose(20.0, 20)
-        beta = default_target_beta(dec, 10.0)
+        ring = kerr_decompose(20.0, 20)
+        beta = default_target_beta(ring, 10.0)
         # component whose Gaussian center sqrt2 Re b is nearest 10
-        centers = SQRT2 * (dec.state.amps / SQRT2).real
+        centers = SQRT2 * (ring.amps / SQRT2).real
         assert SQRT2 * beta.real == pytest.approx(
             centers[int(np.argmin(np.abs(centers - 10)))], abs=1e-9)
 
     def test_tie_breaks_to_smallest_index(self):
-        dec = kerr_decompose(5.0, 4)
-        beta = default_target_beta(dec, 0.0)
-        assert beta == pytest.approx(dec.state.amps[0] / SQRT2, abs=1e-12)
+        ring = kerr_decompose(5.0, 4)
+        beta = default_target_beta(ring, 0.0)
+        assert beta == pytest.approx(ring.amps[0] / SQRT2, abs=1e-12)
 
 
 class TestFidelityCurve:
@@ -324,7 +322,8 @@ class TestWindowsAndSuccess:
 
         win = (AcceptanceWindow(((-30.0, 30.0),)) if f_min is None
                else window_from_threshold(20.0, n, f_min))
-        want = sum(quad(lambda x: outcome_density(20.0, n, x), lo, hi,
+        ring = kerr_decompose(20.0, n)
+        want = sum(quad(lambda x: x_outcome_density(ring, x), lo, hi,
                         epsabs=1e-15, epsrel=1e-13, limit=2000)[0]
                    for lo, hi in win.intervals)
         assert success_probability(20.0, n, win) == pytest.approx(want, rel=1e-12)
@@ -337,7 +336,8 @@ class TestWindowsAndSuccess:
 
     def test_riemann_total_mass(self):
         xs = np.arange(-30.0, 30.0, 0.02)
-        mass = sum(outcome_density(20.0, 20, x) for x in xs) * 0.02
+        ring = kerr_decompose(20.0, 20)
+        mass = sum(x_outcome_density(ring, x) for x in xs) * 0.02
         assert mass == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("alpha,n,f_min,count", [(2.0, 10, 0.1, 2), (2.0, 3, 0.2, 1)])
@@ -385,6 +385,10 @@ class TestWindowsAndSuccess:
             AcceptanceWindow(((1.0, 0.5),))
         with pytest.raises(ValueError):
             AcceptanceWindow(((0.0, 1.0), (0.5, 2.0)))
+        # an infinite end would fail only in success_probability's panel count
+        for intervals in (((0.0, math.inf),), ((-math.inf, 0.0),), ((0.0, 1.0), (2.0, math.nan))):
+            with pytest.raises(ValueError, match="interval ends must be finite"):
+                AcceptanceWindow(intervals)
         with pytest.raises(ValueError):
             window_from_threshold(20.0, 20, 1.5)
         for step in (0.0, math.inf, math.nan):
@@ -542,8 +546,6 @@ class TestDistributions:
         (np.zeros((2, 3)), "quadrature values must be a number or a 1-D array"),
     ], ids=["nan", "inf", "2-d"])
     def test_rejects_nonfinite_grid(self, grid, match):
-        with pytest.raises(ValueError, match=match):
-            conditioned_p_distribution(20.0, 20, 0.0, grid)
         psi = condition_at(20.0, 20, 0.0)
         for density in (x_marginal_density, p_marginal_density):
             with pytest.raises(ValueError, match=match):
@@ -551,8 +553,7 @@ class TestDistributions:
 
     def test_conditioned_bimodal_flagship(self):
         grid = np.arange(-25.0, 25.0001, 0.01)
-        rows = conditioned_p_distribution(20.0, 20, 0.0, grid)
-        dens = np.array([d for _, d in rows])
+        dens = p_marginal_density(condition_at(20.0, 20, 0.0), grid)
         peaks = [(grid[i], dens[i]) for i in range(1, len(grid) - 1)
                  if dens[i] > dens[i - 1] and dens[i] > dens[i + 1]]
         top = max(d for _, d in peaks)
@@ -565,8 +566,7 @@ class TestDistributions:
         # conditioned two-component state is a cat along the real axis, so the
         # conjugate quadrature shows fringes around P = 0
         grid = np.arange(-2.0, 2.0001, 0.02)
-        rows = conditioned_p_distribution(3.0, 2, 0.0, grid)
-        dens = np.array([d for _, d in rows])
+        dens = p_marginal_density(condition_at(3.0, 2, 0.0), grid)
         maxima = sum(1 for i in range(1, len(dens) - 1)
                      if dens[i] > dens[i - 1] and dens[i] > dens[i + 1]
                      and dens[i] > 0.05 * dens.max())
@@ -574,16 +574,14 @@ class TestDistributions:
 
     def test_precondition_single_component(self):
         grid = np.arange(-6.0, 6.0001, 0.05)
-        rows = precondition_p_distribution(3.0, 1, grid)
-        dens = np.array([d for _, d in rows])
+        dens = p_marginal_density(kerr_decompose(3.0, 1), grid)
         assert grid[np.argmax(dens)] == pytest.approx(0.0, abs=0.06)
         want = math.exp(0.0) / math.sqrt(math.pi)
         assert dens.max() == pytest.approx(want, rel=1e-3)
 
     def test_precondition_flagship_ring(self):
         grid = np.arange(-36.0, 36.0001, 0.05)
-        rows = precondition_p_distribution(20.0, 20, grid)
-        dens = np.array([d for _, d in rows])
+        dens = p_marginal_density(kerr_decompose(20.0, 20), grid)
         # multi-peaked spread reaching out to sqrt2 * 20
         maxima = sum(1 for i in range(1, len(dens) - 1)
                      if dens[i] > dens[i - 1] and dens[i] > dens[i + 1]
@@ -594,14 +592,13 @@ class TestDistributions:
 
     def test_pre_split_fidelity_is_low(self):
         # before the splitter the ring overlaps the ideal cat at only 2/N
-        dec = kerr_decompose(20.0, 20)
-        rep = cat_fidelity(dec.state, -20.0j)
+        rep = cat_fidelity(kerr_decompose(20.0, 20), -20.0j)
         assert rep.fidelity == pytest.approx(0.1, abs=1e-3)
 
     def test_conditioned_distribution_propagates_degenerate(self):
         from kerrcat import DegenerateStateError
         with pytest.raises(DegenerateStateError):
-            conditioned_p_distribution(20.0, 20, 48.0, [0.0])
+            p_marginal_density(condition_at(20.0, 20, 48.0), [0.0])
 
     # fig2: the ring before the splitter and conditioned at X = 0 (N = 20);
     # fig4: conditioned at X = 0 (N = 200)
@@ -609,19 +606,14 @@ class TestDistributions:
                                                     (200, 0.02, True)])
     def test_grid_matches_per_point(self, n, step, conditioned):
         grid = _grid(-30.0, 30.0, step)
-        if conditioned:
-            rows = conditioned_p_distribution(20.0, n, 0.0, grid)
-            psi = metrics.condition_at(20.0, n, 0.0)
-        else:
-            rows = precondition_p_distribution(20.0, n, grid)
-            psi = kerr_decompose(20.0, n).state
+        psi = condition_at(20.0, n, 0.0) if conditioned else kerr_decompose(20.0, n)
         # fig4 takes the Fock route and is checked against the 60-digit
         # reference: 1e-13 against the sum over the components would compare
         # two double-precision sums, which differ by 1.8e-13 at P = -29.98
         # and in the trough near P = 1.6 are both rounding noise (direct
         # 6.7e-174, Fock 8.0e-31, reference 2.3e-28)
         within = bench_reference("fig4.csv", "DENSITY") if n == 200 else None
-        self._assert_cells_match_points(psi, rows, within)
+        self._assert_cells_match_points(psi, grid, within)
 
     def test_large_ring_grid_matches_per_point(self):
         # N = 1024 at X = 1 takes the Fock route: every cell equals the
@@ -629,20 +621,17 @@ class TestDistributions:
         # the same grid points to the bench's large-N tolerance, with no
         # known-cell envelope
         within = bench_reference("pdist_post_n1024_x1.csv", "DENSITY_LARGE_N")
-        psi = metrics.condition_at(20.0, 1024, 1.0)
-        rows = conditioned_p_distribution(20.0, 1024, 1.0, _grid(-30.0, 30.0, 0.05))
-        self._assert_cells_match_points(psi, rows, within)
+        psi = condition_at(20.0, 1024, 1.0)
+        self._assert_cells_match_points(psi, _grid(-30.0, 30.0, 0.05), within)
 
     @staticmethod
-    def _assert_cells_match_points(psi, rows, within=None):
-        """Every grid cell equals the array call's cell and the one-point
-        call (a float) bit for bit, and is ``within`` the bench reference or,
-        by default, the one-point log-domain sum over the components to
+    def _assert_cells_match_points(psi, grid, within=None):
+        """Every cell of the array call on ``grid`` equals the one-point call
+        (a float) bit for bit, and is ``within`` the bench reference or, by
+        default, the one-point log-domain sum over the components to
         1e-13."""
-        grid = np.array([p for p, _ in rows])
-        assert p_marginal_density(psi, grid).tolist() == [d for _, d in rows]
         lc, ac = _log_polar(psi.coeffs)
-        for p, got in rows:
+        for p, got in zip(grid.tolist(), p_marginal_density(psi, grid).tolist()):
             one = p_marginal_density(psi, p)
             assert type(one) is float and got == one, p
             if within is not None:
@@ -661,8 +650,7 @@ class TestDistributions:
         # envelope maxima off +-20 (verified against the independent
         # number-basis pipeline to 1e-13)
         grid = np.arange(-1250, 1251) * 0.02
-        rows = conditioned_p_distribution(20.0, 200, 0.0, grid)
-        dens = np.array([d for _, d in rows])
+        dens = p_marginal_density(condition_at(20.0, 200, 0.0), grid)
         peaks = [(grid[i], dens[i]) for i in range(1, len(grid) - 1)
                  if dens[i] > dens[i - 1] and dens[i] > dens[i + 1]]
         top = max(d for _, d in peaks)

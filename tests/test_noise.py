@@ -16,11 +16,11 @@ from kerrcat import (
     inner_product,
     kerr_decompose,
     lossy_fidelity,
-    lossy_final_state,
     odd_loss_probability,
     phase_noise_avg_fidelity,
     phase_noise_state,
     squared_norm,
+    superposition,
 )
 from kerrcat import metrics, noise
 from kerrcat.cli import main
@@ -55,28 +55,15 @@ class TestOddLossProbability:
 class TestNoiseParams:
     def test_poisson_reading(self):
         p = NoiseParams(loss_prob=0.1)
-        assert p.mean_lost_photons(20.0) == pytest.approx(-math.log(0.9), rel=1e-14)
+        assert p.mean_lost_photons() == pytest.approx(-math.log(0.9), rel=1e-14)
         # P_f = (1 - (1 - loss)^2) / 2
-        assert p.flip_probability(20.0) == pytest.approx(0.095, rel=1e-12)
+        assert p.flip_probability() == pytest.approx(0.095, rel=1e-12)
         assert p.decayed_alpha(20.0) == pytest.approx(
             20.0 * math.sqrt(1 + math.log(0.9) / 400.0), rel=1e-14)
 
     def test_direct_reading(self):
         p = NoiseParams(loss_prob=0.3, direct_flip=True)
-        assert p.flip_probability(20.0) == 0.3
-
-    def test_gamma_tau_reading(self):
-        p = NoiseParams(gamma_tau=1e-3)
-        mu = 400 * (1 - math.exp(-1e-3))
-        assert p.mean_lost_photons(20.0) == pytest.approx(mu, rel=1e-12)
-        assert p.flip_probability(20.0) == pytest.approx(odd_loss_probability(mu), rel=1e-12)
-
-    def test_frozen_branch_probe(self):
-        # explicit gamma_tau pins the decay while loss_prob drives the flip
-        p = NoiseParams(loss_prob=0.4, gamma_tau=0.0)
-        assert p.decayed_alpha(20.0) == 20.0
-        assert p.flip_probability(20.0) == pytest.approx(
-            odd_loss_probability(-math.log(0.6)), rel=1e-12)
+        assert p.flip_probability() == 0.3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -85,10 +72,10 @@ class TestNoiseParams:
             NoiseParams(loss_prob=0.6, direct_flip=True)
         with pytest.raises(ValueError, match="below 1/2"):
             NoiseParams(loss_prob=0.5, direct_flip=True)  # log1p(-1) downstream
-        with pytest.raises(ValueError):
-            NoiseParams(direct_flip=True)
-        with pytest.raises(ValueError):
-            NoiseParams(gamma_tau=-1.0)
+        with pytest.raises(TypeError):
+            NoiseParams(direct_flip=True)  # loss_prob is required
+        with pytest.raises(TypeError):
+            NoiseParams(loss_prob=0.1, gamma_tau=1e-3)  # no decay-exponent knob
 
 
 class TestLossyFidelity:
@@ -98,25 +85,42 @@ class TestLossyFidelity:
         lossy = lossy_fidelity(20.0, 20, 0.0, NoiseParams(loss_prob=0.0))
         assert lossy == pytest.approx(noiseless.fidelity, abs=1e-12)
 
+    # (alpha_i, N, X, noise): table1's loss, a direct flip off X = 0 and a heavy loss
+    MIXTURES = [(20.0, 20, 0.0, NoiseParams(loss_prob=0.3)),
+                (20.0, 60, 0.5, NoiseParams(loss_prob=0.3, direct_flip=True)),
+                (20.0, 40, 0.0, NoiseParams(loss_prob=0.6))]
+
+    @staticmethod
+    def branches(alpha, n, X, noise):
+        """(plus, minus, bt): the mixture's branches rebuilt from public
+        calls at the decayed amplitude, minus with the partner half of the
+        ring (Re(conj(bt) b) < 0) negated, and the target branch bt."""
+        a_dec = noise.decayed_alpha(alpha)
+        plus = condition_at(a_dec, n, X)
+        bt = default_target_beta(kerr_decompose(a_dec, n), 0.0)
+        sign = np.where((np.conj(bt) * plus.amps).real < 0.0, -1.0, 1.0)
+        return plus, superposition(plus.coeffs * sign, plus.amps, normalized=True), bt
+
     def test_final_state_structure(self):
-        final = lossy_final_state(20.0, 20, 0.0, NoiseParams(loss_prob=0.3))
-        assert 0.0 <= final.p_flip <= 0.5
-        assert final.decayed_alpha < 20.0
-        assert squared_norm(final.branch_plus) == pytest.approx(1.0, abs=1e-10)
-        assert squared_norm(final.branch_minus) == pytest.approx(1.0, abs=1e-10)
-        # the two branches are the same cat with opposite relative phase
-        assert abs(inner_product(final.branch_plus, final.branch_minus)) < 1e-6
+        for alpha, n, X, noise in self.MIXTURES:
+            assert 0.0 <= noise.flip_probability() <= 0.5
+            assert noise.decayed_alpha(alpha) < alpha
+            plus, minus, _ = self.branches(alpha, n, X, noise)
+            assert squared_norm(plus) == pytest.approx(1.0, abs=1e-10)
+            assert squared_norm(minus) == pytest.approx(1.0, abs=1e-10)
+        # at the flagship the two branches are the same cat with opposite
+        # relative phase (off it the conditioned state is no clean cat)
+        plus, minus, _ = self.branches(*self.MIXTURES[0])
+        assert abs(inner_product(plus, minus)) < 1e-6
 
     def test_affine_in_flip_probability(self):
-        # frozen branches (gamma_tau = 0): F must be affine in P_f
-        vals = []
-        for p in (0.1, 0.25, 0.4):
-            pf = odd_loss_probability(-math.log1p(-p))
-            vals.append((pf, lossy_fidelity(20.0, 20, 0.0,
-                                            NoiseParams(loss_prob=p, gamma_tau=0.0))))
-        (p1, f1), (p2, f2), (p3, f3) = vals
-        interp = f1 + (f3 - f1) * (p2 - p1) / (p3 - p1)
-        assert f2 == pytest.approx(interp, abs=1e-12)
+        # F = (1 - P_f) F_plus + P_f F_minus, F_minus at the flip-free phi_max
+        for alpha, n, X, noise in self.MIXTURES:
+            plus, minus, bt = self.branches(alpha, n, X, noise)
+            best = cat_fidelity(plus, bt)
+            p_flip = noise.flip_probability()
+            want = (1.0 - p_flip) * best.fidelity + p_flip * cat_overlap(minus, bt, best.phi_max)
+            assert lossy_fidelity(alpha, n, X, noise) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_monotone_in_loss(self):
         fs = [lossy_fidelity(20.0, 20, 0.0, NoiseParams(loss_prob=p))

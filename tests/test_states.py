@@ -27,7 +27,7 @@ from kerrcat import (
     x_outcome_density,
 )
 from kerrcat.cli import _grid
-from kerrcat.metrics import condition_at, precondition_p_distribution
+from kerrcat.metrics import condition_at
 from kerrcat.states import (
     LOG_PI_QUARTER,
     _FOCK_TAIL,
@@ -208,7 +208,7 @@ class TestNormsAndInnerProducts:
 
     def test_norm_of_ring_past_one_chunk(self):
         # 1024 components: the pair sum runs over two _CHUNK blocks of rows
-        psi = kerr_decompose(20.0, 1024).state
+        psi = kerr_decompose(20.0, 1024)
         assert squared_norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_product_near_underflow(self):
@@ -284,7 +284,7 @@ class TestNormRoutes:
     def test_spectral_matches_pair_sum(self, alpha, n):
         # kerrcat verify's rings, unsplit, the split arm b_n and the arm
         # scaled back (sqrt2 b_n); worst 1.2e-14 times 10^lost
-        psi = kerr_decompose(alpha, n).state
+        psi = kerr_decompose(alpha, n)
         arm = psi.amps / SQRT2
         _, c = _scale(*_log_polar(psi.coeffs))
         for amps in (psi.amps, SQRT2 * arm, arm):
@@ -364,7 +364,7 @@ class TestScaleCut:
         # far below eps/n of the largest by e^200 more than the largest), and
         # every P cell of the direct kernel must stay within the rounding bound
         # (n + 1) eps sum|terms| of the dense sum over those coefficients
-        ring = kerr_decompose(20.0, 1024).state
+        ring = kerr_decompose(20.0, 1024)
         lc, ac = _log_polar(ring.coeffs)
         wl, wp = _x_amplitude_log_arrays(1.0, ring.amps / SQRT2)
         lq, aq = lc + wl, ac + wp
@@ -426,11 +426,11 @@ class TestFockRoute:
         # out to 50.4, where pi^(-1/4) e^{-P^2/2} underflows past |P| ~ 37.6;
         # an unscaled recurrence prints 0 there (3.3e-28 at P = 40).  A
         # one-point call, which rescales Python floats, equals its grid cell
-        psi = kerr_decompose(30.0, 4096).state
+        psi = kerr_decompose(30.0, 4096)
         assert len(psi) > _fock_terms(-1j * psi.amps)
         span = SQRT2 * 30.0 + 8.0
         grid = _grid(-span, span, 0.05)
-        got = np.array([d for _, d in precondition_p_distribution(30.0, 4096, grid)])
+        got = p_marginal_density(psi, grid)
         want = _direct_densities(*_log_polar(psi.coeffs), -1j * psi.amps, grid)
         assert np.all(np.abs(got - want) <= 1e-8 * want + 1e-11 * want.max())
         far = np.flatnonzero(np.abs(grid) > 37.6)[::8]
@@ -440,7 +440,7 @@ class TestFockRoute:
     def test_cells_beyond_every_term_are_zero(self):
         # the bound (sqrt2 |P| + 1)^m on psi_m / psi_0 puts these below the
         # smallest double; they are 0, with no overflow on the way
-        psi = kerr_decompose(30.0, 4096).state
+        psi = kerr_decompose(30.0, 4096)
         with np.errstate(over="raise", invalid="raise"):
             assert [p_marginal_density(psi, p) for p in (1e6, -1e30)] == [0.0, 0.0]
 
@@ -558,8 +558,8 @@ class TestFockTail:
         "fig4": lambda: condition_at(20.0, 200, 0.0),
         "n1024-x1": lambda: condition_at(20.0, 1024, 1.0),
         "n4096-x0": lambda: condition_at(20.0, 4096, 0.0),
-        "n1024-pre": lambda: kerr_decompose(20.0, 1024).state,
-        "a30-n4096-pre": lambda: kerr_decompose(30.0, 4096).state,
+        "n1024-pre": lambda: kerr_decompose(20.0, 1024),
+        "a30-n4096-pre": lambda: kerr_decompose(30.0, 4096),
         "a30-n4096-x2": lambda: condition_at(30.0, 4096, 2.0),
         "a5-n512-x0.3": lambda: condition_at(5.0, 512, 0.3),
     }
