@@ -10,8 +10,8 @@ file, 2 numerical failure (degenerate state, truncation), 3 verification failure
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -75,35 +75,27 @@ def _write(path: str | None, emit) -> None:
     print(f"wrote {path}")
 
 
-def _row_template(kinds) -> str | None:
-    """'%'-template that writes a row of these cell types as csv.writer writes
-    it after :func:`_fmt`, or None unless every cell is a float or an int."""
-    fields = ["%.17g" if issubclass(k, float) else "%d" if k is int else None for k in kinds]
-    return None if None in fields else ",".join(fields) + "\n"
-
-
 def _write_csv(path: str | None, header, rows) -> None:
-    """Write CSV to path (or stdout); floats at 17 significant digits.
+    """Write CSV to path (or stdout): the header line, then every row through
+    one '%'-template built from the first row.
 
-    Rows with the first row's cell types go through one '%'-template built
-    from those types; any other row, and every row of a table whose first
-    row holds a str (quoted as needed), goes through csv.writer.
+    A number prints at 17 significant digits (``%.17g``, so an int prints as
+    itself) and a label, a str cell, as it is.  Raises ValueError before
+    anything is written if a row's length differs from the header's or a
+    label (the header's included) holds a comma, a quote, CR or LF: the
+    template does not quote.
     """
-
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        kinds = template = None
-        for row in map(tuple, rows):
-            if kinds is None:
-                kinds = tuple(map(type, row))
-                template = _row_template(kinds)
-            if template is not None and tuple(map(type, row)) == kinds:
-                fh.write(template % row)
-            else:
-                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-
-    _write(path, emit)
+    rows = list(rows)
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError(f"every CSV row must have the header's {len(header)} cells")
+    label_cols = [i for i, v in enumerate(rows[0]) if isinstance(v, str)] if rows else []
+    for label in (*header, *(row[i] for i in label_cols for row in rows)):
+        if any(ch in label for ch in ',"\r\n'):
+            raise ValueError(f"CSV label {label!r} holds a comma, a quote or a line break")
+    template = ",".join("%s" if i in label_cols else "%.17g" for i in range(len(header))) + "\n"
+    cells = tuple(itertools.chain.from_iterable(rows))
+    text = ",".join(header) + "\n" + template * len(rows) % cells
+    _write(path, lambda fh: fh.write(text))
 
 
 def _write_json(path: str | None, doc) -> None:

@@ -8,8 +8,8 @@ density or fidelity).  The split needs no state of its own: both arms share
 the amplitudes b_n = beta_n/sqrt2 (:func:`_split`, the one place they are
 written) and the coefficients c_n, so :func:`condition_on_x` and
 :func:`x_outcome_density` take the single-mode state before the split and
-the outcome X as a float.  Measuring X on the first output mode collapses
-the second onto
+the outcome X (the density also takes a 1-D array of outcomes).  Measuring
+X on the first output mode collapses the second onto
 
     sum_n  c_n <X|b_n>  |b_n>     (renormalized),
 
@@ -142,17 +142,23 @@ def _collapse(log_c, arg_c, amps, x, spectrum: np.ndarray | None = None) -> _Col
     return _Collapse(x, top, q, amps, 2.0 * top + log_norm, lost)
 
 
-def x_outcome_density(psi: CoherentSuperposition, X: float) -> float:
-    """Homodyne outcome density Tr[rho_1 |X><X|] at X of ``psi`` split
-    against vacuum; integrates to 1 over X.  An unflagged ``psi`` is
-    normalized first (:func:`_unit`).
+def x_outcome_density(psi: CoherentSuperposition, X):
+    """Homodyne outcome density Tr[rho_1 |X><X|] of ``psi`` split against
+    vacuum: a float for a number X, the array of densities for a 1-D array
+    of outcomes; ValueError for any other shape.  It integrates to 1 over X.
+    An unflagged ``psi`` is normalized first (:func:`_unit`).  Every outcome
+    is its own row of one :func:`_collapse`, so an array's densities equal
+    the one-point calls'.
 
-    Raises ArithmeticError if the density loses more than ``_DIGITS_BUDGET``
+    Raises ArithmeticError if a density loses more than ``_DIGITS_BUDGET``
     digits to cancellation.
     """
+    if np.ndim(X) > 1:
+        raise ValueError("measurement outcomes must be a number or a 1-D array")
     amps = _split(psi.amps)
-    return float(_collapse(*_log_polar(_unit(psi).coeffs), amps, X,
-                           _ring_spectrum(amps)).densities()[0])
+    density = _collapse(*_log_polar(_unit(psi).coeffs), amps, X,
+                        _ring_spectrum(amps)).densities()
+    return float(density[0]) if np.ndim(X) == 0 else density
 
 
 def condition_on_x(psi: CoherentSuperposition, X: float) -> CoherentSuperposition:

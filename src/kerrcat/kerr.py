@@ -63,7 +63,6 @@ class FockState:
 
 
 MAX_COMPONENTS = 4096
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _validate_n(n: int) -> int:
@@ -112,6 +111,18 @@ def recommended_cutoff(alpha: complex) -> int:
     return int(math.ceil(a * a + 10 * a + 20))
 
 
+def _fock_log_polar(amps: np.ndarray, cutoff: int):
+    """(log|<m|a>|, arg<m|a>) for m = 0..cutoff, one row per amplitude a in
+    ``amps``: -|a|^2/2 + m log|a| - log(m!)/2 and m arg a, a = 0 giving the
+    vacuum row."""
+    m = np.arange(cutoff + 1)
+    half_log_fact = 0.5 * np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
+    r = np.hypot(amps.real, amps.imag)[:, None]  # rounds as Python's abs; np.abs may not
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at a = 0
+        m_log_r = np.where(m > 0, m * np.log(r), 0.0)
+    return -0.5 * r ** 2 + m_log_r - half_log_fact, m * np.angle(amps)[:, None]
+
+
 def kerr_fock_evolve(params: KerrParams, cutoff: int) -> FockState:
     """Evolve |alpha> in the truncated number basis: c_n picks up e^{-i lt n^2}.
 
@@ -132,18 +143,9 @@ def kerr_fock_evolve(params: KerrParams, cutoff: int) -> FockState:
             f"for |alpha| = {abs(params.alpha):.3g}",
             stacklevel=2,
         )
-    n = np.arange(cutoff + 1)
-    alpha = complex(params.alpha)
-    kerr_phase = -params.lambda_tau * (n.astype(float) ** 2)
-    if alpha == 0:
-        amps = np.zeros(cutoff + 1, dtype=np.complex128)
-        amps[0] = 1.0
-    else:
-        logmag = (-0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha))
-                  - 0.5 * _lgamma(n + 1.0))
-        phase = n * np.angle(alpha) + kerr_phase
-        amps = np.exp(logmag) * np.exp(1j * phase)
-    state = FockState(amps, cutoff)
+    (log_mag,), (arg,) = _fock_log_polar(np.array([params.alpha], dtype=complex), cutoff)
+    kerr_phase = -params.lambda_tau * (np.arange(cutoff + 1.0) ** 2)
+    state = FockState(np.exp(log_mag) * np.exp(1j * (arg + kerr_phase)), cutoff)
     if state.truncation_deficit > 1e-8:
         raise TruncationError(
             f"truncation deficit {state.truncation_deficit:.3e} exceeds 1e-8 "
@@ -152,18 +154,11 @@ def kerr_fock_evolve(params: KerrParams, cutoff: int) -> FockState:
 
 
 def fock_expand(psi: CoherentSuperposition, cutoff: int) -> FockState:
-    """Expand a coherent superposition onto the number basis |0..cutoff>."""
-    n = np.arange(cutoff + 1)
-    lg_fact = 0.5 * _lgamma(n + 1.0)
-    out = np.zeros(cutoff + 1, dtype=np.complex128)
-    for c, a in zip(psi.coeffs, psi.amps):
-        a = complex(a)
-        if a == 0:
-            out[0] += c
-            continue
-        logmag = -0.5 * abs(a) ** 2 + n * math.log(abs(a)) - lg_fact
-        out += c * np.exp(logmag) * np.exp(1j * n * np.angle(a))
-    return FockState(out, int(cutoff))
+    """Expand a coherent superposition onto the number basis |0..cutoff>,
+    summing the components in their given order."""
+    log_mag, arg = _fock_log_polar(psi.amps, cutoff)
+    terms = psi.coeffs[:, None] * np.exp(log_mag) * np.exp(1j * arg)
+    return FockState(terms.sum(axis=0), int(cutoff))
 
 
 def verify_phase_identity(n: int) -> float:

@@ -565,23 +565,47 @@ class TestCsvWriter:
             writer.writerow([cli._fmt(v) if isinstance(v, float) else v for v in row])
         return buf.getvalue()
 
-    @pytest.mark.parametrize("rows", [
-        [(1, 0.1, -0.0), (2, math.inf, -math.nan), (3, 5e-324, 2.0 / 3.0)],
-        [(np.float64(0.1), np.float64(-1.5e300), 1e22)],
-        # a float where the first row has an int, and the reverse: no %d on 2.5
-        [(1, 0.5, 0.25), (2.5, 0.5, 0.25), (3, 7, 0.25), (4, 0.5)],
-        # a str in the first row or a later one: csv.writer quotes it
-        [("a,b", 0.1, 1), ('q"uote', 2.0, 3)],
-        [(0.5, 0.25, 1), (0.5, "x y,z", 1)],
-        # bools and numpy ints print as csv.writer prints them
-        [(True, 0.5, 1), (np.int64(3), 0.25, 1)],
-        [[1.0, 2, 0.5]],
-        [],
-    ], ids=["ints-floats", "numpy-floats", "changed-types", "str-first", "str-later",
-            "bool-numpy-int", "list-rows", "empty"])
-    def test_same_bytes_as_csv_writer(self, capsys, rows):
-        cli._write_csv(None, ("a", "b", "c"), iter(rows))
-        assert capsys.readouterr().out == self.reference(("a", "b", "c"), rows)
+    @pytest.mark.parametrize("header,rows", [
+        (("a", "b", "c"), [(1, 0.1, -0.0), (2, math.inf, -math.nan), (3, 5e-324, 2.0 / 3.0)]),
+        (("a", "b", "c"), [(np.float64(0.1), np.float64(-1.5e300), 1e22)]),
+        (("a", "b", "c"), [[1.0, 2, 0.5]]),
+        (("a", "b", "c"), []),
+        # table1's quantity names and success-prob's row with its intervals
+        (("quantity", "value"), [("success_prob_n20_fmin0.99999", 0.1), ("loss0.1", -2.5e-7)]),
+        (("n", "alpha_i", "f_min", "window_intervals", "probability"),
+         [(40, 20.0, 0.99, "-0.5:0.25;1.5:2.75", np.float64(0.125))]),
+    ], ids=["ints-floats", "numpy-floats", "list-rows", "empty", "table1-labels",
+            "success-prob-labels"])
+    def test_same_bytes_as_csv_writer(self, capsys, header, rows):
+        cli._write_csv(None, header, iter(rows))
+        assert capsys.readouterr().out == self.reference(header, rows)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_refuses_label_that_needs_quoting(self, char, tmp_path):
+        path = tmp_path / "t.csv"
+        for header, rows in [(("quantity", "value"), [("ok", 1.0), (f"a{char}b", 2.0)]),
+                             ((f"quantity{char}", "value"), [("ok", 1.0)])]:
+            with pytest.raises(ValueError, match="comma, a quote or a line break"):
+                cli._write_csv(str(path), header, rows)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_cli_refuses_label_before_writing(self, capsys, monkeypatch, tmp_path, char):
+        # success-prob's window_intervals label is built with _fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: f"1{char}5")
+        path = tmp_path / "rep.csv"
+        code, _, err = run(["success-prob", "--alpha", "6", "--n", "2", "--f-min", "0.9",
+                            "--output", str(path)], capsys)
+        assert code == 1 and "kerrcat: error: CSV label" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)], [(1.0,)]],
+                             ids=["short-later", "long", "short-first"])
+    def test_refuses_rows_of_unequal_length(self, rows):
+        with pytest.raises(ValueError, match="header's 2 cells"):
+            cli._write_csv(None, ("a", "b"), rows)
 
 
 class TestReproduceAndVerify:

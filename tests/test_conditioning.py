@@ -197,6 +197,19 @@ class TestOutcomeDensity:
         assert p0 > x_outcome_density(state, 3.0)  # mid-gap toward the next center
         assert p0 > x_outcome_density(state, -3.0)
 
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_array_matches_points(self, n):
+        # one collapse over the whole array: every density equals its
+        # one-point call bit for bit
+        state = ring(20.0, n)
+        xs = np.arange(-100, 101) * 0.25
+        got = x_outcome_density(state, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert got.tolist() == [x_outcome_density(state, x) for x in xs.tolist()]
+        assert type(x_outcome_density(state, 0.25)) is float
+        with pytest.raises(ValueError, match="1-D array"):
+            x_outcome_density(state, xs[None, :])
+
     @pytest.mark.parametrize("alpha,n", [(5.0, 2), (5.0, 20), (20.0, 20), (20.0, 60)])
     def test_total_probability(self, alpha, n):
         state = ring(alpha, n)
